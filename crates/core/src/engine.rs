@@ -25,17 +25,13 @@
 //! guaranteed at the argmax/prediction level, not the raw score level.
 //!
 //! **Quantised scoring.** The engine can serve the paper's §VI-B
-//! deployments directly: [`NshdEngine::with_scoring`] compiles the class
-//! memory into a [`nshd_hdc::ScoringBackend`] (INT8 or bit-packed), and
-//! [`finish_values`] then scores through that backend's batch GEMM — the
-//! packed mode encodes straight to packed hypervectors
-//! ([`try_encode_values_packed`]) so nothing densifies on the way to the
-//! popcount scorer. Dense remains the default and the accuracy
-//! reference.
+//! deployments directly: [`NshdEngine::with_scoring`] rebuilds its
+//! [`HdScorer`] for INT8 or bit-packed scoring, and [`finish_values`]
+//! then scores through that backend's batch GEMM. Dense remains the
+//! default and the accuracy reference.
 //!
 //! [`extract_values`]: NshdEngine::extract_values
 //! [`finish_values`]: NshdEngine::finish_values
-//! [`try_encode_values_packed`]: NshdEngine::try_encode_values_packed
 
 use crate::manifold::ManifoldLearner;
 use crate::model::NshdModel;
@@ -44,11 +40,12 @@ use crate::scaler::FeatureScaler;
 use crate::verify::{self, AnalysisReport};
 use nshd_data::ImageDataset;
 use nshd_hdc::{
-    AssociativeMemory, BatchEncoder, BipolarHv, FaultReport, FaultScenario, PackedHv,
-    ScoringBackend, ScoringMode,
+    AssociativeMemory, BatchEncoder, BipolarHv, FaultReport, FaultScenario, HdScorer, QueryHv,
+    ScoringMode,
 };
 use nshd_nn::Model;
 use nshd_tensor::{Tensor, TensorError};
+use std::sync::Arc;
 
 /// An immutable, `Send + Sync` snapshot of a trained NSHD pipeline,
 /// ready for concurrent batched inference.
@@ -68,8 +65,7 @@ pub struct NshdEngine {
     scaler: FeatureScaler,
     manifold: Option<ManifoldLearner>,
     encoder: BatchEncoder,
-    memory: AssociativeMemory,
-    scoring: ScoringBackend,
+    scorer: HdScorer,
 }
 
 // The engine must stay shareable across worker threads; fail the build
@@ -99,8 +95,7 @@ impl NshdEngine {
             scaler: model.scaler().clone(),
             manifold: model.manifold().cloned(),
             encoder: model.projection().batch_encoder(),
-            memory: model.memory().clone(),
-            scoring: ScoringBackend::Dense,
+            scorer: HdScorer::new(Arc::new(model.memory().clone()), ScoringMode::Dense),
         })
     }
 
@@ -134,7 +129,7 @@ impl NshdEngine {
             self.manifold.as_ref(),
             self.encoder.features(),
             self.encoder.dim(),
-            &self.memory,
+            self.scorer.memory(),
             self.teacher.num_classes,
         )
     }
@@ -147,40 +142,35 @@ impl NshdEngine {
     /// memory is corrupted; an empty scenario yields a replica that
     /// predicts bit-identically to `self`.
     pub fn degraded(&self, scenario: &FaultScenario) -> (NshdEngine, FaultReport) {
-        let mut replica = self.clone();
-        let report = scenario.apply_associative(&mut replica.memory);
-        // Quantised backends are compiled *from* the dense memory, so a
-        // degraded replica must recompile its backend or it would keep
-        // scoring against the uncorrupted deployment.
-        replica.scoring = ScoringBackend::build(&replica.memory, replica.scoring.mode());
-        (replica, report)
+        let mut memory = AssociativeMemory::clone(self.scorer.memory());
+        let report = scenario.apply_associative(&mut memory);
+        let scorer = HdScorer::new(Arc::new(memory), self.scorer.mode());
+        (NshdEngine { scorer, ..self.clone() }, report)
     }
 
     /// Number of classes the engine predicts over.
     pub fn num_classes(&self) -> usize {
-        self.memory.num_classes()
+        self.scorer.memory().num_classes()
     }
 
     /// The snapshotted associative memory.
     pub fn memory(&self) -> &AssociativeMemory {
-        &self.memory
+        self.scorer.memory()
     }
 
-    /// Recompiles the scoring stage for `mode` (paper §VI-B): `Dense`
+    /// Rebuilds the scoring stage for `mode` (paper §VI-B): `Dense`
     /// keeps f32 cosine scoring, `Int8`/`Packed` compile the class
     /// memory into the corresponding quantised deployment and route
     /// [`finish_values`](NshdEngine::finish_values) through its batch
-    /// GEMM. The dense memory is always retained (it is the
-    /// recompilation source for [`NshdEngine::degraded`] replicas).
+    /// GEMM.
     #[must_use]
-    pub fn with_scoring(mut self, mode: ScoringMode) -> Self {
-        self.scoring = ScoringBackend::build(&self.memory, mode);
-        self
+    pub fn with_scoring(self, mode: ScoringMode) -> Self {
+        NshdEngine { scorer: HdScorer::new(Arc::clone(self.scorer.memory()), mode), ..self }
     }
 
     /// The scoring mode the engine currently serves with.
     pub fn scoring_mode(&self) -> ScoringMode {
-        self.scoring.mode()
+        self.scorer.mode()
     }
 
     /// Stage 1 — CNN feature extraction: stacks the CHW images into one
@@ -255,45 +245,8 @@ impl NshdEngine {
     /// don't match the projection's feature width.
     #[must_use = "encoding can fail on malformed value rows"]
     pub fn try_encode_values(&self, values: &[Vec<f32>]) -> Result<Vec<BipolarHv>, PipelineError> {
-        match self.values_matrix(values)? {
-            None => Ok(Vec::new()),
-            Some(matrix) => {
-                let _sp = nshd_obs::span("encode");
-                Ok(self.encoder.encode_batch(&matrix))
-            }
-        }
-    }
-
-    /// Encodes extracted feature values straight to bit-packed
-    /// hypervectors — the form the `Packed` scoring backend consumes —
-    /// without materialising dense [`BipolarHv`]s. Row `i` equals
-    /// `try_encode_values(values)?[i].to_packed()` exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Tensor`] when rows differ in length or
-    /// don't match the projection's feature width.
-    #[must_use = "encoding can fail on malformed value rows"]
-    pub fn try_encode_values_packed(
-        &self,
-        values: &[Vec<f32>],
-    ) -> Result<Vec<PackedHv>, PipelineError> {
-        match self.values_matrix(values)? {
-            None => Ok(Vec::new()),
-            Some(matrix) => {
-                let _sp = nshd_obs::span("encode");
-                Ok(self.encoder.encode_batch_packed(&matrix))
-            }
-        }
-    }
-
-    /// Validates value rows against the projection's feature width and
-    /// stacks them into the `N×F` GEMM operand (`None` for an empty
-    /// batch). Shared by the dense and packed encode paths so both
-    /// reject malformed rows identically.
-    fn values_matrix(&self, values: &[Vec<f32>]) -> Result<Option<Tensor>, PipelineError> {
         if values.is_empty() {
-            return Ok(None);
+            return Ok(Vec::new());
         }
         for row in values {
             if row.len() != self.encoder.features() {
@@ -304,7 +257,9 @@ impl NshdEngine {
                 .into());
             }
         }
-        Ok(Some(Tensor::from_rows(values)?))
+        let matrix = Tensor::from_rows(values)?;
+        let _sp = nshd_obs::span("encode");
+        Ok(self.encoder.encode_batch(&matrix))
     }
 
     /// Panicking wrapper around
@@ -322,9 +277,8 @@ impl NshdEngine {
 
     /// Stage 2 — HD encode + associative scoring for a whole batch of
     /// extracted values: one GEMM to encode, one batch-scoring GEMM
-    /// through the active [`ScoringBackend`] (dense `matmul_bt`, INT8
-    /// add/sub accumulation, or packed XNOR+popcount — the packed mode
-    /// never materialises dense hypervectors at all).
+    /// through the engine's [`HdScorer`] (dense `matmul_bt`, INT8
+    /// add/sub accumulation, or packed XNOR+popcount).
     ///
     /// # Errors
     ///
@@ -332,14 +286,9 @@ impl NshdEngine {
     /// don't match the projection's feature width.
     #[must_use = "scoring can fail on malformed value rows"]
     pub fn try_finish_values(&self, values: &[Vec<f32>]) -> Result<Vec<usize>, PipelineError> {
-        if let ScoringBackend::Packed(packed) = &self.scoring {
-            let hvs = self.try_encode_values_packed(values)?;
-            let _sp = nshd_obs::span("score");
-            return Ok(if hvs.is_empty() { Vec::new() } else { packed.predict_batch(&hvs) });
-        }
         let hvs = self.try_encode_values(values)?;
         let _sp = nshd_obs::span("score");
-        Ok(self.scoring.predict_bipolar(&self.memory, &hvs))
+        Ok(self.scorer.predict(hvs.into_iter().map(QueryHv::Bipolar).collect()))
     }
 
     /// Panicking wrapper around
@@ -401,8 +350,8 @@ impl std::fmt::Debug for NshdEngine {
             .field("teacher", &self.teacher.name)
             .field("cut", &self.cut)
             .field("manifold", &self.manifold.is_some())
-            .field("classes", &self.memory.num_classes())
-            .field("scoring", &self.scoring.mode().name())
+            .field("classes", &self.num_classes())
+            .field("scoring", &self.scorer.mode().name())
             .finish()
     }
 }
@@ -574,14 +523,7 @@ mod tests {
         assert_eq!(engine.scoring_mode(), ScoringMode::Dense);
         let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
         let dense_preds = engine.predict_batch(&images);
-
-        // The packed encode path is a pure repacking of the dense one.
-        let values = engine.extract_values(&images);
-        let packed_hvs = engine.try_encode_values_packed(&values).unwrap();
-        let dense_hvs = engine.encode_values(&values);
-        for (p, d) in packed_hvs.iter().zip(&dense_hvs) {
-            assert_eq!(*p, d.to_packed());
-        }
+        let dense_hvs = engine.symbolize_batch(&images);
 
         // Re-selecting Dense is exactly the default engine.
         let redense = engine.clone().with_scoring(ScoringMode::Dense);
@@ -590,8 +532,8 @@ mod tests {
         // Quantised modes serve batches bit-exactly as the compiled
         // backend scoring the same encoded hypervectors — the engine
         // adds no hidden densify-then-round step (§VI-B deployments).
-        let quant = nshd_hdc::QuantizedMemory::from_memory(&engine.memory);
-        let packed_mem = nshd_hdc::PackedMemory::from_memory(&engine.memory);
+        let quant = nshd_hdc::QuantizedMemory::from_memory(engine.memory());
+        let packed_mem = nshd_hdc::PackedMemory::from_memory(engine.memory());
         for mode in [ScoringMode::Int8, ScoringMode::Packed] {
             let quantised = engine.clone().with_scoring(mode);
             assert_eq!(quantised.scoring_mode(), mode);

@@ -13,7 +13,7 @@
 //! - [`DivergenceGuard`]: per-epoch snapshot/rollback around
 //!   [`NshdTrainer`] retraining. HD retraining is an online update rule
 //!   with no loss-based safety net — a fault-injected or numerically
-//!   blown-up class memory makes `predict` panic on `partial_cmp` and a
+//!   blown-up class memory scores NaN for its poisoned classes and a
 //!   collapsed memory silently destroys accuracy. The guard checks state
 //!   health *before* an epoch runs, snapshots the best-so-far memory and
 //!   manifold, and rolls back when an epoch diverges.

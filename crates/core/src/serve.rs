@@ -6,8 +6,8 @@
 //! hypervectors over the wire (`nshd-wire/v1` INT8 and packed payload
 //! kinds): a query arrives as an [`HdQuery`], its sign pattern is
 //! extracted **in its native representation** ([`HdQuery::sign_hv`] —
-//! no dequantize-to-f32 step), and the batch is scored by the compiled
-//! [`ScoringBackend`]'s popcount/INT8 GEMM. `nshd-runtime` exposes it
+//! no dequantize-to-f32 step), and the batch is scored by an
+//! [`HdScorer`]'s popcount/INT8 GEMM. `nshd-runtime` exposes it
 //! as a [`BatchEngine`] so the whole replicated serving tier (replica
 //! sets, chaos testing, the TCP front end) works over quantised
 //! queries unchanged.
@@ -15,18 +15,15 @@
 //! [`BatchEngine`]: ../../nshd_runtime/trait.BatchEngine.html
 
 use crate::robust::PipelineError;
-use nshd_hdc::{AssociativeMemory, HdQuery, QueryHv, ScoringBackend, ScoringMode};
+use nshd_hdc::{AssociativeMemory, HdQuery, HdScorer, QueryHv, ScoringMode};
 use nshd_tensor::TensorError;
+use std::sync::Arc;
 
-/// A deployed class memory serving pre-encoded [`HdQuery`] batches.
-///
-/// Holds the dense f32 memory (the recompilation source and the
-/// `Dense`-mode scorer) plus the [`ScoringBackend`] compiled for the
-/// selected [`ScoringMode`].
+/// A deployed class memory serving pre-encoded [`HdQuery`] batches: an
+/// [`HdScorer`] plus sign extraction and typed errors.
 #[derive(Debug, Clone)]
 pub struct HdDeployEngine {
-    memory: AssociativeMemory,
-    scoring: ScoringBackend,
+    scorer: HdScorer,
 }
 
 // Replica sets share the engine across worker threads.
@@ -39,28 +36,27 @@ impl HdDeployEngine {
     /// Compiles `memory` for `mode`.
     #[must_use]
     pub fn new(memory: AssociativeMemory, mode: ScoringMode) -> Self {
-        let scoring = ScoringBackend::build(&memory, mode);
-        HdDeployEngine { memory, scoring }
+        HdDeployEngine { scorer: HdScorer::new(Arc::new(memory), mode) }
     }
 
     /// The scoring mode this deployment serves with.
     pub fn scoring_mode(&self) -> ScoringMode {
-        self.scoring.mode()
+        self.scorer.mode()
     }
 
     /// The dense memory the deployment was compiled from.
     pub fn memory(&self) -> &AssociativeMemory {
-        &self.memory
+        self.scorer.memory()
     }
 
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
-        self.memory.num_classes()
+        self.memory().num_classes()
     }
 
     /// Hypervector dimensionality queries must match.
     pub fn dim(&self) -> usize {
-        self.memory.dim()
+        self.memory().dim()
     }
 
     /// Stage 1 — per-query sign extraction in the query's native
@@ -72,7 +68,7 @@ impl HdDeployEngine {
     /// widths when a query's dimensionality disagrees with the memory.
     #[must_use = "sign extraction can fail on malformed queries"]
     pub fn try_sign(&self, queries: &[HdQuery]) -> Result<Vec<QueryHv>, PipelineError> {
-        let dim = self.memory.dim();
+        let dim = self.dim();
         queries
             .iter()
             .map(|q| {
@@ -96,14 +92,14 @@ impl HdDeployEngine {
     /// classes to score against (a misconfigured memory).
     #[must_use = "scoring can fail on a class-less deployment"]
     pub fn try_score(&self, queries: Vec<QueryHv>) -> Result<Vec<usize>, PipelineError> {
-        if self.memory.num_classes() == 0 {
+        if self.num_classes() == 0 {
             return Err(PipelineError::EmptyBatch);
         }
         if queries.is_empty() {
             return Ok(Vec::new());
         }
         let _sp = nshd_obs::span("score");
-        Ok(self.scoring.predict_queries(&self.memory, &queries))
+        Ok(self.scorer.predict(queries))
     }
 
     /// Batch predictions for wire-shaped queries: sign extraction then

@@ -10,7 +10,11 @@ use nshd_nn::{
 };
 use nshd_obs::{clock, Recorder};
 use nshd_tensor::{Rng, Tensor};
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// Serialises tests that install the process-global recorder.
+static GLOBAL_RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 fn tiny_engine() -> (NshdEngine, Vec<Tensor>) {
     let (mut train, mut test) = SynthSpec::synth10(33).with_sizes(40, 16).generate();
@@ -61,6 +65,7 @@ fn recording_overhead_stays_within_budget_with_parallel_kernels() {
 }
 
 fn overhead_stays_within_budget(threads: usize) {
+    let _serial = GLOBAL_RECORDER_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let (engine, images) = tiny_engine();
     const ROUNDS: usize = 8;
 

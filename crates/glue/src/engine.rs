@@ -12,13 +12,13 @@
 use crate::ensemble::{fuse_encode, GlueEnsemble};
 use crate::head::GlueHead;
 use nshd_core::{verify_ensemble, PipelineError};
-use nshd_hdc::{AssociativeMemory, BipolarHv, MemorySnapshot, ScoringBackend, ScoringMode};
+use nshd_hdc::{AssociativeMemory, BipolarHv, HdScorer, QueryHv, ScoringMode};
 use nshd_runtime::BatchEngine;
 use nshd_tensor::Tensor;
 use std::sync::{Arc, RwLock};
 
 /// One immutable generation of a serving ensemble: the teacher heads
-/// and the consensus memory one batch is answered against.
+/// and the consensus memory scorer one batch is answered against.
 ///
 /// States are published [`Arc`]-swap style by [`GlueEngine`]; nothing
 /// in a state mutates after publication, so any number of in-flight
@@ -26,30 +26,21 @@ use std::sync::{Arc, RwLock};
 #[derive(Clone)]
 pub struct GlueState {
     heads: Vec<Arc<GlueHead>>,
-    memory: MemorySnapshot,
-    scoring: ScoringBackend,
+    scorer: Arc<HdScorer>,
 }
 
 impl std::fmt::Debug for GlueState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GlueState")
             .field("heads", &self.heads.len())
-            .field("classes", &self.memory.num_classes())
-            .field("dim", &self.memory.dim())
-            .field("scoring", &self.scoring.mode().name())
+            .field("classes", &self.num_classes())
+            .field("dim", &self.memory().dim())
+            .field("scoring", &self.scoring_mode().name())
             .finish()
     }
 }
 
 impl GlueState {
-    /// Builds a state, compiling the [`ScoringBackend`] for `mode` from
-    /// `memory`. Every publish site goes through here so the backend
-    /// can never drift from the memory it was compiled from.
-    fn assemble(heads: Vec<Arc<GlueHead>>, memory: MemorySnapshot, mode: ScoringMode) -> Self {
-        let scoring = ScoringBackend::build(&memory, mode);
-        GlueState { heads, memory, scoring }
-    }
-
     /// The teacher heads, in fuse order.
     pub fn heads(&self) -> &[Arc<GlueHead>] {
         &self.heads
@@ -57,12 +48,12 @@ impl GlueState {
 
     /// The consensus memory this state scores against.
     pub fn memory(&self) -> &AssociativeMemory {
-        &self.memory
+        self.scorer.memory()
     }
 
     /// Number of classes this state predicts over.
     pub fn num_classes(&self) -> usize {
-        self.memory.num_classes()
+        self.memory().num_classes()
     }
 
     /// Statically verifies head/memory dimension agreement
@@ -74,7 +65,7 @@ impl GlueState {
     /// invariant.
     pub fn verify(&self) -> Result<(), PipelineError> {
         let dims: Vec<_> = self.heads.iter().map(|h| h.dims()).collect();
-        verify_ensemble(&dims, &self.memory).map_err(PipelineError::from)
+        verify_ensemble(&dims, self.memory()).map_err(PipelineError::from)
     }
 
     /// Weighted fused encoding of a batch of CHW images against this
@@ -90,22 +81,14 @@ impl GlueState {
 
     /// The scoring mode this state answers batches with.
     pub fn scoring_mode(&self) -> ScoringMode {
-        self.scoring.mode()
+        self.scorer.mode()
     }
 
-    /// Scores fused hypervectors through this state's compiled backend:
+    /// Scores fused hypervectors through this state's [`HdScorer`]:
     /// dense cosine, INT8 GEMM, or packed popcount depending on the
-    /// published [`ScoringMode`]. The packed arm repacks signs to bit
-    /// words (`to_packed`) — signs are never re-derived, so the packed
-    /// prediction is exactly the popcount argmax of the same signs.
-    pub fn score(&self, hvs: &[BipolarHv]) -> Vec<usize> {
-        match &self.scoring {
-            ScoringBackend::Packed(packed) => {
-                let queries: Vec<_> = hvs.iter().map(BipolarHv::to_packed).collect();
-                packed.predict_batch(&queries)
-            }
-            _ => self.scoring.predict_bipolar(&self.memory, hvs),
-        }
+    /// published [`ScoringMode`].
+    pub fn score(&self, hvs: Vec<BipolarHv>) -> Vec<usize> {
+        self.scorer.predict(hvs.into_iter().map(QueryHv::Bipolar).collect())
     }
 
     /// Consensus predictions for a batch of CHW images against this
@@ -116,8 +99,7 @@ impl GlueState {
     /// Returns the first head's error on malformed or non-finite
     /// images.
     pub fn predict_batch(&self, images: &[Tensor]) -> Result<Vec<usize>, PipelineError> {
-        let hvs = self.encode_fused(images)?;
-        Ok(self.score(&hvs))
+        Ok(self.score(self.encode_fused(images)?))
     }
 }
 
@@ -137,11 +119,8 @@ impl GlueEngine {
     /// densely. Use [`set_scoring`](GlueEngine::set_scoring) to compile
     /// a quantised backend.
     pub fn new(ensemble: GlueEnsemble) -> Self {
-        let state = GlueState::assemble(
-            ensemble.heads().to_vec(),
-            Arc::new(ensemble.memory().clone()),
-            ScoringMode::Dense,
-        );
+        let scorer = HdScorer::new(Arc::new(ensemble.memory().clone()), ScoringMode::Dense);
+        let state = GlueState { heads: ensemble.heads().to_vec(), scorer: Arc::new(scorer) };
         GlueEngine { state: RwLock::new(Arc::new(state)) }
     }
 
@@ -174,8 +153,8 @@ impl GlueEngine {
     pub fn swap_memory(&self, memory: AssociativeMemory) -> Result<Arc<GlueState>, PipelineError> {
         let _sp = nshd_obs::span("glue_memory_swap");
         let current = self.state();
-        let next =
-            GlueState::assemble(current.heads.clone(), Arc::new(memory), current.scoring.mode());
+        let scorer = HdScorer::new(Arc::new(memory), current.scoring_mode());
+        let next = GlueState { heads: current.heads.clone(), scorer: Arc::new(scorer) };
         let previous = self.publish(next)?;
         nshd_obs::counter("glue.memory_swaps").inc();
         Ok(previous)
@@ -205,10 +184,8 @@ impl GlueEngine {
         }
         let mut heads = current.heads.clone();
         heads[index] = Arc::new(head);
-        // The memory is unchanged, so the compiled backend is reused
-        // as-is instead of being recompiled.
-        let next =
-            GlueState { heads, memory: current.memory.clone(), scoring: current.scoring.clone() };
+        // The memory is unchanged, so the scorer is shared as-is.
+        let next = GlueState { heads, scorer: Arc::clone(&current.scorer) };
         let previous = self.publish(next)?;
         nshd_obs::counter("glue.head_swaps").inc();
         Ok(previous)
@@ -219,10 +196,10 @@ impl GlueEngine {
     /// over the old class set.
     pub fn add_class(&self) -> usize {
         let current = self.state();
-        let mut memory = AssociativeMemory::clone(&current.memory);
+        let mut memory = AssociativeMemory::clone(current.memory());
         let index = memory.add_class();
-        let next =
-            GlueState::assemble(current.heads.clone(), Arc::new(memory), current.scoring.mode());
+        let scorer = HdScorer::new(Arc::new(memory), current.scoring_mode());
+        let next = GlueState { heads: current.heads.clone(), scorer: Arc::new(scorer) };
         let mut slot = self.state.write().unwrap_or_else(|poisoned| poisoned.into_inner());
         *slot = Arc::new(next);
         nshd_obs::counter("glue.class_adds").inc();
@@ -245,13 +222,13 @@ impl GlueEngine {
         let _sp = nshd_obs::span("glue_class_add");
         let current = self.state();
         let hvs = current.encode_fused(examples)?;
-        let mut memory = AssociativeMemory::clone(&current.memory);
+        let mut memory = AssociativeMemory::clone(current.memory());
         let index = memory.add_class();
         for hv in &hvs {
             memory.bundle(index, hv);
         }
-        let next =
-            GlueState::assemble(current.heads.clone(), Arc::new(memory), current.scoring.mode());
+        let scorer = HdScorer::new(Arc::new(memory), current.scoring_mode());
+        let next = GlueState { heads: current.heads.clone(), scorer: Arc::new(scorer) };
         self.publish(next)?;
         nshd_obs::counter("glue.class_adds").inc();
         Ok(index)
@@ -270,7 +247,8 @@ impl GlueEngine {
     pub fn set_scoring(&self, mode: ScoringMode) -> Result<Arc<GlueState>, PipelineError> {
         let _sp = nshd_obs::span("glue_scoring_swap");
         let current = self.state();
-        let next = GlueState::assemble(current.heads.clone(), current.memory.clone(), mode);
+        let scorer = HdScorer::new(Arc::clone(current.scorer.memory()), mode);
+        let next = GlueState { heads: current.heads.clone(), scorer: Arc::new(scorer) };
         let previous = self.publish(next)?;
         nshd_obs::counter("glue.scoring_swaps").inc();
         Ok(previous)
@@ -309,7 +287,7 @@ impl BatchEngine for GlueEngine {
         snapshot: &GlueState,
         partials: Vec<BipolarHv>,
     ) -> Result<Vec<usize>, PipelineError> {
-        Ok(snapshot.score(&partials))
+        Ok(snapshot.score(partials))
     }
 
     fn verify(&self) -> Result<(), PipelineError> {

@@ -2,7 +2,7 @@
 //! random-projection HD encoder, plus the head's contribution weight.
 
 use nshd_core::{EnsembleDims, FeatureScaler, PipelineError};
-use nshd_hdc::{BatchEncoder, BipolarHv, PackedHv, RandomProjection};
+use nshd_hdc::{BatchEncoder, BipolarHv, RandomProjection};
 use nshd_nn::Model;
 use nshd_tensor::{Tensor, TensorError};
 
@@ -130,23 +130,7 @@ impl GlueHead {
         }
     }
 
-    /// [`Self::encode_batch`] emitting bit-packed sign words directly:
-    /// row `i` equals `encode_batch(images)[i].to_packed()` exactly, but
-    /// the dense ±1 hypervector is never materialised. Feeds
-    /// [`PackedMemory`](nshd_hdc::PackedMemory) scoring in single-head
-    /// quantised deployments.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::encode_batch`].
-    pub fn encode_batch_packed(&self, images: &[Tensor]) -> Result<Vec<PackedHv>, PipelineError> {
-        match self.embed(images)? {
-            None => Ok(Vec::new()),
-            Some(matrix) => Ok(self.encoder.encode_batch_packed(&matrix)),
-        }
-    }
-
-    /// Shared front half of the encode paths: validation, one truncated
+    /// Front half of [`Self::encode_batch`]: validation, one truncated
     /// CNN pass, per-sample standardisation. `None` for an empty batch.
     fn embed(&self, images: &[Tensor]) -> Result<Option<Tensor>, PipelineError> {
         if images.is_empty() {

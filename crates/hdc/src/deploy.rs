@@ -3,12 +3,12 @@
 //! without ever densifying to f32.
 //!
 //! The paper's §VI-B deployments (INT8 via Vitis-AI, binary constant
-//! memory on GPGPU) become a [`ScoringMode`] choice here: a trained
-//! dense [`AssociativeMemory`] compiles into a [`ScoringBackend`]
-//! (identity for [`ScoringMode::Dense`], [`QuantizedMemory`] for
-//! [`ScoringMode::Int8`], [`crate::PackedMemory`] for
-//! [`ScoringMode::Packed`]) and batch queries are scored by that
-//! backend's batch GEMM.
+//! memory on GPGPU) become a [`ScoringMode`] choice here: an
+//! [`HdScorer`] holds a trained dense [`AssociativeMemory`] together
+//! with the [`ScoringBackend`] compiled from it (identity for
+//! [`ScoringMode::Dense`], [`QuantizedMemory`] for
+//! [`ScoringMode::Int8`], [`PackedMemory`] for [`ScoringMode::Packed`]),
+//! and batch queries are scored by that backend's batch GEMM.
 //!
 //! # Sign extraction without densifying
 //!
@@ -42,6 +42,7 @@ use crate::hypervector::{BipolarHv, PackedHv};
 use crate::memory::AssociativeMemory;
 use crate::payload::Int8Vec;
 use crate::quantized::{PackedMemory, QuantizedMemory};
+use crate::snapshot::MemorySnapshot;
 
 /// Which memory representation a deployment scores against (§VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,13 +69,13 @@ impl ScoringMode {
 }
 
 /// A scoring stage compiled from a dense memory for one
-/// [`ScoringMode`]. `Dense` carries nothing — the engine keeps its f32
-/// memory anyway — while the quantised modes own their compiled
-/// deployment. Rebuild with [`ScoringBackend::build`] whenever the
-/// underlying dense memory changes (class updates, fault injection).
+/// [`ScoringMode`]. `Dense` carries nothing — it scores the f32 memory
+/// it is handed — while the quantised modes own their compiled
+/// deployment. Serving code holds an [`HdScorer`], which pairs the
+/// backend with the memory it was compiled from.
 #[derive(Debug, Clone)]
 pub enum ScoringBackend {
-    /// Score against the engine's dense f32 memory.
+    /// Score against the dense f32 memory.
     Dense,
     /// Score against a compiled INT8 deployment.
     Int8(QuantizedMemory),
@@ -103,44 +104,101 @@ impl ScoringBackend {
         }
     }
 
-    /// Batch predictions for bipolar queries; `dense` is the engine's
-    /// f32 memory, used only by the `Dense` backend. Ties resolve to the
-    /// last maximum in every arm.
+    /// Batch predictions for bipolar queries; `dense` is the f32 memory
+    /// the backend was compiled from, scored only by `Dense`.
     ///
     /// # Panics
     ///
     /// Panics if dimensions disagree or the memory has no classes.
     pub fn predict_bipolar(&self, dense: &AssociativeMemory, hvs: &[BipolarHv]) -> Vec<usize> {
-        match self {
-            ScoringBackend::Dense => dense.predict_batch(hvs),
-            ScoringBackend::Int8(qm) => qm.predict_batch(hvs),
-            ScoringBackend::Packed(pm) => {
-                let packed: Vec<PackedHv> = hvs.iter().map(BipolarHv::to_packed).collect();
-                pm.predict_batch(&packed)
-            }
-        }
+        self.predict(dense, hvs.iter().cloned().map(QueryHv::Bipolar).collect())
     }
 
     /// Batch predictions for sign queries in whichever representation
-    /// they arrived: each backend converts to its native form (a pure
-    /// repacking — signs are never re-derived).
+    /// they arrived; see [`HdScorer::predict`].
     ///
     /// # Panics
     ///
     /// Panics if dimensions disagree or the memory has no classes.
     pub fn predict_queries(&self, dense: &AssociativeMemory, queries: &[QueryHv]) -> Vec<usize> {
+        self.predict(dense, queries.to_vec())
+    }
+
+    /// The one scoring dispatch: moves each query into this backend's
+    /// native form (a pure repacking — signs are never re-derived) and
+    /// runs the backend's batch GEMM. Ties resolve to the last maximum
+    /// in every arm.
+    fn predict(&self, dense: &AssociativeMemory, queries: Vec<QueryHv>) -> Vec<usize> {
+        let bipolar = |queries: Vec<QueryHv>| -> Vec<BipolarHv> {
+            queries.into_iter().map(QueryHv::into_bipolar).collect()
+        };
         match self {
+            ScoringBackend::Dense => dense.predict_batch(&bipolar(queries)),
+            ScoringBackend::Int8(qm) => qm.predict_batch(&bipolar(queries)),
             ScoringBackend::Packed(pm) => {
-                let packed: Vec<PackedHv> =
-                    queries.iter().map(|q| q.clone().into_packed()).collect();
+                let packed: Vec<PackedHv> = queries.into_iter().map(QueryHv::into_packed).collect();
                 pm.predict_batch(&packed)
             }
-            _ => {
-                let hvs: Vec<BipolarHv> =
-                    queries.iter().map(|q| q.clone().into_bipolar()).collect();
-                self.predict_bipolar(dense, &hvs)
-            }
         }
+    }
+}
+
+/// A class memory and the [`ScoringBackend`] compiled from it — the one
+/// HD scoring stage every serving engine holds.
+///
+/// [`HdScorer::new`] is the only place a backend is compiled, so the
+/// memory and its deployment cannot drift apart: a changed memory (class
+/// growth, retraining, fault injection) means a new scorer. Cloning
+/// copies the compiled rows; share an `Arc<HdScorer>` where a refcount
+/// bump is wanted.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use nshd_hdc::{AssociativeMemory, BipolarHv, HdScorer, QueryHv, ScoringMode};
+///
+/// let memory = AssociativeMemory::from_classes(vec![vec![1.0; 64], vec![-1.0; 64]]);
+/// let scorer = HdScorer::new(Arc::new(memory), ScoringMode::Packed);
+/// let query = BipolarHv::from_signs(&[-1.0; 64]);
+/// assert_eq!(scorer.predict(vec![QueryHv::Bipolar(query)]), vec![1]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct HdScorer {
+    memory: MemorySnapshot,
+    backend: ScoringBackend,
+}
+
+impl HdScorer {
+    /// Compiles `memory` for `mode`.
+    #[must_use]
+    pub fn new(memory: MemorySnapshot, mode: ScoringMode) -> Self {
+        let backend = ScoringBackend::build(&memory, mode);
+        HdScorer { memory, backend }
+    }
+
+    /// The dense memory the backend was compiled from.
+    #[must_use]
+    pub fn memory(&self) -> &MemorySnapshot {
+        &self.memory
+    }
+
+    /// The mode this scorer serves with.
+    #[must_use]
+    pub fn mode(&self) -> ScoringMode {
+        self.backend.mode()
+    }
+
+    /// Batch predictions for sign queries in whichever representation
+    /// they arrived: each query moves into the backend's native form
+    /// (bipolar for `Dense`/`Int8`, packed for `Packed`) and the batch
+    /// is scored by one GEMM. Ties resolve to the last maximum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query's dimensionality disagrees with the memory.
+    pub fn predict(&self, queries: Vec<QueryHv>) -> Vec<usize> {
+        self.backend.predict(&self.memory, queries)
     }
 }
 
@@ -281,37 +339,63 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_bipolar_class_memories() {
-        // ±1 class rows: the argmax-equivalence precondition from the
-        // module docs. Classes 1 and 3 are identical, so every query
-        // ties them and the last-maximum rule must pick 3 over 1.
-        let dim = 64;
-        let mk = |seed: u64| -> Vec<f32> {
-            (0..dim)
-                .map(|i| if (seed.wrapping_mul(i as u64 + 7) >> 3) & 1 == 1 { 1.0 } else { -1.0 })
-                .collect()
-        };
-        let rows = vec![mk(1), mk(2), mk(5), mk(2)];
-        let memory = AssociativeMemory::from_classes(rows.clone());
-        let queries: Vec<QueryHv> = (0..6)
-            .map(|s| QueryHv::Bipolar(BipolarHv::from_signs(&mk(s as u64 * 11 + 2))))
-            .collect();
-        let dense_pred = ScoringBackend::Dense.predict_queries(&memory, &queries);
-        for mode in [ScoringMode::Int8, ScoringMode::Packed] {
-            let backend = ScoringBackend::build(&memory, mode);
-            assert_eq!(backend.mode(), mode);
-            let pred = backend.predict_queries(&memory, &queries);
-            assert_eq!(pred, dense_pred, "{} disagrees with dense", mode.name());
+    fn scorer_matches_each_memory_predictor_for_every_query_form() {
+        use crate::fault::FaultPlan;
+        use nshd_tensor::Rng;
+        use std::sync::Arc;
+
+        let (classes, dim) = (5, 200);
+        let mut rng = Rng::new(19);
+        let mut random_hv =
+            || BipolarHv::new((0..dim).map(|_| if rng.bipolar() > 0.0 { 1 } else { -1 }).collect());
+        // Bundled (non-±1) rows so the three backends genuinely differ;
+        // class `classes - 1` duplicates class 1 so ties occur.
+        let mut memory = AssociativeMemory::new(classes, dim);
+        for c in 0..classes - 1 {
+            for _ in 0..3 {
+                memory.bundle(c, &random_hv());
+            }
         }
-        // Query equal to the duplicated class row: maximal similarity is
-        // tied between classes 1 and 3; the documented rule picks 3.
-        let tie = vec![QueryHv::Bipolar(BipolarHv::from_signs(&mk(2)))];
-        for backend in [
-            ScoringBackend::Dense,
-            ScoringBackend::build(&memory, ScoringMode::Int8),
-            ScoringBackend::build(&memory, ScoringMode::Packed),
-        ] {
-            assert_eq!(backend.predict_queries(&memory, &tie), vec![3]);
+        let duplicate = memory.class(1).to_vec();
+        memory.class_mut(classes - 1).copy_from_slice(&duplicate);
+        let mut faulted = memory.clone();
+        FaultPlan::new(3, 0.3).corrupt_associative(&mut faulted, 0);
+
+        let tie = BipolarHv::from_signs(memory.class(1));
+        let hvs: Vec<BipolarHv> = (0..7).map(|_| random_hv()).chain([tie]).collect();
+        let packed: Vec<PackedHv> = hvs.iter().map(BipolarHv::to_packed).collect();
+        let reference = |memory: &AssociativeMemory, mode: ScoringMode| match mode {
+            ScoringMode::Dense => memory.predict_batch(&hvs),
+            ScoringMode::Int8 => QuantizedMemory::from_memory(memory).predict_batch(&hvs),
+            ScoringMode::Packed => PackedMemory::from_memory(memory).predict_batch(&packed),
+        };
+        for mode in [ScoringMode::Dense, ScoringMode::Int8, ScoringMode::Packed] {
+            // The faults move predictions, so a scorer still holding the
+            // clean backend would be caught below.
+            assert_ne!(reference(&faulted, mode), reference(&memory, mode), "{}", mode.name());
+            for form in ["bipolar", "packed"] {
+                let queries = || -> Vec<QueryHv> {
+                    match form {
+                        "bipolar" => hvs.iter().cloned().map(QueryHv::Bipolar).collect(),
+                        _ => packed.iter().cloned().map(QueryHv::Packed).collect(),
+                    }
+                };
+                let scorer = HdScorer::new(Arc::new(memory.clone()), mode);
+                assert_eq!(scorer.mode(), mode);
+                let preds = scorer.predict(queries());
+                assert_eq!(preds, reference(&memory, mode), "{} / {form}", mode.name());
+                // The query equal to the duplicated class row ties
+                // classes 1 and `classes - 1`: the last maximum wins.
+                assert_eq!(preds.last(), Some(&(classes - 1)), "{} / {form}", mode.name());
+                let hurt = HdScorer::new(Arc::new(faulted.clone()), mode);
+                assert_eq!(hurt.memory().as_ref(), &faulted);
+                assert_eq!(
+                    hurt.predict(queries()),
+                    reference(&faulted, mode),
+                    "{} / {form}: faulted scorer",
+                    mode.name()
+                );
+            }
         }
     }
 }

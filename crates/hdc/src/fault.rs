@@ -30,7 +30,7 @@
 
 use crate::hypervector::{BipolarHv, PackedHv};
 use crate::memory::AssociativeMemory;
-use crate::quantized::{BinaryMemory, QuantizedMemory};
+use crate::quantized::{PackedMemory, QuantizedMemory};
 use nshd_tensor::Rng;
 
 /// What one injection pass did: how many candidate sites were visited
@@ -135,7 +135,7 @@ impl FaultPlan {
 
     /// Flips bits across every class of a binary class memory — the
     /// deployed-model analog of [`flip_packed`](Self::flip_packed).
-    pub fn flip_binary_memory(&self, memory: &mut BinaryMemory, stream: u64) -> FaultReport {
+    pub fn flip_binary_memory(&self, memory: &mut PackedMemory, stream: u64) -> FaultReport {
         let mut total = FaultReport::default();
         for c in 0..memory.num_classes() {
             let r = self.flip_packed(memory.class_mut(c), stream.wrapping_add(c as u64 + 1));
@@ -288,7 +288,7 @@ impl FaultScenario {
 
     /// Applies every step's [`FaultPlan::flip_binary_memory`] in order,
     /// returning the summed report.
-    pub fn apply_binary(&self, memory: &mut BinaryMemory) -> FaultReport {
+    pub fn apply_binary(&self, memory: &mut PackedMemory) -> FaultReport {
         let mut total = FaultReport::default();
         for (plan, stream) in &self.steps {
             total.absorb(plan.flip_binary_memory(memory, *stream));
@@ -345,7 +345,7 @@ mod tests {
         assert_eq!(plan.perturb_quantized(&mut quant, 0).faults, 0);
         assert_eq!(quant, orig_quant);
 
-        let mut binary = BinaryMemory::from_memory(&mem);
+        let mut binary = PackedMemory::from_memory(&mem);
         let orig_binary = binary.clone();
         assert_eq!(plan.flip_binary_memory(&mut binary, 0).faults, 0);
         assert_eq!(binary, orig_binary);
@@ -371,15 +371,15 @@ mod tests {
         let plan = FaultPlan::new(11, 0.2);
         let mem = trained_memory(4, 256, 7);
 
-        let mut a = BinaryMemory::from_memory(&mem);
-        let mut b = BinaryMemory::from_memory(&mem);
+        let mut a = PackedMemory::from_memory(&mem);
+        let mut b = PackedMemory::from_memory(&mem);
         let ra = plan.flip_binary_memory(&mut a, 3);
         let rb = plan.flip_binary_memory(&mut b, 3);
         assert_eq!(ra, rb);
         assert_eq!(a, b);
 
         // A different stream gives a different (but valid) pattern.
-        let mut c = BinaryMemory::from_memory(&mem);
+        let mut c = PackedMemory::from_memory(&mem);
         plan.flip_binary_memory(&mut c, 4);
         assert_ne!(a, c);
     }
@@ -448,7 +448,7 @@ mod tests {
                 test.push((noisy, c));
             }
         }
-        let clean = BinaryMemory::from_memory(&mem);
+        let clean = PackedMemory::from_memory(&mem);
         let clean_acc = clean.accuracy(&test);
         assert!(clean_acc > 0.9, "clean accuracy {clean_acc}");
 
@@ -522,7 +522,7 @@ mod tests {
         assert_eq!(qr.sites, 2 * 3 * 192);
         assert!(qr.faults > 0);
 
-        let mut binary = BinaryMemory::from_memory(&mem);
+        let mut binary = PackedMemory::from_memory(&mem);
         let br = scenario.apply_binary(&mut binary);
         assert_eq!(br.sites, 2 * 3 * 192);
         assert!(br.faults > 0);

@@ -52,7 +52,7 @@ mod snapshot;
 mod ste;
 mod symbolic;
 
-pub use deploy::{HdQuery, QueryHv, ScoringBackend, ScoringMode};
+pub use deploy::{HdQuery, HdScorer, QueryHv, ScoringBackend, ScoringMode};
 pub use distill::{DistillConfig, DistillTrainer, TemperatureMode};
 pub use fault::{FaultPlan, FaultReport, FaultScenario};
 pub use hypervector::{BipolarHv, PackedHv};
@@ -64,7 +64,7 @@ pub use online::{EpochReport, OnlineTrainer};
 pub use ops::{bind, bundle, bundle_majority, permute, sign_with_tiebreak};
 pub use payload::{pack_signs, unpack_signs, Int8Vec};
 pub use projection::{BatchEncoder, RandomProjection};
-pub use quantized::{BinaryMemory, PackedMemory, QuantizedMemory};
+pub use quantized::{PackedMemory, QuantizedMemory};
 pub use similarity::{cosine_dense_bipolar, cosine_packed, dot_dense_bipolar};
 pub use snapshot::{MemoryCell, MemorySnapshot};
 pub use ste::{apply_ste, feature_gradient, hyperspace_error, SteConfig};

@@ -185,8 +185,9 @@ impl AssociativeMemory {
     }
 
     /// Whether every accumulated component is finite — the post-epoch /
-    /// post-fault health check. A memory with NaN or ±∞ components makes
-    /// `predict` panic on `partial_cmp`, so guards call this first.
+    /// post-fault health check. A memory with NaN or ±∞ components
+    /// scores NaN for those classes, which silently skews every
+    /// prediction, so guards call this first.
     pub fn is_finite(&self) -> bool {
         self.classes.iter().all(|c| c.iter().all(|v| v.is_finite()))
     }
@@ -235,18 +236,13 @@ impl AssociativeMemory {
         self.classes.iter().map(|c| cosine_dense_bipolar(c, hv)).collect()
     }
 
-    /// Predicted class: `argmax δ(M, H)`.
+    /// Predicted class: `argmax δ(M, H)`, ties to the last maximum.
     ///
     /// # Panics
     ///
     /// Panics if dimensions disagree.
     pub fn predict(&self, hv: &BipolarHv) -> usize {
-        let sims = self.similarities(hv);
-        sims.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite similarities"))
-            .map(|(i, _)| i)
-            .expect("memory has at least one class")
+        argmax_last(&self.similarities(hv))
     }
 
     /// The class accumulators as a row-major `k×D` matrix, the layout
@@ -356,10 +352,12 @@ impl AssociativeMemory {
     }
 }
 
-/// Index of the last maximum in a row — the same tie-breaking
-/// `Iterator::max_by` applies in [`AssociativeMemory::predict`]. Shared
-/// with the quantised batch predictors (`crate::quantized`) so every
-/// scoring backend resolves ties identically.
+/// Index of the last maximum in a row — the one class-selection rule
+/// every predictor in this crate uses, pointwise and batch, so every
+/// scoring backend resolves ties identically. Comparisons with NaN are
+/// false: a NaN score never displaces the running maximum (nor is it
+/// displaced when it sits in slot 0), so non-finite memories still get
+/// an answer instead of a panic.
 pub(crate) fn argmax_last(row: &[f32]) -> usize {
     let mut best = 0usize;
     for (i, &v) in row.iter().enumerate() {

@@ -8,7 +8,7 @@
 //! falsely-predicted class strongly.
 
 use crate::hypervector::BipolarHv;
-use crate::memory::AssociativeMemory;
+use crate::memory::{argmax_last, AssociativeMemory};
 
 /// Outcome of one online-training pass over a labelled sample set.
 ///
@@ -68,12 +68,7 @@ impl OnlineTrainer {
     pub fn step(&self, memory: &mut AssociativeMemory, hv: &BipolarHv, label: usize) -> bool {
         assert!(label < memory.num_classes(), "label {label} out of range");
         let sims = memory.similarities(hv);
-        let predicted = sims
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite similarities"))
-            .map(|(i, _)| i)
-            .expect("at least one class");
+        let predicted = argmax_last(&sims);
         let pull = self.learning_rate * (1.0 - sims[label]);
         memory.add_scaled(label, hv, pull);
         if predicted != label {

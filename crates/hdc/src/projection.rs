@@ -403,6 +403,7 @@ mod tests {
         let values = Tensor::from_vec(rows.concat(), [5, 6]).unwrap();
         let raw = batch.encode_raw_batch(&values);
         let hvs = batch.encode_batch(&values);
+        let packed = batch.encode_batch_packed(&values);
         for (i, row) in rows.iter().enumerate() {
             let expect = proj.encode_raw(row);
             assert_eq!(
@@ -411,6 +412,7 @@ mod tests {
                 "row {i} raw accumulators must be bit-identical"
             );
             assert_eq!(hvs[i], proj.encode(row), "row {i} hypervector");
+            assert_eq!(packed[i], hvs[i].to_packed(), "row {i} packed hypervector");
         }
     }
 

@@ -4,9 +4,9 @@
 //! quantises it to INT8, "with very minor impacts on the prediction
 //! quality" (§VI-B); the GPGPU path likewise stores binary hypervectors
 //! in constant memory. This module provides both deployment forms —
-//! [`QuantizedMemory`] (per-class symmetric INT8) and [`BinaryMemory`]
-//! (sign-binarised, packed, popcount similarity; [`PackedMemory`] is its
-//! serving-path alias) — so that claim is testable in-repo.
+//! [`QuantizedMemory`] (per-class symmetric INT8) and [`PackedMemory`]
+//! (sign-binarised, packed, popcount similarity) — so that claim is
+//! testable in-repo.
 //!
 //! Both forms carry a batch scoring path (`similarities_batch` /
 //! `predict_batch`): an XNOR+popcount (packed) or add/sub-by-sign
@@ -17,11 +17,10 @@
 //! the same expression per element — so batch and pointwise predictions
 //! can never disagree.
 //!
-//! **Tie-break rule:** every predictor in this crate resolves equal
-//! similarity scores to the *last* maximum, i.e. the highest class
-//! index (`max_by` keeps the later of equal elements, and the batch
-//! paths use the same `argmax_last`). The property tests in
-//! `tests/packed_scoring.rs` pin this.
+//! **Tie-break rule:** every predictor in this crate, pointwise and
+//! batch alike, picks its class with the one `argmax_last` rule: equal
+//! scores resolve to the *last* maximum, i.e. the highest class index.
+//! The property tests in `tests/packed_scoring.rs` pin this.
 
 use crate::hypervector::{BipolarHv, PackedHv};
 use crate::memory::{argmax_last, AssociativeMemory};
@@ -127,12 +126,7 @@ impl QuantizedMemory {
     ///
     /// Panics if dimensions disagree.
     pub fn predict(&self, hv: &BipolarHv) -> usize {
-        self.similarities(hv)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite similarities"))
-            .map(|(i, _)| i)
-            .expect("memory has at least one class")
+        argmax_last(&self.similarities(hv))
     }
 
     /// Batch INT8 scoring GEMM: similarities of `queries.len()` bipolar
@@ -245,18 +239,18 @@ impl QuantizedMemory {
 /// sign pattern and bit-packed; similarity by popcount — the paper's
 /// constant-memory GPGPU representation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinaryMemory {
+pub struct PackedMemory {
     dim: usize,
     classes: Vec<PackedHv>,
 }
 
-impl BinaryMemory {
+impl PackedMemory {
     /// Binarises a trained memory: `sign` of each class accumulator.
     pub fn from_memory(memory: &AssociativeMemory) -> Self {
         let classes = (0..memory.num_classes())
             .map(|c| BipolarHv::from_signs(memory.class(c)).to_packed())
             .collect();
-        BinaryMemory { dim: memory.dim(), classes }
+        PackedMemory { dim: memory.dim(), classes }
     }
 
     /// Number of classes.
@@ -305,12 +299,7 @@ impl BinaryMemory {
     ///
     /// Panics if dimensions disagree.
     pub fn predict(&self, hv: &PackedHv) -> usize {
-        self.similarities(hv)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite similarities"))
-            .map(|(i, _)| i)
-            .expect("memory has at least one class")
+        argmax_last(&self.similarities(hv))
     }
 
     /// Batch popcount scoring GEMM: similarities of `queries.len()`
@@ -394,11 +383,6 @@ impl BinaryMemory {
     }
 }
 
-/// The packed deployment under its serving-path name: the batch scoring
-/// tier (`nshd-core`, `nshd-net`) talks about a `PackedMemory` scoring
-/// packed wire queries, which is exactly the binarised [`BinaryMemory`].
-pub type PackedMemory = BinaryMemory;
-
 /// Hamming distance over packed words, tiled four words at a time
 /// across independent accumulator lanes (XOR+popcount; the XNOR match
 /// count is `dim - hamming`). Integer arithmetic is exact in any
@@ -475,7 +459,7 @@ mod tests {
     fn binarisation_preserves_most_accuracy() {
         let (memory, test) = trained_task(4_096);
         let float_acc = memory.accuracy(&test);
-        let binary = BinaryMemory::from_memory(&memory);
+        let binary = PackedMemory::from_memory(&memory);
         let bin_acc = binary.accuracy(&test);
         assert!(bin_acc > float_acc - 0.1, "binarisation lost too much: {float_acc} → {bin_acc}");
     }
@@ -498,7 +482,7 @@ mod tests {
         let (memory, _) = trained_task(1_024);
         let float_bytes = (memory.param_count() * 4) as u64;
         let quant = QuantizedMemory::from_memory(&memory);
-        let binary = BinaryMemory::from_memory(&memory);
+        let binary = PackedMemory::from_memory(&memory);
         assert!(quant.size_bytes() < float_bytes / 3);
         assert!(binary.size_bytes() < quant.size_bytes() / 7);
         assert_eq!(quant.num_classes(), memory.num_classes());
@@ -509,7 +493,7 @@ mod tests {
     fn empty_sample_sets_score_zero() {
         let (memory, _) = trained_task(256);
         assert_eq!(QuantizedMemory::from_memory(&memory).accuracy(&[]), 0.0);
-        assert_eq!(BinaryMemory::from_memory(&memory).accuracy(&[]), 0.0);
+        assert_eq!(PackedMemory::from_memory(&memory).accuracy(&[]), 0.0);
     }
 
     #[test]
@@ -531,7 +515,7 @@ mod tests {
         assert_eq!(sims[1], 0.0, "empty class similarity {sims:?}");
         assert_eq!(quant.predict(&a), 0);
         // The binary deployment of the same memory stays usable too.
-        let binary = BinaryMemory::from_memory(&memory);
+        let binary = PackedMemory::from_memory(&memory);
         assert_eq!(binary.predict(&a.to_packed()), 0);
     }
 

@@ -155,3 +155,22 @@ fn empty_batches_and_single_queries_are_well_formed() {
     assert_eq!(packed.predict_batch(&[q.to_packed()]), vec![packed.predict(&q.to_packed())]);
     assert_eq!(quant.predict_batch(std::slice::from_ref(&q)), vec![quant.predict(&q)]);
 }
+
+#[test]
+fn non_finite_rows_predict_the_same_pointwise_and_batch() {
+    let mut rng = Rng::new(61);
+    let mut memory = bipolar_memory(4, 96, &mut rng);
+    // A blown-up class row: the dense and INT8 scores for class 1 go
+    // NaN, which pointwise and batch predictors must treat alike.
+    memory.class_mut(1)[5] = f32::INFINITY;
+    let quant = QuantizedMemory::from_memory(&memory);
+    let packed = PackedMemory::from_memory(&memory);
+    let queries: Vec<BipolarHv> = (0..9).map(|_| random_hv(96, &mut rng)).collect();
+    let pointwise: Vec<usize> = queries.iter().map(|q| memory.predict(q)).collect();
+    assert_eq!(pointwise, memory.predict_batch(&queries));
+    let pointwise: Vec<usize> = queries.iter().map(|q| quant.predict(q)).collect();
+    assert_eq!(pointwise, quant.predict_batch(&queries));
+    let packed_queries: Vec<PackedHv> = queries.iter().map(BipolarHv::to_packed).collect();
+    let pointwise: Vec<usize> = packed_queries.iter().map(|q| packed.predict(q)).collect();
+    assert_eq!(pointwise, packed.predict_batch(&packed_queries));
+}

@@ -251,9 +251,8 @@ impl LatencySummary {
     }
 }
 
-/// Frozen serving metrics. Field names mirror the old `RuntimeMetrics` (the
-/// runtime re-exports this type under that name), with queue-wait and
-/// execute-time summaries added.
+/// Frozen serving metrics: throughput, batch sizes and latency
+/// percentiles, with queue-wait and execute-time summaries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingMetrics {
     /// Total requests completed.

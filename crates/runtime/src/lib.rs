@@ -21,7 +21,7 @@
 //! Serving statistics (requests/s, batch-size histogram, p50/p95/p99
 //! latency, queue-wait vs. execute time) are accounted through
 //! [`nshd_obs::ServingAccumulator`] and exported as JSON via
-//! [`RuntimeMetrics::to_json`]. When a global [`nshd_obs`] recorder is
+//! [`nshd_obs::ServingMetrics::to_json`]. When a global [`nshd_obs`] recorder is
 //! installed, every executed batch additionally opens a `request` span
 //! under which the engine's extract/encode/score stage spans nest —
 //! including extract work sliced across pool workers.
@@ -87,11 +87,6 @@ mod retry;
 pub use batcher::{InferenceRuntime, PredictionHandle, RuntimeConfig, WaitOutcome};
 pub use chaos::{ChaosEngine, ChaosMode, ChaosSwitch};
 pub use engine::BatchEngine;
-/// Serving statistics, kept under the historical `RuntimeMetrics` name.
-/// The type itself now lives in [`nshd_obs`] (as
-/// [`ServingMetrics`](nshd_obs::ServingMetrics)) so the bench harness
-/// and the runtime share one schema.
-pub use nshd_obs::ServingMetrics as RuntimeMetrics;
 pub use pool::WorkerPool;
 pub use replica::{
     ClusterConfig, ClusterHandle, ClusterMetrics, ClusterReply, ReplicaMetrics, ReplicaSet,
