@@ -3,7 +3,7 @@
 //! Measures achieved GFLOP/s of every parallelized hot kernel — the
 //! GEMM family (`matmul`, `matmul_bt`, `matmul_at`), conv2d forward
 //! (im2col + GEMM), the batched HD encode, and the quantised scoring
-//! kernels (`packed_score` XNOR+popcount, `int8_score` hoisted-norm
+//! kernels (`packed_score` XNOR+popcount, `int8_score` mask-and-add
 //! GEMM) — once with one thread and once with the full worker set
 //! (`par::with_threads`), over a size grid. Every pair of runs is
 //! checked **bit-identical** (`to_bits` equality), the determinism
@@ -223,13 +223,13 @@ fn main() {
     }
 
     // Quantised batch scoring: the XNOR+popcount packed kernel and the
-    // hoisted-norm INT8 GEMM serving bit-packed wire requests. FLOPs
-    // are counted as the equivalent dense multiply-accumulates
-    // (2·n·k·D), so the packed row's GFLOP/s directly shows the
-    // popcount compression win.
-    {
-        let (classes, n) = if args.smoke { (10usize, 64usize) } else { (10, 256) };
-        let dim = hv_dim;
+    // mask-and-add INT8 GEMM serving bit-packed wire requests, at a
+    // batch shape and at the served `hd_query` shape (one query, 100
+    // classes, D=3000). FLOPs are counted as the equivalent dense
+    // multiply-accumulates (2·n·k·D), so the packed row's GFLOP/s
+    // directly shows the popcount compression win.
+    let batch_shape = if args.smoke { (10usize, 64usize, hv_dim) } else { (10, 256, hv_dim) };
+    for (classes, n, dim) in [batch_shape, (100, 1, 3_000)] {
         let rand_hv = |rng: &mut Rng| -> BipolarHv {
             BipolarHv::new((0..dim).map(|_| if rng.bipolar() > 0.0 { 1 } else { -1 }).collect())
         };
@@ -237,17 +237,15 @@ fn main() {
         let memory = AssociativeMemory::from_classes(rows);
         let packed_mem = PackedMemory::from_memory(&memory);
         let quant = QuantizedMemory::from_memory(&memory);
-        let dense_queries: Vec<BipolarHv> = (0..n).map(|_| rand_hv(&mut rng)).collect();
-        let packed_queries: Vec<PackedHv> =
-            dense_queries.iter().map(BipolarHv::to_packed).collect();
+        let queries: Vec<PackedHv> = (0..n).map(|_| rand_hv(&mut rng).to_packed()).collect();
         let flops = 2 * (n * classes * dim) as u64;
         let reps = reps_for(flops, budget / 2);
         let shape = format!("n{n}k{classes}d{dim}");
         cells.push(measure("packed_score", shape.clone(), flops, reps, args.threads, || {
-            packed_mem.similarities_batch(&packed_queries)
+            packed_mem.similarities_batch(&queries)
         }));
         cells.push(measure("int8_score", shape, flops, reps, args.threads, || {
-            quant.similarities_batch(&dense_queries)
+            quant.similarities_batch(&queries)
         }));
     }
 

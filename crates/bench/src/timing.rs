@@ -95,10 +95,13 @@ pub fn format_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
 
     #[test]
     fn measure_reports_positive_times() {
-        let m = measure(|| (0..100).map(|i: u64| i * i).sum::<u64>());
+        // `black_box` on every term keeps the optimiser from folding the
+        // sum to a constant, which would time an empty closure at 0 ns.
+        let m = measure(|| (0..100).map(|i: u64| black_box(i) * black_box(i)).sum::<u64>());
         assert!(m.mean > Duration::ZERO);
         assert!(m.min <= m.mean * 2);
         assert!(m.iters >= 1);

@@ -534,15 +534,14 @@ mod tests {
         // adds no hidden densify-then-round step (§VI-B deployments).
         let quant = nshd_hdc::QuantizedMemory::from_memory(engine.memory());
         let packed_mem = nshd_hdc::PackedMemory::from_memory(engine.memory());
+        let packed_hvs: Vec<_> = dense_hvs.iter().map(nshd_hdc::BipolarHv::to_packed).collect();
         for mode in [ScoringMode::Int8, ScoringMode::Packed] {
             let quantised = engine.clone().with_scoring(mode);
             assert_eq!(quantised.scoring_mode(), mode);
             let preds = quantised.predict_batch(&images);
             let want = match mode {
-                ScoringMode::Int8 => quant.predict_batch(&dense_hvs),
-                ScoringMode::Packed => packed_mem.predict_batch(
-                    &dense_hvs.iter().map(nshd_hdc::BipolarHv::to_packed).collect::<Vec<_>>(),
-                ),
+                ScoringMode::Int8 => quant.predict_batch(&packed_hvs),
+                ScoringMode::Packed => packed_mem.predict_batch(&packed_hvs),
                 ScoringMode::Dense => unreachable!(),
             };
             assert_eq!(preds, want, "{} engine diverged from its backend", mode.name());

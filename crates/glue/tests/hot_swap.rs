@@ -189,12 +189,12 @@ fn quantised_scoring_matches_backends_and_survives_swaps() {
     glue.set_scoring(ScoringMode::Int8).expect("int8 recompile");
     let state = glue.state();
     let quant = QuantizedMemory::from_memory(state.memory());
-    assert_eq!(state.predict_batch(&images).expect("int8 predict"), quant.predict_batch(&hvs));
+    let queries: Vec<_> = hvs.iter().map(BipolarHv::to_packed).collect();
+    assert_eq!(state.predict_batch(&images).expect("int8 predict"), quant.predict_batch(&queries));
 
     glue.set_scoring(ScoringMode::Packed).expect("packed recompile");
     let state = glue.state();
     let packed = PackedMemory::from_memory(state.memory());
-    let queries: Vec<_> = hvs.iter().map(BipolarHv::to_packed).collect();
     assert_eq!(
         state.predict_batch(&images).expect("packed predict"),
         packed.predict_batch(&queries)

@@ -129,16 +129,17 @@ impl ScoringBackend {
     /// runs the backend's batch GEMM. Ties resolve to the last maximum
     /// in every arm.
     fn predict(&self, dense: &AssociativeMemory, queries: Vec<QueryHv>) -> Vec<usize> {
-        let bipolar = |queries: Vec<QueryHv>| -> Vec<BipolarHv> {
-            queries.into_iter().map(QueryHv::into_bipolar).collect()
+        let packed = |queries: Vec<QueryHv>| -> Vec<PackedHv> {
+            queries.into_iter().map(QueryHv::into_packed).collect()
         };
         match self {
-            ScoringBackend::Dense => dense.predict_batch(&bipolar(queries)),
-            ScoringBackend::Int8(qm) => qm.predict_batch(&bipolar(queries)),
-            ScoringBackend::Packed(pm) => {
-                let packed: Vec<PackedHv> = queries.into_iter().map(QueryHv::into_packed).collect();
-                pm.predict_batch(&packed)
+            ScoringBackend::Dense => {
+                let bipolar: Vec<BipolarHv> =
+                    queries.into_iter().map(QueryHv::into_bipolar).collect();
+                dense.predict_batch(&bipolar)
             }
+            ScoringBackend::Int8(qm) => qm.predict_batch(&packed(queries)),
+            ScoringBackend::Packed(pm) => pm.predict_batch(&packed(queries)),
         }
     }
 }
@@ -191,7 +192,7 @@ impl HdScorer {
 
     /// Batch predictions for sign queries in whichever representation
     /// they arrived: each query moves into the backend's native form
-    /// (bipolar for `Dense`/`Int8`, packed for `Packed`) and the batch
+    /// (bipolar for `Dense`, packed for `Int8` and `Packed`) and the batch
     /// is scored by one GEMM. Ties resolve to the last maximum.
     ///
     /// # Panics
@@ -366,7 +367,7 @@ mod tests {
         let packed: Vec<PackedHv> = hvs.iter().map(BipolarHv::to_packed).collect();
         let reference = |memory: &AssociativeMemory, mode: ScoringMode| match mode {
             ScoringMode::Dense => memory.predict_batch(&hvs),
-            ScoringMode::Int8 => QuantizedMemory::from_memory(memory).predict_batch(&hvs),
+            ScoringMode::Int8 => QuantizedMemory::from_memory(memory).predict_batch(&packed),
             ScoringMode::Packed => PackedMemory::from_memory(memory).predict_batch(&packed),
         };
         for mode in [ScoringMode::Dense, ScoringMode::Int8, ScoringMode::Packed] {

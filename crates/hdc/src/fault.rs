@@ -153,14 +153,16 @@ impl FaultPlan {
         let mut rng = self.rng(stream);
         let mut report = FaultReport::default();
         for c in 0..memory.num_classes() {
-            for cell in memory.class_mut(c) {
-                report.sites += 1;
-                if rng.chance(self.rate) {
-                    let bit = rng.below(8) as u32;
-                    *cell = (*cell as u8 ^ (1u8 << bit)) as i8;
-                    report.faults += 1;
+            memory.update_class(c, |cells| {
+                for cell in cells {
+                    report.sites += 1;
+                    if rng.chance(self.rate) {
+                        let bit = rng.below(8) as u32;
+                        *cell = (*cell as u8 ^ (1u8 << bit)) as i8;
+                        report.faults += 1;
+                    }
                 }
-            }
+            });
         }
         report
     }

@@ -101,6 +101,25 @@ impl fmt::Debug for BipolarHv {
     }
 }
 
+/// `SPREAD[b]` holds byte `j` = `0xFF` where bit `j` of `b` is set and
+/// `0x00` where it is clear (little-endian byte order), so one lookup
+/// expands eight packed components.
+static SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            if (b >> j) & 1 == 1 {
+                table[b] |= 0xFF << (8 * j);
+            }
+            j += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
 /// A binary hypervector packed 64 components per machine word
 /// (`+1 → bit 1`, `-1 → bit 0`).
 ///
@@ -170,7 +189,39 @@ impl PackedHv {
 
     /// Unpacks to the dense bipolar representation.
     pub fn to_bipolar(&self) -> BipolarHv {
-        BipolarHv { comps: (0..self.dim).map(|i| self.sign_at(i)).collect() }
+        let mut comps = vec![0i8; self.dim];
+        self.expand_into(&mut comps, 1, -1);
+        BipolarHv { comps }
+    }
+
+    /// Writes one byte per component into `out`: `set` where the bit is
+    /// 1, `clear` where it is 0. Expands eight bits at a time through
+    /// [`SPREAD`]; the last word's padding bits are never written out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != dim`.
+    pub(crate) fn expand_into(&self, out: &mut [i8], set: i8, clear: i8) {
+        assert_eq!(out.len(), self.dim, "dimension mismatch");
+        let set = u64::from_ne_bytes([set as u8; 8]);
+        let clear = u64::from_ne_bytes([clear as u8; 8]);
+        // The eight components of the low byte of `bits`.
+        let lanes = |bits: u64| {
+            let spread = SPREAD[(bits & 0xFF) as usize];
+            ((spread & set) | (!spread & clear)).to_le_bytes().map(|v| v as i8)
+        };
+        let (full, tail) = out.as_chunks_mut::<64>();
+        for (chunk, &word) in full.iter_mut().zip(&self.words) {
+            for (k, bytes) in chunk.as_chunks_mut::<8>().0.iter_mut().enumerate() {
+                *bytes = lanes(word >> (8 * k));
+            }
+        }
+        if let Some(&word) = self.words.get(full.len()) {
+            for (k, bytes) in tail.chunks_mut(8).enumerate() {
+                let n = bytes.len();
+                bytes.copy_from_slice(&lanes(word >> (8 * k))[..n]);
+            }
+        }
     }
 
     /// Hamming distance to another packed hypervector.
@@ -235,11 +286,18 @@ mod tests {
 
     #[test]
     fn pack_unpack_round_trips() {
-        let signs: Vec<f32> = (0..131).map(|i| if i % 3 == 0 { -1.0 } else { 1.0 }).collect();
-        let h = BipolarHv::from_signs(&signs);
-        let packed = h.to_packed();
-        assert_eq!(packed.dim(), 131);
-        assert_eq!(packed.to_bipolar(), h);
+        // Whole words, and ragged last words of 1, 3, 63 and 8 bits.
+        for dim in [1usize, 63, 64, 65, 131, 200] {
+            let signs: Vec<f32> =
+                (0..dim).map(|i| if (i * 7 + i / 5) % 3 == 0 { -1.0 } else { 1.0 }).collect();
+            let h = BipolarHv::from_signs(&signs);
+            let packed = h.to_packed();
+            assert_eq!(packed.dim(), dim);
+            assert_eq!(packed.to_bipolar(), h, "dim {dim}");
+            for (i, &c) in h.components().iter().enumerate() {
+                assert_eq!(packed.sign_at(i), c, "dim {dim} component {i}");
+            }
+        }
     }
 
     #[test]

@@ -9,13 +9,38 @@
 //! testable in-repo.
 //!
 //! Both forms carry a batch scoring path (`similarities_batch` /
-//! `predict_batch`): an XNOR+popcount (packed) or add/sub-by-sign
-//! (INT8) scoring GEMM over query rows × class rows, row-parallel
+//! `predict_batch`) over *packed* query rows × class rows, row-parallel
 //! across the [`nshd_tensor::par`] workers. Batch scores are
-//! **bit-identical** to the pointwise `similarities` — integer
-//! accumulation is exact in any order, and the float de-scaling applies
-//! the same expression per element — so batch and pointwise predictions
-//! can never disagree.
+//! **bit-identical** to the pointwise `similarities`, so batch and
+//! pointwise predictions can never disagree.
+//!
+//! # INT8 scoring is mask-and-add
+//!
+//! A bipolar query `s ∈ {±1}^D` against INT8 cells `c` has the dot
+//! product `Σ c·s = 2·Σ_{s=+1} c − Σ c`: the paper's multiplication-free
+//! associative search, as in Schmuck et al.'s masked accumulate. The
+//! batch kernel expands each query's packed sign bits **once** into a
+//! byte mask (`0xFF` where the bit is set, `0` otherwise), sums
+//! `c & mask` per class, and takes the row sum `Σ c` and the class norm
+//! from a cache filled when the memory is compiled — no per-class sign
+//! branch, no per-call norm pass, no dense bipolar query.
+//!
+//! The masked sum runs over blocks of at most [`BLOCK`] = 256 cells.
+//! Inside a block, each pair of cells is read as one `i16` word, masked
+//! in one operation and split back into its two sign-extended cells,
+//! which add into two `i16` lanes of at most 128 cells each. A lane
+//! stays within `±128·128 = ±16384` even when every cell is a faulted
+//! `-128`, which the INT8 range admits although
+//! [`QuantizedMemory::from_memory`] never writes it, so no partial sum
+//! can overflow. Each block then widens to `i64`, which is exact for any
+//! `D`. Integer addition is exact in any order, so the result is the
+//! very `acc` the pointwise reference loop computes; the f32 de-scale is
+//! the same expression
+//! `(acc as f32 * scale) / (norm * √D)` with the same cached
+//! `norm = (Σ c² as f32).sqrt() * scale`, hence bit-identical scores,
+//! predictions and tie-breaks. Packed scoring is XNOR+popcount word
+//! tiles with the pointwise `dot / D` de-scale, exact for the same
+//! reason.
 //!
 //! **Tie-break rule:** every predictor in this crate, pointwise and
 //! batch alike, picks its class with the one `argmax_last` rule: equal
@@ -27,13 +52,46 @@ use crate::memory::{argmax_last, AssociativeMemory};
 use crate::similarity::cosine_packed;
 use nshd_tensor::{par, Tensor};
 
+/// Cells per block of the INT8 masked sum: the block's two `i16` lanes
+/// hold 128 cells each, so no lane can overflow (module docs).
+const BLOCK: usize = 256;
+
 /// An INT8-quantised class memory (symmetric per-class scaling), the
 /// DPU-style deployment of a trained [`AssociativeMemory`].
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality compares the dimension, cells and scales; the per-class
+/// norm and row-sum cache is derived from them.
+#[derive(Debug, Clone)]
 pub struct QuantizedMemory {
     dim: usize,
     classes: Vec<Vec<i8>>,
     scales: Vec<f32>,
+    /// Per-class `(norm, row sum)`, kept in step with `classes` by every
+    /// constructor and by [`QuantizedMemory::update_class`].
+    stats: Vec<ClassStats>,
+}
+
+/// What the batch kernel needs of a class besides its cells.
+#[derive(Debug, Clone, Copy)]
+struct ClassStats {
+    /// `(Σ c² as f32).sqrt() * scale`, the pointwise path's norm.
+    norm: f32,
+    /// `Σ c`.
+    row_sum: i64,
+}
+
+impl ClassStats {
+    fn of(cells: &[i8], scale: f32) -> Self {
+        let norm2: i64 = cells.iter().map(|&c| i64::from(c) * i64::from(c)).sum();
+        let row_sum = cells.iter().map(|&c| i64::from(c)).sum();
+        ClassStats { norm: (norm2 as f32).sqrt() * scale, row_sum }
+    }
+}
+
+impl PartialEq for QuantizedMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim && self.classes == other.classes && self.scales == other.scales
+    }
 }
 
 impl QuantizedMemory {
@@ -41,7 +99,7 @@ impl QuantizedMemory {
     /// `127 / max|component|` and rounded to `i8`.
     pub fn from_memory(memory: &AssociativeMemory) -> Self {
         let dim = memory.dim();
-        let mut classes = Vec::with_capacity(memory.num_classes());
+        let mut classes: Vec<Vec<i8>> = Vec::with_capacity(memory.num_classes());
         let mut scales = Vec::with_capacity(memory.num_classes());
         for c in 0..memory.num_classes() {
             let class = memory.class(c);
@@ -52,7 +110,8 @@ impl QuantizedMemory {
             );
             scales.push(scale);
         }
-        QuantizedMemory { dim, classes, scales }
+        let stats = classes.iter().zip(&scales).map(|(c, &s)| ClassStats::of(c, s)).collect();
+        QuantizedMemory { dim, classes, scales, stats }
     }
 
     /// Number of classes.
@@ -74,18 +133,22 @@ impl QuantizedMemory {
         &self.classes[class]
     }
 
-    /// Mutable INT8 cells of one class — the hook [`crate::FaultPlan`]
+    /// Applies `edit` to the INT8 cells of one class and refreshes that
+    /// class's cached norm and row sum — the hook [`crate::FaultPlan`]
     /// uses to model DPU weight-memory upsets.
     ///
     /// # Panics
     ///
     /// Panics if `class` is out of range.
-    pub fn class_mut(&mut self, class: usize) -> &mut [i8] {
-        &mut self.classes[class]
+    pub fn update_class(&mut self, class: usize, edit: impl FnOnce(&mut [i8])) {
+        let cells = &mut self.classes[class];
+        edit(cells);
+        self.stats[class] = ClassStats::of(cells, self.scales[class]);
     }
 
     /// Cosine similarities of a bipolar query against each quantised
-    /// class (integer accumulation, de-scaled at the end).
+    /// class (integer accumulation, de-scaled at the end). This is the
+    /// plain reference loop the batch kernel is tested against.
     ///
     /// # Panics
     ///
@@ -129,20 +192,19 @@ impl QuantizedMemory {
         argmax_last(&self.similarities(hv))
     }
 
-    /// Batch INT8 scoring GEMM: similarities of `queries.len()` bipolar
+    /// Batch INT8 scoring GEMM: similarities of `queries.len()` packed
     /// query rows against all `num_classes()` quantised class rows, as
     /// an `N×num_classes` tensor.
     ///
-    /// Row-parallel across the [`par`] workers for large batches, with
-    /// per-class norms hoisted out of the query loop — and still
-    /// **bit-identical** to calling [`Self::similarities`] per query:
-    /// the integer accumulators are exact, and the hoisted norm is the
-    /// very f32 expression the pointwise path computes.
+    /// Mask-and-add over the query's sign bits with the cached class
+    /// norms and row sums (module docs), row-parallel across the [`par`]
+    /// workers for large batches — and **bit-identical** to calling
+    /// [`Self::similarities`] on each query's bipolar form.
     ///
     /// # Panics
     ///
     /// Panics if any query's dimensionality disagrees.
-    pub fn similarities_batch(&self, queries: &[BipolarHv]) -> Tensor {
+    pub fn similarities_batch(&self, queries: &[PackedHv]) -> Tensor {
         for q in queries {
             assert_eq!(q.dim(), self.dim, "dimension mismatch");
         }
@@ -152,27 +214,19 @@ impl QuantizedMemory {
         if n == 0 || k == 0 {
             return out;
         }
+        let work = 2 * (n as u64) * (k as u64) * (self.dim as u64);
         let mut sp = nshd_obs::span("int8_score");
-        sp.add_flops(2 * (n as u64) * (k as u64) * (self.dim as u64));
-        sp.add_bytes((n * self.dim + k * self.dim + 4 * n * k) as u64);
-        // Hoisted per-class norms: the exact f32 value the pointwise
-        // path recomputes per query, so de-scaling stays bit-identical.
-        let norms: Vec<f32> = self
-            .classes
-            .iter()
-            .zip(&self.scales)
-            .map(|(class, &scale)| {
-                let norm2: i64 = class.iter().map(|&c| (c as i64) * (c as i64)).sum();
-                (norm2 as f32).sqrt() * scale
-            })
-            .collect();
-        if par::should_parallelize(2 * (n as u64) * (k as u64) * (self.dim as u64)) {
+        sp.add_flops(work);
+        sp.add_bytes(
+            (n as u64) * (self.dim as u64).div_ceil(8) + (k * self.dim + 4 * n * k) as u64,
+        );
+        if par::should_parallelize(work) {
             par::par_row_chunks(out.as_mut_slice(), k, |row0, chunk| {
                 let rows = chunk.len() / k;
-                self.score_rows(&queries[row0..row0 + rows], &norms, chunk);
+                self.mask_add_rows(&queries[row0..row0 + rows], chunk);
             });
         } else {
-            self.score_rows(queries, &norms, out.as_mut_slice());
+            self.mask_add_rows(queries, out.as_mut_slice());
         }
         out
     }
@@ -184,31 +238,27 @@ impl QuantizedMemory {
     /// # Panics
     ///
     /// Panics if dimensions disagree or the memory has no classes.
-    pub fn predict_batch(&self, queries: &[BipolarHv]) -> Vec<usize> {
+    pub fn predict_batch(&self, queries: &[PackedHv]) -> Vec<usize> {
         assert!(!self.classes.is_empty(), "memory has at least one class");
         let sims = self.similarities_batch(queries);
         sims.as_slice().chunks(self.classes.len()).map(argmax_last).collect()
     }
 
     /// Scores one run of query rows into `out` (`queries.len()` rows of
-    /// `num_classes()` scores): the pointwise accumulation loop, with
-    /// the class norms supplied by the caller.
-    fn score_rows(&self, queries: &[BipolarHv], norms: &[f32], out: &mut [f32]) {
+    /// `num_classes()` scores): one byte-mask expansion per query, then
+    /// `acc = 2·masked_sum − row_sum` and the pointwise de-scale per
+    /// class.
+    fn mask_add_rows(&self, queries: &[PackedHv], out: &mut [f32]) {
         let sqrt_d = (self.dim as f32).sqrt();
         let k = self.classes.len();
+        let mut mask = vec![0i8; self.dim];
         for (q, row) in queries.iter().zip(out.chunks_mut(k)) {
-            for ((class, &norm), (&scale, slot)) in
-                self.classes.iter().zip(norms).zip(self.scales.iter().zip(row.iter_mut()))
+            q.expand_into(&mut mask, -1, 0);
+            for ((class, stats), (&scale, slot)) in
+                self.classes.iter().zip(&self.stats).zip(self.scales.iter().zip(row.iter_mut()))
             {
-                let mut acc: i64 = 0;
-                for (&c, &s) in class.iter().zip(q.components()) {
-                    // Multiplication-free accumulate, as in `similarities`.
-                    if s > 0 {
-                        acc += c as i64;
-                    } else {
-                        acc -= c as i64;
-                    }
-                }
+                let acc = 2 * masked_sum(class, &mask) - stats.row_sum;
+                let norm = stats.norm;
                 *slot = if norm == 0.0 { 0.0 } else { (acc as f32 * scale) / (norm * sqrt_d) };
             }
         }
@@ -381,6 +431,38 @@ impl PackedMemory {
     pub fn size_bytes(&self) -> u64 {
         (self.classes.len() as u64) * (self.dim as u64).div_ceil(8)
     }
+}
+
+/// `Σ cells[i] & mask[i]`, block by block, exact for any length and any
+/// `i8` cells (module docs). Full blocks have a constant trip count, so
+/// the compiler vectorises them.
+fn masked_sum(cells: &[i8], mask: &[i8]) -> i64 {
+    let (blocks, tail) = cells.as_chunks::<BLOCK>();
+    let (mask_blocks, mask_tail) = mask.as_chunks::<BLOCK>();
+    let full: i64 = blocks
+        .iter()
+        .zip(mask_blocks)
+        .map(|(c, m)| masked_pair_sum(c.as_chunks().0, m.as_chunks().0))
+        .sum();
+    let (pairs, odd) = tail.as_chunks::<2>();
+    let (mask_pairs, mask_odd) = mask_tail.as_chunks::<2>();
+    let odd: i64 = odd.iter().zip(mask_odd).map(|(&c, &m)| i64::from(c & m)).sum();
+    full + masked_pair_sum(pairs, mask_pairs) + odd
+}
+
+/// `Σ c & m` over at most `BLOCK / 2` cell pairs. Each pair is read as
+/// one little-endian `i16` word and masked in one operation; the
+/// arithmetic shifts `(w << 8) >> 8` and `w >> 8` then recover the two
+/// sign-extended cells, which sum into one `i16` lane each (at most 128
+/// cells per lane, so `|lane| ≤ 16384`).
+fn masked_pair_sum(cells: &[[i8; 2]], mask: &[[i8; 2]]) -> i64 {
+    let (mut lo, mut hi) = (0i16, 0i16);
+    for (c, m) in cells.iter().zip(mask) {
+        let w = i16::from_le_bytes(c.map(|v| v as u8)) & i16::from_le_bytes(m.map(|v| v as u8));
+        lo += (w << 8) >> 8;
+        hi += w >> 8;
+    }
+    i64::from(lo) + i64::from(hi)
 }
 
 /// Hamming distance over packed words, tiled four words at a time

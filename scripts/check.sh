@@ -26,6 +26,12 @@ echo "==> cargo test (NSHD_THREADS=4)"
 # must pass bit-identically regardless of the ambient worker count.
 NSHD_THREADS=4 cargo test -q --workspace
 
+echo "==> perfbench build + tests"
+# The serving benchmark is a package of its own outside the workspace.
+# Building and testing it here means a change to a scoring API it calls
+# fails this gate instead of the benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -p nshd-tensor (NSHD_SIMD=0)"
 # Runtime SIMD kill-switch: the same tensor suite must pass with the
 # micro-kernels disabled at runtime, serving the scalar reference.
