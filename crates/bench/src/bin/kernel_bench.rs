@@ -2,7 +2,8 @@
 //!
 //! Measures achieved GFLOP/s of every parallelized hot kernel — the
 //! GEMM family (`matmul`, `matmul_bt`, `matmul_at`), conv2d forward
-//! (im2col + GEMM), the batched HD encode, and the quantised scoring
+//! (im2col + GEMM), the served extractor's depthwise and 1×1 convs at a
+//! batch of one, the batched HD encode, and the quantised scoring
 //! kernels (`packed_score` XNOR+popcount, `int8_score` mask-and-add
 //! GEMM) — once with one thread and once with the full worker set
 //! (`par::with_threads`), over a size grid. Every pair of runs is
@@ -29,7 +30,7 @@ use nshd_bench::Scale;
 use nshd_hdc::{
     AssociativeMemory, BipolarHv, PackedHv, PackedMemory, QuantizedMemory, RandomProjection,
 };
-use nshd_nn::{Conv2d, Layer};
+use nshd_nn::{Conv2d, DepthwiseConv2d, Layer};
 use nshd_obs::{clock, Json, Recorder};
 use nshd_tensor::{matmul, matmul_at, matmul_bt, par, Rng, Tensor};
 use std::hint::black_box;
@@ -206,6 +207,28 @@ fn main() {
         let reps = reps_for(flops, budget / 2);
         let shape = format!("n{conv_batch}c3@{conv_hw}x{conv_hw}");
         cells.push(measure("conv2d", shape, flops, reps, args.threads, || conv.infer(&x)));
+    }
+
+    // The served MobileNetV2 analog's eval layers at a batch of one:
+    // depthwise 3×3 at its widest stride-1 and stride-2 shapes and a
+    // deep stride-1 shape, and an expanding 1×1 conv (the N = 1 lowering
+    // that skips the batch interleave).
+    for (c, hw, stride) in [(48, 32, 1), (48, 32, 2), (72, 8, 1)] {
+        let dw = DepthwiseConv2d::new(c, 3, stride, 1, &mut rng);
+        let x = Tensor::from_fn([1, c, hw, hw], |i| ((i % 89) as f32 - 44.0) / 44.0);
+        let flops = 2 * dw.macs(&[c, hw, hw]);
+        let reps = reps_for(flops, budget / 2);
+        let shape = format!("n1c{c}@{hw}x{hw}s{stride}");
+        cells.push(measure("dwconv", shape, flops, reps, args.threads, || dw.infer(&x)));
+    }
+    {
+        let conv = Conv2d::new(8, 48, 1, 1, 0, &mut rng);
+        let x = Tensor::from_fn([1, 8, 32, 32], |i| ((i % 83) as f32 - 41.0) / 41.0);
+        let flops = 2 * conv.macs(&[8, 32, 32]);
+        let reps = reps_for(flops, budget / 2);
+        cells.push(measure("conv1x1", "n1c8→48@32x32".into(), flops, reps, args.threads, || {
+            conv.infer(&x)
+        }));
     }
 
     // Batched HD encode: values · basis GEMM.

@@ -21,11 +21,12 @@ pub enum ActKind {
 }
 
 impl ActKind {
+    #[cfg(test)]
     fn apply(self, x: f32) -> f32 {
         match self {
-            ActKind::Relu => x.max(0.0),
-            ActKind::Relu6 => x.clamp(0.0, 6.0),
-            ActKind::Silu => x * sigmoid(x),
+            ActKind::Relu => relu(x),
+            ActKind::Relu6 => relu6(x),
+            ActKind::Silu => silu(x),
             ActKind::Sigmoid => sigmoid(x),
         }
     }
@@ -57,6 +58,18 @@ impl ActKind {
             }
         }
     }
+}
+
+fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+fn relu6(x: f32) -> f32 {
+    x.clamp(0.0, 6.0)
+}
+
+fn silu(x: f32) -> f32 {
+    x * sigmoid(x)
 }
 
 fn sigmoid(x: f32) -> f32 {
@@ -115,7 +128,14 @@ impl Layer for Activation {
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
-        input.map(|x| self.kind.apply(x))
+        // Dispatch once, outside the element loop: each arm's loop then
+        // runs one known function and can vectorise.
+        match self.kind {
+            ActKind::Relu => input.map(relu),
+            ActKind::Relu6 => input.map(relu6),
+            ActKind::Silu => input.map(silu),
+            ActKind::Sigmoid => input.map(sigmoid),
+        }
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -104,16 +104,20 @@ impl Conv2d {
     /// run them in parallel across the `nshd_tensor::par` worker set;
     /// each sample's patches are produced by the same serial code either
     /// way, and the interleaving copy below is pure data movement, so
-    /// the result is identical at any thread count.
+    /// the result is identical at any thread count. A batch of one is
+    /// its own patch matrix and skips the interleave.
     fn batch_cols(&self, input: &Tensor, g: &ConvGeometry) -> Tensor {
         let n = input.dims()[0];
+        if n == 1 {
+            return im2col(input.as_slice(), g);
+        }
         let crs = g.patch_len();
         let p = g.out_positions();
         let in_plane = self.in_channels * g.height * g.width;
         let items: Vec<&[f32]> =
             (0..n).map(|b| &input.as_slice()[b * in_plane..(b + 1) * in_plane]).collect();
         let unfold_work = (crs * p) as u64 * n as u64;
-        let per_sample: Vec<Tensor> = if n > 1 && par::should_parallelize(unfold_work) {
+        let per_sample: Vec<Tensor> = if par::should_parallelize(unfold_work) {
             par::par_map(&items, |item| im2col(item, g))
         } else {
             items.iter().map(|item| im2col(item, g)).collect()
@@ -143,13 +147,29 @@ impl Conv2d {
         let (oh, ow) = (g.out_height(), g.out_width());
         let p = oh * ow;
         let cols = self.batch_cols(input, &g);
+        let bv = self.bias.value.as_slice();
+        if n == 1 {
+            // For a batch of one the K×P GEMM output already is the
+            // 1×K×H'×W' layout: reshape it and add the bias in place.
+            // `reshaped` fails only on an element-count mismatch, which
+            // K·P = K·H'·W' rules out; the general path below would
+            // still be correct if it ever did.
+            let y = matmul(&self.weight.value, &cols);
+            if let Ok(mut out) = y.reshaped([1, self.out_channels, oh, ow]) {
+                for (plane, &bias_k) in out.as_mut_slice().chunks_exact_mut(p).zip(bv) {
+                    for v in plane {
+                        *v += bias_k;
+                    }
+                }
+                return (cols, out);
+            }
+        }
         // One GEMM for the whole batch: K×CRS · CRS×(N·P) = K×(N·P).
         let y = matmul(&self.weight.value, &cols);
         // Scatter K×(N·P) → N×K×P, adding bias.
         let mut out = Tensor::zeros([n, self.out_channels, oh, ow]);
         let yv = y.as_slice();
         let ov = out.as_mut_slice();
-        let bv = self.bias.value.as_slice();
         for k in 0..self.out_channels {
             let bias_k = bv[k];
             for b in 0..n {

@@ -5,7 +5,8 @@ use crate::init::he_normal;
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::shape::ShapeError;
-use nshd_tensor::{conv_out_dim, Rng, Shape, Tensor};
+use nshd_tensor::{conv_out_dim, conv_tap_range, Rng, Shape, Tensor};
+use std::ops::Range;
 
 /// A depthwise convolution: each input channel is convolved with its own
 /// `R×S` kernel; channel count is preserved.
@@ -53,10 +54,23 @@ impl DepthwiseConv2d {
         DepthwiseConv2d { channels, kernel, stride, padding, weight, bias, cached_input: None }
     }
 
+    /// Output `(height, width)` for an `h×w` input.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the layer, if the window does not fit the padded
+    /// input.
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        let oh = (h + 2 * self.padding - self.kernel) / self.stride + 1;
-        let ow = (w + 2 * self.padding - self.kernel) / self.stride + 1;
-        (oh, ow)
+        let out = |extent| conv_out_dim(extent, self.kernel, self.stride, self.padding);
+        match (out(h), out(w)) {
+            (Some(oh), Some(ow)) => (oh, ow),
+            _ => panic!(
+                "{}: window {} does not fit the {h}x{w} input padded by {}",
+                self.name(),
+                self.kernel,
+                self.padding
+            ),
+        }
     }
 }
 
@@ -82,51 +96,52 @@ impl Layer for DepthwiseConv2d {
         assert_eq!(dims[1], self.channels, "channel mismatch in {}", self.name());
         let (n, h, w) = (dims[0], dims[2], dims[3]);
         let (oh, ow) = self.out_hw(h, w);
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        // Per kernel column `kx`: the output columns whose tap lands
+        // inside the input row and the input column of the first one —
+        // computed once, shared by every row and channel.
+        let col_taps: Vec<(usize, Range<usize>, usize)> = (0..k)
+            .filter_map(|kx| {
+                let oxs = conv_tap_range(w, ow, kx, s, p)?;
+                let ix = oxs.start * s + kx - p;
+                Some((kx, oxs, ix))
+            })
+            .collect();
         let mut out = Tensor::zeros([n, self.channels, oh, ow]);
         let x = input.as_slice();
         let wv = self.weight.value.as_slice();
         let bv = self.bias.value.as_slice();
         let ov = out.as_mut_slice();
-        let k = self.kernel;
-        for b in 0..n {
-            for c in 0..self.channels {
-                let plane =
-                    &x[(b * self.channels + c) * h * w..(b * self.channels + c + 1) * h * w];
-                let filt = &wv[c * k * k..(c + 1) * k * k];
-                let dst = &mut ov
-                    [(b * self.channels + c) * oh * ow..(b * self.channels + c + 1) * oh * ow];
-                for oy in 0..oh {
-                    let y0 = (oy * self.stride) as isize - self.padding as isize;
-                    let y_interior = y0 >= 0 && (y0 as usize) + k <= h;
-                    for ox in 0..ow {
-                        let x0 = (ox * self.stride) as isize - self.padding as isize;
-                        let mut acc = bv[c];
-                        if y_interior && x0 >= 0 && (x0 as usize) + k <= w {
-                            // Fully in-bounds window: branch-free taps.
-                            let base = y0 as usize * w + x0 as usize;
-                            for ky in 0..k {
-                                let row = &plane[base + ky * w..base + ky * w + k];
-                                let frow = &filt[ky * k..ky * k + k];
-                                for (&pv, &fv) in row.iter().zip(frow) {
-                                    acc += pv * fv;
-                                }
+        // Each output is `bias`, then `+= x·w` for its in-bounds taps in
+        // `(ky, kx)` order — the order a per-pixel loop would use, so the
+        // result is bit-identical to one. Walking a tap across a whole
+        // output row instead of a pixel across its taps makes the stride-1
+        // inner loop a contiguous axpy that vectorises.
+        for plane in 0..n * self.channels {
+            let c = plane % self.channels;
+            let src = &x[plane * h * w..(plane + 1) * h * w];
+            let dst = &mut ov[plane * oh * ow..(plane + 1) * oh * ow];
+            let filt = &wv[c * k * k..(c + 1) * k * k];
+            dst.fill(bv[c]);
+            for oy in 0..oh {
+                let drow = &mut dst[oy * ow..(oy + 1) * ow];
+                for ky in 0..k {
+                    let Some(iy) = (oy * s + ky).checked_sub(p).filter(|&iy| iy < h) else {
+                        continue;
+                    };
+                    let srow = &src[iy * w..(iy + 1) * w];
+                    for (kx, oxs, ix) in &col_taps {
+                        let f = filt[ky * k + kx];
+                        let d = &mut drow[oxs.clone()];
+                        if s == 1 {
+                            for (o, &v) in d.iter_mut().zip(&srow[*ix..*ix + oxs.len()]) {
+                                *o += v * f;
                             }
                         } else {
-                            for ky in 0..k {
-                                let iy = y0 + ky as isize;
-                                if iy < 0 || iy as usize >= h {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let ix = x0 + kx as isize;
-                                    if ix >= 0 && (ix as usize) < w {
-                                        acc += plane[iy as usize * w + ix as usize]
-                                            * filt[ky * k + kx];
-                                    }
-                                }
+                            for (o, &v) in d.iter_mut().zip(srow[*ix..].iter().step_by(s)) {
+                                *o += v * f;
                             }
                         }
-                        dst[oy * ow + ox] = acc;
                     }
                 }
             }
@@ -303,6 +318,14 @@ mod tests {
             let numeric = (fp - fm) / (2.0 * eps);
             assert!((numeric - dw.weight.grad.as_slice()[idx]).abs() < 2e-2);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "dwconv5x5(c2,s1): window 5 does not fit the 3x3 input padded by 0")]
+    fn window_larger_than_padded_input_panics_with_layer_name() {
+        // 3 + 2·0 − 5 must not underflow into a huge output allocation.
+        let dw = DepthwiseConv2d::new(2, 5, 1, 0, &mut Rng::new(6));
+        dw.infer(&Tensor::zeros([1, 2, 3, 3]));
     }
 
     #[test]

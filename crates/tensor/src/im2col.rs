@@ -6,6 +6,7 @@
 //! operation [`col2im`] scatters patch-space gradients back to image space
 //! and is used by convolution's backward pass.
 
+use crate::shape::conv_tap_range;
 use crate::tensor::Tensor;
 
 /// Geometry of a 2-D convolution over a single image.
@@ -84,29 +85,32 @@ pub fn im2col(image: &[f32], g: &ConvGeometry) -> Tensor {
     sp.add_bytes(4 * (image.len() + g.patch_len() * cols) as u64);
     let mut out = Tensor::zeros([g.patch_len(), cols]);
     let buf = out.as_mut_slice();
+    let (s, p, w) = (g.stride, g.padding, g.width);
     let mut row = 0usize;
     for c in 0..g.channels {
-        let plane = &image[c * g.height * g.width..(c + 1) * g.height * g.width];
+        let plane = &image[c * g.height * w..(c + 1) * g.height * w];
         for kh in 0..g.kernel_h {
+            let rows = conv_tap_range(g.height, oh, kh, s, p);
             for kw in 0..g.kernel_w {
                 let dst = &mut buf[row * cols..(row + 1) * cols];
-                let mut col = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + kh) as isize - g.padding as isize;
-                    if iy < 0 || iy as usize >= g.height {
-                        col += ow;
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kw) as isize - g.padding as isize;
-                        if ix >= 0 && (ix as usize) < g.width {
-                            dst[col] = plane[iy * g.width + ix as usize];
+                row += 1;
+                // The zero-initialised buffer already holds the padding
+                // taps; copy the in-bounds run of each output row.
+                let (Some(oys), Some(oxs)) = (rows.clone(), conv_tap_range(w, ow, kw, s, p)) else {
+                    continue;
+                };
+                let ix0 = oxs.start * s + kw - p;
+                for oy in oys {
+                    let src = &plane[(oy * s + kh - p) * w..][ix0..];
+                    let run = &mut dst[oy * ow + oxs.start..oy * ow + oxs.end];
+                    if s == 1 {
+                        run.copy_from_slice(&src[..run.len()]);
+                    } else {
+                        for (d, &v) in run.iter_mut().zip(src.iter().step_by(s)) {
+                            *d = v;
                         }
-                        col += 1;
                     }
                 }
-                row += 1;
             }
         }
     }

@@ -2,6 +2,7 @@
 
 use crate::error::TensorError;
 use std::fmt;
+use std::ops::Range;
 
 /// The shape of a tensor: an ordered list of dimension sizes.
 ///
@@ -135,6 +136,42 @@ pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, padding: usize) 
         return None;
     }
     Some((padded - kernel) / stride + 1)
+}
+
+/// The output positions `lo..hi` (out of `out`) at which kernel tap `tap`
+/// reads inside the input along one axis, i.e. `0 <= o·stride + tap −
+/// padding < input`, or `None` when no position does. The in-bounds
+/// positions of a tap are always one contiguous run, so a convolution
+/// loop can visit them without a bounds test per element.
+///
+/// # Examples
+///
+/// ```
+/// use nshd_tensor::conv_tap_range;
+///
+/// // 3-tap kernel, stride 1, padding 1 over 4 inputs (4 outputs): the
+/// // first tap falls off the left edge at output 0, the last off the
+/// // right edge at output 3.
+/// assert_eq!(conv_tap_range(4, 4, 0, 1, 1), Some(1..4));
+/// assert_eq!(conv_tap_range(4, 4, 1, 1, 1), Some(0..4));
+/// assert_eq!(conv_tap_range(4, 4, 2, 1, 1), Some(0..3));
+/// // A tap that only ever reads padding.
+/// assert_eq!(conv_tap_range(1, 1, 0, 1, 1), None);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `stride` is zero.
+pub fn conv_tap_range(
+    input: usize,
+    out: usize,
+    tap: usize,
+    stride: usize,
+    padding: usize,
+) -> Option<Range<usize>> {
+    let lo = padding.saturating_sub(tap).div_ceil(stride);
+    let hi = ((input + padding).checked_sub(tap + 1)? / stride + 1).min(out);
+    (lo < hi).then_some(lo..hi)
 }
 
 /// Spatial output size of an unpadded pooling window along one axis, or

@@ -37,6 +37,12 @@ echo "==> cargo test -p nshd-tensor (NSHD_SIMD=0)"
 # micro-kernels disabled at runtime, serving the scalar reference.
 NSHD_SIMD=0 cargo test -q -p nshd-tensor
 
+echo "==> cargo test -p nshd-nn (NSHD_SIMD=0)"
+# The layer suite, including the eval-kernel conformance oracles and the
+# pinned extractor feature digests, on the scalar GEMM reference: the
+# digests must not move when the micro-kernels are switched off.
+NSHD_SIMD=0 cargo test -q -p nshd-nn
+
 echo "==> nshd-tensor --no-default-features (scalar fallback)"
 # The pure-scalar build (no `simd` feature compiled in at all) must
 # build and pass the full tensor suite, including the micro-kernel
