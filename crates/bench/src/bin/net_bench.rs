@@ -201,7 +201,7 @@ fn run_scenario(spec: &NetSpec<'_>, engine: &NshdEngine, cases: &[Case]) -> RunO
     }
 
     let config = ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 8, max_wait: Duration::from_micros(300) },
+        runtime: RuntimeConfig { workers: 1, max_batch: 8, ..RuntimeConfig::default() },
         retry: RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),
@@ -213,11 +213,8 @@ fn run_scenario(spec: &NetSpec<'_>, engine: &NshdEngine, cases: &[Case]) -> RunO
     };
     let set =
         Arc::new(ReplicaSet::new(replicas, config).expect("verified engine must form a cluster"));
-    let server = NetServer::start(
-        Arc::clone(&set),
-        NetServerConfig { service_threads: 4, ..NetServerConfig::default() },
-    )
-    .expect("loopback server must start");
+    let server = NetServer::start(Arc::clone(&set), NetServerConfig::default())
+        .expect("loopback server must start");
     let addr = server.local_addr();
 
     let completed = AtomicUsize::new(0);
@@ -319,6 +316,7 @@ fn run_scenario(spec: &NetSpec<'_>, engine: &NshdEngine, cases: &[Case]) -> RunO
         ("ok_by_kind", Json::obj(ok_by_kind.iter().map(|(&k, &v)| (k, Json::from(v))))),
         ("front", Json::Raw(front.to_json())),
         ("router", Json::Raw(cluster.router.to_json())),
+        ("rollup", Json::Raw(cluster.rollup.to_json())),
     ]);
     RunOutcome {
         json,
@@ -496,11 +494,7 @@ fn main() {
         ReplicaSet::new(
             probe_replicas,
             ClusterConfig {
-                runtime: RuntimeConfig {
-                    workers: 1,
-                    max_batch: 8,
-                    max_wait: Duration::from_micros(300),
-                },
+                runtime: RuntimeConfig { workers: 1, max_batch: 8, ..RuntimeConfig::default() },
                 retry: RetryPolicy {
                     max_attempts: 2,
                     base_backoff: Duration::from_millis(1),

@@ -21,8 +21,7 @@
 //! predictions diverge — the CI gate.
 //!
 //! Flags: `--workers N` (default 4), `--batch N` (default 32),
-//! `--max-wait-us N` (default 500), `--requests N` (default by
-//! `NSHD_SCALE`), `--smoke`.
+//! `--requests N` (default by `NSHD_SCALE`), `--smoke`.
 
 use nshd_bench::Scale;
 use nshd_core::{NshdConfig, NshdEngine, NshdModel};
@@ -36,12 +35,10 @@ use nshd_runtime::{InferenceRuntime, RuntimeConfig};
 use nshd_tensor::{Rng, Tensor};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Args {
     workers: usize,
     max_batch: usize,
-    max_wait_us: u64,
     requests: usize,
     smoke: bool,
 }
@@ -50,7 +47,6 @@ fn parse_args(scale: Scale) -> Args {
     let mut args = Args {
         workers: 4,
         max_batch: 32,
-        max_wait_us: 500,
         requests: match scale {
             Scale::Quick => 512,
             Scale::Full => 2_048,
@@ -67,7 +63,6 @@ fn parse_args(scale: Scale) -> Args {
         match flag.as_str() {
             "--workers" => args.workers = num("--workers") as usize,
             "--batch" => args.max_batch = num("--batch") as usize,
-            "--max-wait-us" => args.max_wait_us = num("--max-wait-us"),
             "--requests" => args.requests = num("--requests") as usize,
             "--smoke" => args.smoke = true,
             other => panic!("unknown flag {other}"),
@@ -169,10 +164,7 @@ fn main() {
     baseline_lat_us.sort_by(f64::total_cmp);
 
     // Batched: everything through the serving runtime, traced.
-    eprintln!(
-        "[serve_bench] batched: workers={} max_batch={} max_wait={}us",
-        args.workers, args.max_batch, args.max_wait_us
-    );
+    eprintln!("[serve_bench] batched: workers={} max_batch={}", args.workers, args.max_batch);
     let recorder = Recorder::new();
     let previous = nshd_obs::install(recorder.clone());
     let engine = Arc::new(NshdEngine::new(&model).expect("trained model must pass verification"));
@@ -181,7 +173,7 @@ fn main() {
         RuntimeConfig {
             workers: args.workers,
             max_batch: args.max_batch,
-            max_wait: Duration::from_micros(args.max_wait_us),
+            ..RuntimeConfig::default()
         },
     )
     .expect("verified engine must construct a runtime");
@@ -219,14 +211,12 @@ fn main() {
                 vec![
                     ("workers", Json::from(args.workers)),
                     ("max_batch", Json::from(args.max_batch)),
-                    ("max_wait_us", Json::from(args.max_wait_us)),
                 ],
             ),
         ),
         ("requests", Json::from(images.len())),
         ("workers", Json::from(args.workers)),
         ("max_batch", Json::from(args.max_batch)),
-        ("max_wait_us", Json::from(args.max_wait_us)),
         ("hv_dim", Json::from(hv_dim)),
         (
             "baseline",

@@ -53,14 +53,14 @@ fn fused_fixture() -> (GlueEnsemble, ImageDataset) {
 }
 
 fn runtime_config() -> RuntimeConfig {
-    // max_wait is generous so every request submitted in one burst
-    // lands in one batch; max_batch comfortably covers the burst.
-    RuntimeConfig { workers: 2, max_batch: 16, max_wait: Duration::from_millis(50) }
+    // max_batch comfortably covers the burst, so a burst queued behind
+    // a plugged batch runs as one batch.
+    RuntimeConfig { workers: 2, max_batch: 16, ..RuntimeConfig::default() }
 }
 
-fn spin_until_injected(switch: &nshd_runtime::ChaosSwitch) {
+fn spin_until_injected(switch: &nshd_runtime::ChaosSwitch, n: u64) {
     for _ in 0..5000 {
-        if switch.injected() >= 1 {
+        if switch.injected() >= n {
             return;
         }
         std::thread::sleep(Duration::from_millis(1));
@@ -80,14 +80,23 @@ fn assert_swap_is_torn_free(swap: impl FnOnce(&GlueEngine)) {
     let (chaos, switch) = ChaosEngine::new(glue.clone());
     let runtime = InferenceRuntime::new(Arc::new(chaos), runtime_config()).expect("runtime starts");
 
-    // Hold the first batch open inside extract, then swap under it.
+    // Plug the collector with one stalled request so the burst queues
+    // behind it and runs as one batch; that batch stalls inside extract
+    // too (its snapshot pinned), and the swap lands under it.
     switch.set(ChaosMode::Stall(Duration::from_millis(250)));
+    let plug = runtime.submit(images[0].clone()).expect("submit");
+    spin_until_injected(&switch, 1);
     let stalled: Vec<_> =
         images.iter().map(|img| runtime.submit(img.clone()).expect("submit")).collect();
-    spin_until_injected(&switch);
+    spin_until_injected(&switch, 2);
     swap(&glue);
     switch.set(ChaosMode::Healthy);
 
+    assert_eq!(
+        plug.wait().expect("plug resolves"),
+        pre[0],
+        "the plug pinned its snapshot before the swap"
+    );
     let stalled_replies: Vec<usize> =
         stalled.into_iter().map(|h| h.wait().expect("stalled batch resolves")).collect();
     assert_eq!(

@@ -15,8 +15,9 @@
 //!   variant. Decoding is total: malformed bytes yield typed
 //!   [`WireFault`]s, never panics.
 //! - [`NetServer`] — a threaded TCP server (acceptor + per-connection
-//!   reader/writer threads + a shared service pool) feeding the
-//!   cluster through `ReplicaSet::submit`/`settle`, with pipelined
+//!   reader/writer threads + one failover thread) feeding the cluster
+//!   through `ReplicaSet::submit_then`, whose completions answer the
+//!   writers directly, with pipelined
 //!   out-of-order replies matched by request id, load-shedding via
 //!   the cluster's admission control surfaced as typed `Overloaded`
 //!   frames, per-connection socket deadlines, and graceful drain.

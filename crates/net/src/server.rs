@@ -4,52 +4,63 @@
 //! the workspace thread-creation lint has a single site to ledger):
 //!
 //! ```text
-//! acceptor ──┬─ conn 0 reader ─┐            ┌─ conn 0 writer
-//!            ├─ conn 1 reader ─┼─► job ─────┼─ conn 1 writer
-//!            └─ …              │   channel  └─ …
-//!                              ▼
-//!                  service pool (N threads)
-//!                  decode → submit → settle
+//! acceptor ──┬─ conn 0 reader ─┐                 ┌─► conn 0 writer
+//!            ├─ conn 1 reader ─┼─► replica ──────┼─► conn 1 writer
+//!            └─ …              │   collectors    └─► …
+//!                              │   (completions)
+//!                              └╌╌► failover thread: retries + deadlines
 //! ```
 //!
 //! - The **acceptor** owns the listener; each accepted connection gets
 //!   a reader and a writer thread plus a per-connection reply channel.
 //! - **Readers** parse frames defensively: any [`WireFault`] becomes a
 //!   typed `Malformed` error frame (header-level faults additionally
-//!   close the connection, since framing is lost); parsed requests are
-//!   handed to the shared **service pool**.
-//! - **Service threads** expand the payload to a tensor and drive the
-//!   cluster through [`ReplicaSet::submit`] + `settle` — the full
-//!   admission/breaker/retry machinery — then push the encoded reply
-//!   to the owning connection's writer. Replies therefore complete
-//!   out of order and are matched by request id.
+//!   close the connection, since framing is lost). A parsed request is
+//!   expanded to the engine's input and handed to the cluster through
+//!   [`ReplicaSet::submit_then`] — admission, routing and the first
+//!   attempt's enqueue — without waiting for the answer, so a
+//!   connection keeps many requests in flight.
+//! - The **completion** of each request runs on the replica's
+//!   collector thread when its batch finishes: it encodes the reply
+//!   frame and pushes it to the owning connection's writer. Replies
+//!   therefore complete out of order and are matched by request id.
+//! - The **failover thread** runs the cluster's
+//!   [`FailoverLoop`](nshd_runtime::FailoverLoop): it retries requests
+//!   whose first attempt failed, with backoff, and answers first
+//!   attempts still pending at their deadline with a typed
+//!   `DeadlineExceeded` frame.
 //! - **Writers** serialize whatever reply is ready first; per-connection
 //!   read/write socket deadlines bound a stuck peer.
 //!
+//! A request thus crosses two thread hand-offs, reader → collector →
+//! writer, and no timer.
+//!
 //! [`NetServer::shutdown`] drains gracefully: the listener closes (new
-//! connections are refused), readers are unblocked and joined, every
-//! job already admitted settles and is written back, then the service
-//! pool and writers exit and are joined.
+//! connections are refused), readers are unblocked and joined, the
+//! failover thread returns once every admitted request is answered,
+//! and the writers flush those replies and are joined.
 
 use crate::wire::{ErrorBody, Frame, FrameReadError, ReplyBody, WireFault, WireInput};
 use nshd_core::PipelineError;
 use nshd_obs::{clock, ServingAccumulator, ServingMetrics};
-use nshd_runtime::{BatchEngine, ReplicaSet};
+use nshd_runtime::{BatchEngine, ClusterReply, Failover, ReplicaSet};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Knobs for the TCP front end.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
     /// Address to bind (`"127.0.0.1:0"` picks a free loopback port).
     pub addr: String,
-    /// Service threads draining the shared request queue. `0` defaults
-    /// to 4.
+    /// No longer read: readers hand requests to the cluster directly
+    /// and completions answer them, so there is no service pool. The
+    /// field remains only so the `perfbench/` serving benchmark, which
+    /// names it, keeps building.
     pub service_threads: usize,
     /// Per-connection socket read deadline. A peer idle past this at a
     /// frame boundary is disconnected; a peer stalled mid-frame is a
@@ -69,14 +80,6 @@ impl Default for NetServerConfig {
             write_timeout: Duration::from_secs(30),
         }
     }
-}
-
-/// One decoded request on its way to the cluster.
-struct Job {
-    request_id: u64,
-    body: crate::wire::RequestBody,
-    received_at: std::time::Instant,
-    reply_tx: Sender<Vec<u8>>,
 }
 
 /// Handles owned per accepted connection, kept for the drain.
@@ -124,8 +127,8 @@ pub struct NetServer<E: BatchEngine<Output = usize>> {
     local_addr: SocketAddr,
     shutting_down: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
-    service: Vec<JoinHandle<()>>,
-    job_tx: Option<Sender<Job>>,
+    failover: Failover<E>,
+    failover_thread: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<ConnHandle>>>,
     metrics: Arc<Mutex<ServingAccumulator>>,
 }
@@ -134,7 +137,8 @@ impl<E: BatchEngine<Output = usize>> NetServer<E>
 where
     E::Input: WireInput + Clone,
 {
-    /// Binds the listener and spawns the acceptor + service pool.
+    /// Binds the listener and spawns the acceptor and the failover
+    /// thread.
     ///
     /// # Errors
     ///
@@ -153,31 +157,33 @@ where
         let shutting_down = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<ConnHandle>>> = Arc::new(Mutex::new(Vec::new()));
         let metrics = Arc::new(Mutex::new(ServingAccumulator::new()));
-        let (job_tx, job_rx) = channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
 
-        let n_service = if config.service_threads == 0 { 4 } else { config.service_threads };
-        let mut service = Vec::with_capacity(n_service);
-        for i in 0..n_service {
-            let rx = Arc::clone(&job_rx);
+        let (failover, failover_loop) = set.failover();
+        let failover_thread = {
             let set_ref = Arc::clone(&set);
-            let acc = Arc::clone(&metrics);
-            service.push(
-                spawn_named(format!("nshd-net-svc-{i}"), move || service_loop(&rx, &set_ref, &acc))
-                    .map_err(io_err("net-spawn"))?,
-            );
-        }
+            spawn_named("nshd-net-failover".into(), move || failover_loop.run(&set_ref))
+                .map_err(io_err("net-spawn"))?
+        };
 
         let acceptor = {
+            let ctx = Arc::new(ReaderContext {
+                set: Arc::clone(&set),
+                failover: failover.clone(),
+                metrics: Arc::clone(&metrics),
+            });
             let flag = Arc::clone(&shutting_down);
             let conns_reg = Arc::clone(&conns);
-            let acc = Arc::clone(&metrics);
-            let jobs = job_tx.clone();
             let cfg = config.clone();
-            spawn_named("nshd-net-acceptor".into(), move || {
-                accept_loop(&listener, &flag, &conns_reg, &jobs, &acc, &cfg);
-            })
-            .map_err(io_err("net-spawn"))?
+            let spawned = spawn_named("nshd-net-acceptor".into(), move || {
+                accept_loop(&listener, &flag, &conns_reg, &ctx, &cfg);
+            });
+            match spawned {
+                Ok(handle) => handle,
+                Err(e) => {
+                    stop_failover(&failover, Some(failover_thread));
+                    return Err(io_err("net-spawn")(e));
+                }
+            }
         };
 
         Ok(NetServer {
@@ -185,8 +191,8 @@ where
             local_addr,
             shutting_down,
             acceptor: Some(acceptor),
-            service,
-            job_tx: Some(job_tx),
+            failover,
+            failover_thread: Some(failover_thread),
             conns,
             metrics,
         })
@@ -215,10 +221,10 @@ where
     }
 
     /// Graceful drain: refuse new connections, unblock and join the
-    /// readers, let every admitted job settle and flush its reply,
-    /// then join the service pool and writers. Returns the front end's
-    /// final metrics; the replica set itself stays up (shut it down
-    /// separately).
+    /// readers, wait until every admitted request is answered (the
+    /// failover thread returns), then let the writers flush those
+    /// replies and join them. Returns the front end's final metrics;
+    /// the replica set itself stays up (shut it down separately).
     #[must_use = "the final serving metrics are the drain's product"]
     pub fn shutdown(mut self) -> ServingMetrics {
         self.shutting_down.store(true, Ordering::Release);
@@ -230,7 +236,7 @@ where
         }
         // The listener is gone: new connections are now refused. Stop
         // the readers (their sockets half-close), which ends the flow
-        // of new jobs from established connections too.
+        // of new requests from established connections too.
         let conns = {
             let mut guard = self.conns.lock().unwrap_or_else(|p| p.into_inner());
             std::mem::take(&mut *guard)
@@ -243,14 +249,10 @@ where
             let _ = conn.reader.join();
             writers.push(conn.writer);
         }
-        // Every reader is gone, so no new jobs can arrive; dropping the
-        // server's own sender lets the service pool drain the queue and
-        // exit on channel close.
-        drop(self.job_tx.take());
-        for handle in self.service.drain(..) {
-            let _ = handle.join();
-        }
-        // With readers and jobs gone every reply sender is dropped, so
+        // Every reader is gone, so no new requests can arrive; the
+        // failover thread returns once every admitted one is answered.
+        stop_failover(&self.failover, self.failover_thread.take());
+        // Every answered completion has dropped its reply sender, so
         // the writers flush their backlog and exit.
         for handle in writers {
             let _ = handle.join();
@@ -259,16 +261,34 @@ where
     }
 }
 
+/// Closes the failover queue and joins its thread, which returns once
+/// every request admitted so far has been answered.
+fn stop_failover<E: BatchEngine>(failover: &Failover<E>, thread: Option<JoinHandle<()>>) {
+    failover.close();
+    if let Some(handle) = thread {
+        let _ = handle.join();
+    }
+}
+
+/// What every connection reader shares: the cluster, the completion
+/// path's failover queue, and the front end's accounting.
+struct ReaderContext<E: BatchEngine> {
+    set: Arc<ReplicaSet<E>>,
+    failover: Failover<E>,
+    metrics: Arc<Mutex<ServingAccumulator>>,
+}
+
 /// Accepts connections until the shutdown flag flips, spawning a
 /// reader/writer pair per connection.
-fn accept_loop(
+fn accept_loop<E: BatchEngine<Output = usize>>(
     listener: &TcpListener,
     shutting_down: &AtomicBool,
     conns: &Mutex<Vec<ConnHandle>>,
-    jobs: &Sender<Job>,
-    metrics: &Arc<Mutex<ServingAccumulator>>,
+    ctx: &Arc<ReaderContext<E>>,
     config: &NetServerConfig,
-) {
+) where
+    E::Input: WireInput + Clone,
+{
     let mut conn_seq: u64 = 0;
     loop {
         let Ok((stream, _peer)) = listener.accept() else {
@@ -290,25 +310,24 @@ fn accept_loop(
             let Ok(read_half) = stream.try_clone() else {
                 continue;
             };
-            let jobs = jobs.clone();
-            let acc = Arc::clone(metrics);
+            let ctx = Arc::clone(ctx);
             let reply_tx = reply_tx.clone();
             spawn_named(format!("nshd-net-read-{conn_seq}"), move || {
-                read_loop(read_half, &jobs, &reply_tx, &acc);
+                read_loop(read_half, &ctx, &reply_tx);
             })
         };
         let writer = {
             let Ok(write_half) = stream.try_clone() else {
                 continue;
             };
-            let acc = Arc::clone(metrics);
+            let acc = Arc::clone(&ctx.metrics);
             spawn_named(format!("nshd-net-write-{conn_seq}"), move || {
                 write_loop(write_half, &reply_rx, &acc);
             })
         };
         // reply_tx's original clone drops here; the writer exits once
-        // the reader and all in-flight jobs for this connection drop
-        // theirs.
+        // the reader and the completions of this connection's requests
+        // in flight drop theirs.
         match (reader, writer) {
             (Ok(reader), Ok(writer)) => {
                 conns.lock().unwrap_or_else(|p| p.into_inner()).push(ConnHandle {
@@ -333,28 +352,25 @@ fn accept_loop(
 }
 
 /// Parses frames off one connection until EOF, error, or idle timeout.
-fn read_loop(
+fn read_loop<E: BatchEngine<Output = usize>>(
     mut stream: TcpStream,
-    jobs: &Sender<Job>,
+    ctx: &ReaderContext<E>,
     reply_tx: &Sender<Vec<u8>>,
-    metrics: &Arc<Mutex<ServingAccumulator>>,
-) {
+) where
+    E::Input: WireInput + Clone,
+{
     loop {
         match Frame::read_from(&mut stream) {
             Ok(None) => return, // clean EOF at a frame boundary
             Ok(Some(Frame::Request { id, body })) => {
+                let received_at = clock::now();
                 let frame_len = (crate::wire::HEADER_LEN + body.encoded_payload_len()) as u64;
-                lock_acc(metrics).note_bytes_in(frame_len);
-                let job = Job {
-                    request_id: id,
-                    body,
-                    received_at: clock::now(),
-                    reply_tx: reply_tx.clone(),
-                };
-                if jobs.send(job).is_err() {
-                    // Service pool gone: the server is shutting down.
-                    return;
+                {
+                    let mut acc = lock_acc(&ctx.metrics);
+                    acc.note_bytes_in(frame_len);
+                    acc.note_submit(received_at);
                 }
+                submit(ctx, id, &body, received_at, reply_tx);
             }
             Ok(Some(other)) => {
                 // Clients must not send reply/error kinds; answer with
@@ -412,69 +428,76 @@ fn write_loop(
     }
 }
 
-/// Drains the shared job queue: decode → submit → settle → encode.
-fn service_loop<E: BatchEngine<Output = usize>>(
-    jobs: &Mutex<Receiver<Job>>,
-    set: &ReplicaSet<E>,
-    metrics: &Arc<Mutex<ServingAccumulator>>,
+/// Hands one decoded request to the cluster. Never blocks on the
+/// answer and never panics: a payload the engine cannot take and a shed
+/// are answered here with typed error frames; everything else is
+/// answered by the request's completion. The payload→input mapping is
+/// the engine's [`WireInput`] impl — dense expansion for tensor
+/// engines, native quantised representations for HD deployments.
+fn submit<E: BatchEngine<Output = usize>>(
+    ctx: &ReaderContext<E>,
+    id: u64,
+    body: &crate::wire::RequestBody,
+    received_at: Instant,
+    reply_tx: &Sender<Vec<u8>>,
 ) where
     E::Input: WireInput + Clone,
 {
-    loop {
-        let job = {
-            let guard = jobs.lock().unwrap_or_else(|p| p.into_inner());
-            guard.recv()
-        };
-        let Ok(job) = job else {
-            return; // channel closed: drain complete
-        };
-        lock_acc(metrics).note_submit(job.received_at);
-        let frame = serve_one(set, &job);
-        let done = clock::now();
-        let latency = done.saturating_duration_since(job.received_at);
-        {
-            let mut acc = lock_acc(metrics);
-            acc.note_batch(1, [(Duration::ZERO, latency)], latency, done);
-            if matches!(&frame, Frame::Error { body, .. } if body.code == crate::wire::ErrorCode::Overloaded)
-            {
-                acc.note_shed();
-            }
+    let input = match E::Input::from_body(body) {
+        Ok(input) => input,
+        Err(fault) => {
+            let frame = Frame::Error { id, body: ErrorBody::from_fault(&fault) };
+            return answer(&ctx.metrics, reply_tx, frame, received_at);
         }
-        // A dead writer just means the client left before its answer.
-        let _ = job.reply_tx.send(frame.encode());
+    };
+    let metrics = Arc::clone(&ctx.metrics);
+    let replies = reply_tx.clone();
+    let submitted = ctx.set.submit_then(input, &ctx.failover, move |outcome| {
+        answer(&metrics, &replies, reply_frame(id, outcome, received_at), received_at);
+    });
+    if let Err(shed) = submitted {
+        let frame = Frame::Error { id, body: ErrorBody::from_pipeline(&shed) };
+        answer(&ctx.metrics, reply_tx, frame, received_at);
     }
 }
 
-/// Runs one decoded request through the cluster and builds its reply
-/// frame. Never panics: decode faults and pipeline errors both map to
-/// typed error frames. The payload→input mapping is the engine's
-/// [`WireInput`] impl — dense expansion for tensor engines, native
-/// quantised representations for HD deployments.
-fn serve_one<E: BatchEngine<Output = usize>>(set: &ReplicaSet<E>, job: &Job) -> Frame
-where
-    E::Input: WireInput + Clone,
-{
-    let input = match E::Input::from_body(&job.body) {
-        Ok(t) => t,
-        Err(fault) => {
-            return Frame::Error { id: job.request_id, body: ErrorBody::from_fault(&fault) }
-        }
-    };
-    let outcome = set.submit(input).and_then(|handle| handle.settle());
+/// The reply frame for one request's cluster outcome.
+fn reply_frame(
+    id: u64,
+    outcome: Result<ClusterReply<usize>, PipelineError>,
+    received_at: Instant,
+) -> Frame {
     match outcome {
-        Ok(reply) => {
-            let server_us =
-                clock::now().saturating_duration_since(job.received_at).as_micros() as u64;
-            Frame::Reply {
-                id: job.request_id,
-                body: ReplyBody {
-                    prediction: reply.value as u32,
-                    replica: reply.replica as u32,
-                    attempts: reply.attempts,
-                    server_us,
-                },
-            }
-        }
-        Err(e) => Frame::Error { id: job.request_id, body: ErrorBody::from_pipeline(&e) },
+        Ok(reply) => Frame::Reply {
+            id,
+            body: ReplyBody {
+                prediction: reply.value as u32,
+                replica: reply.replica as u32,
+                attempts: reply.attempts,
+                server_us: clock::now().saturating_duration_since(received_at).as_micros() as u64,
+            },
+        },
+        Err(e) => Frame::Error { id, body: ErrorBody::from_pipeline(&e) },
     }
+}
+
+/// Accounts one answered request and hands its frame to the
+/// connection's writer.
+fn answer(
+    metrics: &Mutex<ServingAccumulator>,
+    replies: &Sender<Vec<u8>>,
+    frame: Frame,
+    received_at: Instant,
+) {
+    let done = clock::now();
+    {
+        let mut acc = lock_acc(metrics);
+        acc.note_request(done.saturating_duration_since(received_at), done);
+        if matches!(&frame, Frame::Error { body, .. } if body.code == crate::wire::ErrorCode::Overloaded)
+        {
+            acc.note_shed();
+        }
+    }
+    // A dead writer just means the client left before its answer.
+    let _ = replies.send(frame.encode());
 }

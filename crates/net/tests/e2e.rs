@@ -1,7 +1,9 @@
 //! End-to-end TCP tests: determinism over the wire across payload
-//! kinds, pipelined out-of-order replies, load-shedding as typed
-//! frames, malformed traffic never taking the server down, mid-traffic
-//! replica kills with survivor bit-exactness, and graceful drain.
+//! kinds, pipelined out-of-order replies batched past any thread
+//! count, load-shedding as typed frames, malformed traffic never taking
+//! the server down, mid-traffic replica kills with survivor
+//! bit-exactness, hung replicas answered at their deadline, and
+//! graceful drain with completions in flight.
 //!
 //! The suite runs under whatever `NSHD_THREADS` the harness sets
 //! (check.sh runs it at 1 and 4), so wire determinism is asserted at
@@ -11,13 +13,13 @@ use nshd_core::PipelineError;
 use nshd_net::{ClientError, ErrorCode, Frame, NetClient, NetServer, NetServerConfig, RequestBody};
 use nshd_runtime::{
     BatchEngine, BreakerConfig, ChaosEngine, ChaosMode, ChaosSwitch, ClusterConfig, ReplicaSet,
-    RetryPolicy, RuntimeConfig,
+    ReplicaState, RetryPolicy, RuntimeConfig,
 };
 use nshd_tensor::{Rng, Tensor};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Deterministic toy engine over tensors: the prediction is a pure
 /// function of the input's exact f32 bit patterns, so any difference
@@ -57,7 +59,7 @@ impl BatchEngine for BitsEngine {
 
 fn fast_config() -> ClusterConfig {
     ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 4, max_wait: Duration::from_millis(1) },
+        runtime: RuntimeConfig { workers: 1, max_batch: 4, ..RuntimeConfig::default() },
         retry: RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),
@@ -464,4 +466,125 @@ fn graceful_drain_completes_inflight_and_refuses_new_connections() {
     }
     // The replica set itself outlives the front end.
     assert_eq!(set.predict(t).expect("cluster still up").value, expected);
+}
+
+/// Polls `ready` every millisecond for up to 20 s.
+fn wait_for(what: &str, ready: impl Fn() -> bool) {
+    let started = Instant::now();
+    while !ready() {
+        assert!(started.elapsed() < Duration::from_secs(20), "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn pipelined_requests_batch_past_the_service_thread_count() {
+    let mut config = fast_config();
+    config.runtime.max_batch = 16;
+    let (set, switches) = chaos_set(1, config);
+    let server = NetServer::start(Arc::clone(&set), NetServerConfig::default()).expect("starts");
+    let mut client = NetClient::connect(server.local_addr()).expect("connects");
+
+    // Plug the replica inside one batch, then pipeline 16 requests on
+    // the same connection: every one of them is admitted and queued at
+    // once, with no thread per request in flight.
+    let mut rng = Rng::new(0xB47C);
+    let mut expected = std::collections::BTreeMap::new();
+    switches[0].set(ChaosMode::Hold);
+    let plug = random_tensor(&mut rng);
+    expected.insert(
+        client.send(RequestBody::f32_from(plug.dims(), plug.as_slice())).expect("send"),
+        class_of(&plug, 10),
+    );
+    wait_for("the plug to reach extract", || switches[0].injected() >= 1);
+    for _ in 0..16 {
+        let t = random_tensor(&mut rng);
+        let id = client.send(RequestBody::f32_from(t.dims(), t.as_slice())).expect("send");
+        expected.insert(id, class_of(&t, 10));
+    }
+    wait_for("all 17 requests in flight", || set.inflight() == 17);
+    switches[0].set(ChaosMode::Healthy);
+    for _ in 0..17 {
+        let (id, outcome) = client.recv().expect("recv");
+        let reply = outcome.expect("prediction");
+        assert_eq!(Some(reply.prediction as usize), expected.remove(&id), "request {id}");
+    }
+    let batches = set.metrics().rollup.batch_histogram;
+    let largest = batches.iter().map(|&(size, _)| size).max().unwrap_or(0);
+    assert_eq!(largest, 16, "the queued requests must run as one batch: {batches:?}");
+    assert!(largest > NetServerConfig::default().service_threads);
+    let _ = server.shutdown();
+}
+
+#[test]
+fn a_hung_replica_is_answered_at_the_deadline_and_its_late_reply_dropped() {
+    let mut config = fast_config();
+    config.retry.deadline = Duration::from_millis(300);
+    // One failure opens the breaker; a zero cool-down makes the very
+    // next request its half-open probe.
+    config.breaker = BreakerConfig { failure_threshold: 1, cooldown: Duration::ZERO };
+    let (set, switches) = chaos_set(1, config);
+    let server = NetServer::start(Arc::clone(&set), NetServerConfig::default()).expect("starts");
+    let mut client = NetClient::connect(server.local_addr()).expect("connects");
+
+    switches[0].set(ChaosMode::Hold);
+    let t = Tensor::from_vec(vec![1.5; 8], vec![8]).expect("tensor");
+    let sent = Instant::now();
+    let hung = client.send(RequestBody::f32_from(t.dims(), t.as_slice())).expect("send");
+    let (id, outcome) = client.recv().expect("a typed answer while the replica hangs");
+    let waited = sent.elapsed();
+    assert_eq!(id, hung);
+    let error = outcome.expect_err("a hung replica cannot answer");
+    assert_eq!(error.code, ErrorCode::DeadlineExceeded, "{}", error.detail);
+    assert!(
+        waited >= Duration::from_millis(250) && waited < Duration::from_secs(3),
+        "answered after {waited:?}, not at the 300 ms deadline"
+    );
+    assert_eq!(set.replica_state(0), ReplicaState::Probing, "the breaker recorded the failure");
+
+    // The probe queues behind the hung batch; releasing the hang runs
+    // both, and only the probe may answer.
+    let probe = client.send(RequestBody::f32_from(t.dims(), t.as_slice())).expect("send");
+    switches[0].set(ChaosMode::Healthy);
+    let (id, outcome) = client.recv().expect("recv");
+    assert_eq!(id, probe, "the expired request's late reply must be dropped");
+    assert_eq!(outcome.expect("probe succeeds").prediction as usize, class_of(&t, 10));
+    assert_eq!(set.replica_state(0), ReplicaState::Serving, "the probe closed the breaker");
+    let metrics = server.shutdown();
+    assert_eq!(metrics.requests, 2, "one answer per request");
+}
+
+#[test]
+fn shutdown_answers_every_completion_in_flight() {
+    let (set, switches) = chaos_set(1, fast_config());
+    let server = NetServer::start(Arc::clone(&set), NetServerConfig::default()).expect("starts");
+    let addr = server.local_addr();
+    let mut client = NetClient::connect(addr).expect("connects");
+
+    let mut rng = Rng::new(0x5D0);
+    let mut expected = std::collections::BTreeMap::new();
+    switches[0].set(ChaosMode::Hold);
+    for _ in 0..6 {
+        let t = random_tensor(&mut rng);
+        let id = client.send(RequestBody::f32_from(t.dims(), t.as_slice())).expect("send");
+        expected.insert(id, class_of(&t, 10));
+    }
+    wait_for("all 6 requests in flight", || set.inflight() == 6);
+    // Release the replica only once the drain has begun (the listener
+    // refuses connections), so shutdown starts with all six in flight.
+    let switch = switches[0].clone();
+    let releaser = std::thread::spawn(move || {
+        wait_for("the drain to close the listener", || TcpStream::connect(addr).is_err());
+        switch.set(ChaosMode::Healthy);
+    });
+    let metrics = server.shutdown();
+    releaser.join().expect("releaser");
+    assert_eq!(metrics.requests, 6, "shutdown returned before answering everything");
+    for _ in 0..6 {
+        let (id, outcome) =
+            client.recv().expect("every reply was flushed before shutdown returned");
+        let reply = outcome.expect("prediction");
+        assert_eq!(Some(reply.prediction as usize), expected.remove(&id), "request {id}");
+    }
+    assert_eq!(set.inflight(), 0);
 }

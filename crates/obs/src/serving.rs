@@ -97,6 +97,16 @@ impl ServingAccumulator {
         self.last_complete = Some(completed);
     }
 
+    /// Records one request answered end to end with its total latency,
+    /// without counting a batch. Front ends and routers that see
+    /// requests, not batches, use this, so batch sizes and execute
+    /// times come only from the runtimes that actually form batches.
+    pub fn note_request(&mut self, latency: Duration, completed: Instant) {
+        self.latency.observe(us(latency));
+        self.requests += 1;
+        self.last_complete = Some(completed);
+    }
+
     /// Records one request shed by admission control (it never reached a
     /// batcher queue and contributes to no latency histogram).
     pub fn note_shed(&mut self) {
@@ -361,6 +371,23 @@ mod tests {
         assert!((m.requests_per_sec - 200.0).abs() < 20.0, "{}", m.requests_per_sec);
         assert!(m.queue_wait.p99_us <= m.p99_us); // waits are part of latency
         assert!(m.execute.max_us > 0.0);
+    }
+
+    #[test]
+    fn request_level_accounting_leaves_batches_alone() {
+        let mut acc = ServingAccumulator::new();
+        let t0 = clock::now();
+        acc.note_submit(t0);
+        let ms = Duration::from_millis;
+        acc.note_request(ms(4), t0 + ms(5));
+        acc.note_request(ms(6), t0 + ms(10));
+        let m = acc.snapshot();
+        assert_eq!(m.requests, 2);
+        assert_eq!(m.batches, 0, "a request is not a batch");
+        assert!(m.batch_histogram.is_empty());
+        assert_eq!(m.mean_batch, 0.0);
+        assert!(m.p50_us > 0.0 && m.p50_us <= m.p99_us);
+        assert!(m.requests_per_sec > 0.0);
     }
 
     #[test]

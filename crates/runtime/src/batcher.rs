@@ -4,6 +4,7 @@ use crate::engine::BatchEngine;
 use crate::pool::WorkerPool;
 use nshd_core::PipelineError;
 use nshd_obs::{clock, ServingAccumulator, ServingMetrics};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -21,9 +22,9 @@ pub struct RuntimeConfig {
     pub workers: usize,
     /// Largest batch the collector will assemble before executing.
     pub max_batch: usize,
-    /// How long the collector waits for more requests after the first
-    /// of a batch arrives; a shorter wait trades throughput for
-    /// latency. Tail batches flush when this deadline expires.
+    /// No longer read: the collector is work-conserving and never
+    /// waits for a batch to fill. The field remains only so the
+    /// `perfbench/` serving benchmark, which names it, keeps building.
     pub max_wait: Duration,
 }
 
@@ -65,11 +66,20 @@ pub(crate) fn lock_metrics(
     metrics.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// What the collector calls with one request's result, on the
+/// collector thread, once the request's batch has executed.
+///
+/// A completion is called exactly once, or dropped uncalled when the
+/// collector dies (an engine panic) or the request could not be
+/// queued. A completion that panics is contained: the collector keeps
+/// serving.
+type Completion<T> = Box<dyn FnOnce(Result<T, PipelineError>) + Send>;
+
 /// One queued inference request.
 struct Request<E: BatchEngine> {
     input: E::Input,
     enqueued: Instant,
-    reply: Sender<Result<E::Output, PipelineError>>,
+    complete: Completion<E::Output>,
 }
 
 /// What a worker reports back for one chunk: its index plus the
@@ -89,9 +99,9 @@ struct Chunk<E: BatchEngine> {
     done: Sender<ChunkResult<E>>,
 }
 
-/// The completion handle returned by
-/// [`InferenceRuntime::submit`]: resolves to the request's output once
-/// its batch has executed.
+/// The blocking handle returned by [`InferenceRuntime::submit`]: a
+/// channel fed by the request's completion, resolving to the request's
+/// output once its batch has executed.
 pub struct PredictionHandle<T> {
     rx: Receiver<Result<T, PipelineError>>,
 }
@@ -157,8 +167,9 @@ impl<T> PredictionHandle<T> {
 }
 
 /// The typed report for a runtime that dropped a request without
-/// replying (shared by `wait` and `wait_timeout`).
-fn worker_gone_error() -> PipelineError {
+/// replying (shared by `wait`, `wait_timeout` and the replica set's
+/// completion path).
+pub(crate) fn worker_gone_error() -> PipelineError {
     PipelineError::Runtime {
         stage: "wait",
         detail: "runtime dropped the request without replying".into(),
@@ -168,13 +179,17 @@ fn worker_gone_error() -> PipelineError {
 /// A batched, multi-threaded inference server around a [`BatchEngine`].
 ///
 /// Requests submitted from any thread are collected by a dedicated
-/// batcher thread into batches of up to `max_batch`, waiting at most
-/// `max_wait` after the first request of a batch arrives (tail batches
-/// flush on the deadline). Each batch's extract stage is sliced across
-/// the worker pool; the finish stage then runs once over the whole
-/// batch, and every request's result is delivered through its
-/// [`PredictionHandle`] — results always line up with the submitting
-/// request, regardless of worker completion order.
+/// batcher thread. The collector is work-conserving: it blocks for the
+/// first request of a batch, adds whatever else is already queued (up
+/// to `max_batch`), and runs the batch at once — it never waits for a
+/// batch to fill. Under load, batches form from the requests that
+/// queued while the previous batch executed. Each batch's extract stage
+/// is sliced across the worker pool; the finish stage then runs once
+/// over the whole batch, and every request's result is delivered to its
+/// completion ([`submit_then`](InferenceRuntime::submit_then)) or
+/// [`PredictionHandle`] ([`submit`](InferenceRuntime::submit)) —
+/// results always line up with the submitting request, regardless of
+/// worker completion order.
 ///
 /// Construction statically verifies the engine
 /// ([`BatchEngine::verify`]) and the configuration before any thread is
@@ -234,7 +249,9 @@ impl<E: BatchEngine> InferenceRuntime<E> {
     }
 
     /// Enqueues one request; the returned handle resolves when its
-    /// batch completes.
+    /// batch completes. A thin wrapper over
+    /// [`submit_then`](InferenceRuntime::submit_then) whose completion
+    /// feeds the handle's channel.
     ///
     /// # Errors
     ///
@@ -243,16 +260,36 @@ impl<E: BatchEngine> InferenceRuntime<E> {
     #[must_use = "dropping the handle discards the prediction"]
     pub fn submit(&self, input: E::Input) -> Result<PredictionHandle<E::Output>, PipelineError> {
         let (reply, rx) = channel();
+        self.submit_then(input, move |result| {
+            // The caller may have dropped its handle; its business.
+            let _ = reply.send(result);
+        })?;
+        Ok(PredictionHandle { rx })
+    }
+
+    /// Enqueues one request whose result is delivered by calling
+    /// `complete` on the collector thread once its batch has executed.
+    /// Never blocks. `complete` is dropped uncalled if the request
+    /// cannot be queued or the collector dies before answering it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::Runtime`] when the batcher thread has
+    /// terminated (it panicked, or the runtime is shutting down).
+    pub fn submit_then<F>(&self, input: E::Input, complete: F) -> Result<(), PipelineError>
+    where
+        F: FnOnce(Result<E::Output, PipelineError>) + Send + 'static,
+    {
         let now = clock::now();
         let sender = self.submit_tx.as_ref().ok_or_else(|| PipelineError::Runtime {
             stage: "submit",
             detail: "runtime already shut down".into(),
         })?;
         lock_metrics(&self.metrics).note_submit(now);
-        sender.send(Request { input, enqueued: now, reply }).map_err(|_| {
+        let complete: Completion<E::Output> = Box::new(complete);
+        sender.send(Request { input, enqueued: now, complete }).map_err(|_| {
             PipelineError::Runtime { stage: "submit", detail: "batcher thread terminated".into() }
-        })?;
-        Ok(PredictionHandle { rx })
+        })
     }
 
     /// A snapshot of the serving statistics so far.
@@ -323,27 +360,17 @@ fn collector_loop<E: BatchEngine>(
         None
     };
 
-    loop {
-        // Block for the first request of the next batch. `recv` only
-        // errs once the queue is disconnected AND empty, so every
-        // submitted request is still served before shutdown.
-        let first = match rx.recv() {
-            Ok(request) => request,
-            Err(_) => break,
-        };
+    // Block for the first request of the next batch, then take
+    // whatever else is already queued and run at once: the collector
+    // never idles while work waits. `recv` only errs once the queue is
+    // disconnected AND empty, so every submitted request is still
+    // served before shutdown.
+    while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
-        let deadline = clock::now() + config.max_wait;
         while batch.len() < config.max_batch {
-            let now = clock::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
+            match rx.try_recv() {
                 Ok(request) => batch.push(request),
-                // Timeout → flush the tail batch; Disconnected implies
-                // the queue is also empty, so flush and let the outer
-                // `recv` terminate the loop.
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
+                Err(_) => break,
             }
         }
         run_batch(&*engine, pool.as_ref(), batch, &metrics);
@@ -412,11 +439,11 @@ fn run_batch<E: BatchEngine>(
     let n = batch.len();
     let mut inputs = Vec::with_capacity(n);
     let mut enqueued = Vec::with_capacity(n);
-    let mut replies = Vec::with_capacity(n);
+    let mut completions = Vec::with_capacity(n);
     for request in batch {
         inputs.push(request.input);
         enqueued.push(request.enqueued);
-        replies.push(request.reply);
+        completions.push(request.complete);
     }
 
     // One `request` span per executed batch; the engine's stage spans
@@ -454,17 +481,22 @@ fn run_batch<E: BatchEngine>(
     );
     match outputs {
         Ok(outputs) => {
-            for (reply, output) in replies.into_iter().zip(outputs) {
-                // The caller may have dropped its handle; its business.
-                let _ = reply.send(Ok(output));
+            for (complete, output) in completions.into_iter().zip(outputs) {
+                call(complete, Ok(output));
             }
         }
-        // A failed batch fails every handle in it with the same report;
-        // the runtime itself keeps serving subsequent batches.
+        // A failed batch fails every request in it with the same
+        // report; the runtime itself keeps serving subsequent batches.
         Err(e) => {
-            for reply in replies {
-                let _ = reply.send(Err(e.clone()));
+            for complete in completions {
+                call(complete, Err(e.clone()));
             }
         }
     }
+}
+
+/// Runs one completion, containing a panic inside it so a faulty
+/// caller can never take the collector (and every later request) down.
+fn call<T>(complete: Completion<T>, result: Result<T, PipelineError>) {
+    let _ = catch_unwind(AssertUnwindSafe(move || complete(result)));
 }

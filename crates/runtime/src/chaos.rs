@@ -2,8 +2,8 @@
 //!
 //! [`ChaosEngine`] wraps any [`BatchEngine`] and misbehaves on command:
 //! a shared [`ChaosSwitch`] flips the wrapped replica between healthy
-//! operation, injected extract-stage stalls, and hard failures — while
-//! live traffic is in flight. Combined with `nshd_hdc::FaultScenario`
+//! operation, injected extract-stage stalls or holds, and hard failures
+//! — while live traffic is in flight. Combined with `nshd_hdc::FaultScenario`
 //! memory corruption (see `NshdEngine::degraded` in `nshd-core`), this
 //! gives chaos tests and
 //! the `cluster_bench` harness the full fault matrix: slow replicas,
@@ -19,7 +19,7 @@
 use crate::engine::BatchEngine;
 use nshd_core::PipelineError;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// What a [`ChaosEngine`] does with the next extract call.
@@ -40,11 +40,19 @@ pub enum ChaosMode {
     /// (errors feed the breaker), but chaos harnesses treat it as
     /// terminal and never flip the switch back.
     Kill,
+    /// Block inside extract until the switch is set to another mode,
+    /// then delegate — a hung replica. Tests hold a collector inside one
+    /// batch with it while they queue the next, or hang a replica past
+    /// its deadline. A held replica cannot drain: release it before
+    /// shutting its runtime down.
+    Hold,
 }
 
 #[derive(Debug)]
 struct SwitchInner {
     mode: Mutex<ChaosMode>,
+    /// Signalled on every mode change, waking held extract calls.
+    changed: Condvar,
     injected: AtomicU64,
 }
 
@@ -69,14 +77,17 @@ impl ChaosSwitch {
         ChaosSwitch {
             inner: Arc::new(SwitchInner {
                 mode: Mutex::new(ChaosMode::Healthy),
+                changed: Condvar::new(),
                 injected: AtomicU64::new(0),
             }),
         }
     }
 
-    /// Flips the fault mode; takes effect on the next extract call.
+    /// Flips the fault mode; takes effect on the next extract call,
+    /// and releases extract calls held by [`ChaosMode::Hold`].
     pub fn set(&self, mode: ChaosMode) {
         *lock_mode(&self.inner.mode) = mode;
+        self.inner.changed.notify_all();
     }
 
     /// The currently configured fault mode.
@@ -91,6 +102,14 @@ impl ChaosSwitch {
 
     fn note_injected(&self) {
         self.inner.injected.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Blocks while the mode is [`ChaosMode::Hold`].
+    fn wait_while_held(&self) {
+        let mut mode = lock_mode(&self.inner.mode);
+        while *mode == ChaosMode::Hold {
+            mode = self.inner.changed.wait(mode).unwrap_or_else(|poisoned| poisoned.into_inner());
+        }
     }
 }
 
@@ -189,6 +208,11 @@ impl<E: BatchEngine> BatchEngine for ChaosEngine<E> {
                     stage: "chaos",
                     detail: "injected permanent fault (replica killed)".into(),
                 })
+            }
+            ChaosMode::Hold => {
+                self.switch.note_injected();
+                self.switch.wait_while_held();
+                self.inner.extract(snapshot, chunk)
             }
         }
     }

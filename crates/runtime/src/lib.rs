@@ -9,14 +9,17 @@
 //! encoding, one `matmul_bt` against the class memory. The runtime
 //! bridges that gap with **micro-batching**:
 //!
-//! 1. [`InferenceRuntime::submit`] enqueues a request and returns a
-//!    [`PredictionHandle`] immediately.
-//! 2. A collector thread assembles requests into batches of up to
-//!    `max_batch`, waiting at most `max_wait` after a batch opens
-//!    (tail batches flush on the deadline).
+//! 1. [`InferenceRuntime::submit_then`] enqueues a request with a
+//!    completion and returns immediately; [`InferenceRuntime::submit`]
+//!    wraps it, returning a [`PredictionHandle`] to wait on.
+//! 2. A work-conserving collector thread blocks for the first request
+//!    of a batch, adds whatever else is already queued (up to
+//!    `max_batch`) and runs the batch at once. It never lingers for a
+//!    batch to fill: under load, batches form from the requests that
+//!    queued while the previous batch ran.
 //! 3. The data-parallel extract stage is sliced across a
 //!    [`WorkerPool`]; the batch-level finish stage runs once for the
-//!    whole batch; every handle then resolves in submission order.
+//!    whole batch; every completion is then called in submission order.
 //!
 //! Serving statistics (requests/s, batch-size histogram, p50/p95/p99
 //! latency, queue-wait vs. execute time) are accounted through
@@ -44,7 +47,9 @@
 //! probes), per-request deadlines with bounded retry and exponential
 //! backoff ([`RetryPolicy`]), admission control that sheds load with a
 //! typed `Overloaded` error instead of queueing to death, and graceful
-//! per-replica drain. [`ChaosEngine`] injects deterministic stalls and
+//! per-replica drain. Its completion path, [`ReplicaSet::submit_then`],
+//! serves a request without blocking any thread on it; failures and
+//! deadlines go to a [`FailoverLoop`]. [`ChaosEngine`] injects deterministic stalls and
 //! failures into any replica for chaos testing — see `tests/chaos.rs`
 //! and the `cluster_bench` harness in `nshd-bench`.
 //!
@@ -54,14 +59,13 @@
 //! use nshd_core::{NshdEngine, NshdModel};
 //! use nshd_runtime::{InferenceRuntime, RuntimeConfig};
 //! use std::sync::Arc;
-//! use std::time::Duration;
 //!
 //! # let model: NshdModel = unimplemented!();
 //! # let images: Vec<nshd_tensor::Tensor> = vec![];
 //! let engine = Arc::new(NshdEngine::new(&model)?);
 //! let runtime = InferenceRuntime::new(
 //!     engine,
-//!     RuntimeConfig { workers: 4, max_batch: 32, max_wait: Duration::from_millis(1) },
+//!     RuntimeConfig { workers: 4, max_batch: 32, ..RuntimeConfig::default() },
 //! )?;
 //! let handles: Vec<_> = images
 //!     .into_iter()
@@ -89,6 +93,7 @@ pub use chaos::{ChaosEngine, ChaosMode, ChaosSwitch};
 pub use engine::BatchEngine;
 pub use pool::WorkerPool;
 pub use replica::{
-    ClusterConfig, ClusterHandle, ClusterMetrics, ClusterReply, ReplicaMetrics, ReplicaSet,
+    ClusterConfig, ClusterHandle, ClusterMetrics, ClusterReply, Failover, FailoverLoop,
+    ReplicaMetrics, ReplicaSet,
 };
 pub use retry::{BreakerConfig, ReplicaState, RetryPolicy};

@@ -24,24 +24,41 @@
 //!    invariant (healthy replicas' answers are bit-identical to a
 //!    fault-free run).
 //!
+//! [`ReplicaSet::predict`] blocks its caller for the whole lifecycle.
+//! Front ends that must not block — the `nshd-net` readers — use the
+//! **completion path** instead, [`ReplicaSet::submit_then`]: admission
+//! and routing run on the caller's thread, the first attempt is queued
+//! with a completion, and on success that completion does the breaker
+//! and router bookkeeping on the replica's collector thread and answers
+//! the caller directly. Only failures leave that path: an engine error
+//! or a dead replica hands the request to a [`FailoverLoop`], which runs
+//! the same blocking retry loop from attempt 2, and the loop also
+//! answers any first attempt still pending at its deadline with
+//! [`PipelineError::DeadlineExceeded`].
+//!
 //! [`ReplicaSet::drain`] removes a replica gracefully: the router stops
 //! sending new work, every batch already submitted finishes (their
 //! handles all resolve), and the replica's final metrics are folded into
 //! the cluster's retired rollup.
 
-use crate::batcher::{lock_metrics, InferenceRuntime, RuntimeConfig, WaitOutcome};
+use crate::batcher::{
+    lock_metrics, worker_gone_error, InferenceRuntime, RuntimeConfig, WaitOutcome,
+};
 use crate::engine::BatchEngine;
 use crate::retry::{Breaker, BreakerConfig, ReplicaState, RetryPolicy};
 use nshd_core::PipelineError;
 use nshd_obs::{clock, Json, ServingAccumulator, ServingMetrics};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::time::Instant;
 
 /// Knobs for the replicated serving tier.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterConfig {
-    /// Per-replica batcher configuration (workers, `max_batch`,
-    /// `max_wait`).
+    /// Per-replica batcher configuration (workers, `max_batch`).
     pub runtime: RuntimeConfig,
     /// Retry/backoff/deadline policy applied to every request.
     pub retry: RetryPolicy,
@@ -94,11 +111,12 @@ pub struct ClusterReply<T> {
 
 /// One replica slot: its runtime (absent once drained), the engine it
 /// serves (kept so the slot can be re-admitted or hot-swapped), its
-/// breaker, and the drain flag.
+/// breaker (shared with the completions of requests routed to it), and
+/// the drain flag.
 struct Slot<E: BatchEngine> {
     runtime: RwLock<Option<InferenceRuntime<E>>>,
     engine: RwLock<Arc<E>>,
-    breaker: Mutex<Breaker>,
+    breaker: Arc<Mutex<Breaker>>,
     draining: AtomicBool,
 }
 
@@ -137,10 +155,11 @@ pub struct ReplicaSet<E: BatchEngine> {
     config: ClusterConfig,
     inflight_cap: usize,
     round_robin: AtomicUsize,
-    inflight: AtomicUsize,
+    inflight: Arc<AtomicUsize>,
     /// End-to-end router accounting: per-request latency across all
-    /// attempts, plus the shed/retry counters.
-    router: Mutex<ServingAccumulator>,
+    /// attempts, plus the shed/retry counters. Shared with completions,
+    /// which account successful first attempts on the collector thread.
+    router: Arc<Mutex<ServingAccumulator>>,
     /// Rollup of drained replicas' accumulated serving history, so
     /// cluster totals survive replica removal.
     retired: Mutex<ServingAccumulator>,
@@ -176,7 +195,7 @@ impl<E: BatchEngine> ReplicaSet<E> {
             slots.push(Slot {
                 runtime: RwLock::new(Some(runtime)),
                 engine: RwLock::new(engine),
-                breaker: Mutex::new(Breaker::new(config.breaker)),
+                breaker: Arc::new(Mutex::new(Breaker::new(config.breaker))),
                 draining: AtomicBool::new(false),
             });
         }
@@ -186,8 +205,8 @@ impl<E: BatchEngine> ReplicaSet<E> {
             config,
             inflight_cap,
             round_robin: AtomicUsize::new(0),
-            inflight: AtomicUsize::new(0),
-            router: Mutex::new(ServingAccumulator::new()),
+            inflight: Arc::new(AtomicUsize::new(0)),
+            router: Arc::new(Mutex::new(ServingAccumulator::new())),
             retired: Mutex::new(ServingAccumulator::new()),
         })
     }
@@ -231,9 +250,8 @@ impl<E: BatchEngine> ReplicaSet<E> {
     /// exponential backoff onto surviving replicas.
     ///
     /// Equivalent to [`submit`](ReplicaSet::submit) followed immediately
-    /// by [`ClusterHandle::settle`] — callers that want to decouple
-    /// admission from the blocking wait (the `nshd-net` service threads
-    /// do) use the two-step surface directly.
+    /// by [`ClusterHandle::settle`]. Callers that must not block use
+    /// [`submit_then`](ReplicaSet::submit_then) instead.
     ///
     /// # Errors
     ///
@@ -263,12 +281,88 @@ impl<E: BatchEngine> ReplicaSet<E> {
     /// has [`inflight_cap`](ReplicaSet::inflight_cap) requests in
     /// flight.
     pub fn submit(&self, input: E::Input) -> Result<ClusterHandle<'_, E>, PipelineError> {
+        let (start, guard) = self.admit()?;
+        Ok(ClusterHandle { set: self, input, start, _guard: guard })
+    }
+
+    /// Serves one request without blocking: admission (shedding with
+    /// [`PipelineError::Overloaded`] past the cap), health-routed
+    /// dispatch of the first attempt, and a completion that answers
+    /// `done` from the replica's collector thread once the attempt's
+    /// batch has executed — after feeding the replica's breaker and the
+    /// router's accounting.
+    ///
+    /// Only failures leave the collector thread: an engine error, a dead
+    /// or removed replica, or no admissible replica hands the request to
+    /// `failover`'s [`FailoverLoop`], which retries it from attempt 2
+    /// exactly as [`ClusterHandle::settle`] would. A first attempt still
+    /// pending at `start + retry.deadline` is answered with
+    /// [`PipelineError::DeadlineExceeded`] by that loop; its late result
+    /// is dropped. `done` is called exactly once unless the request is
+    /// shed, in which case it is dropped and the error returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::Overloaded`] when the cluster already
+    /// has [`inflight_cap`](ReplicaSet::inflight_cap) requests in
+    /// flight.
+    pub fn submit_then<F>(
+        &self,
+        input: E::Input,
+        failover: &Failover<E>,
+        done: F,
+    ) -> Result<(), PipelineError>
+    where
+        E::Input: Clone,
+        F: FnOnce(Result<ClusterReply<E::Output>, PipelineError>) + Send + 'static,
+    {
+        let (start, guard) = self.admit()?;
+        let answer = Answer { done: Box::new(done), inflight: guard };
+        let Some(index) = self.route(start) else {
+            failover.strand(Stranded { answer, input, start, error: no_replica_error() });
+            return Ok(());
+        };
+        let slot = &self.slots[index];
+        let ticket = Arc::new(Ticket { answer: Mutex::new(Some(answer)), start, replica: index });
+        failover.watch(Arc::clone(&ticket));
+        let attempt = FirstAttempt::<E> {
+            ticket,
+            retry_input: Some(input.clone()),
+            breaker: Arc::clone(&slot.breaker),
+            router: Arc::clone(&self.router),
+            failover: failover.clone(),
+        };
+        let runtime = slot.runtime.read().unwrap_or_else(|p| p.into_inner());
+        match runtime.as_ref() {
+            // A refused submit drops the completion, and with it the
+            // attempt, whose drop hands the request to the failover loop.
+            Some(runtime) => {
+                let _ = runtime.submit_then(input, move |result| attempt.complete(result));
+            }
+            None => attempt.complete(Err(removed_error(index))),
+        }
+        Ok(())
+    }
+
+    /// Opens the completion path's failover queue: the [`Failover`]
+    /// handle that [`submit_then`](ReplicaSet::submit_then) callers pass
+    /// along, and the [`FailoverLoop`] one dedicated thread must
+    /// [`run`](FailoverLoop::run) against this set for as long as
+    /// requests are submitted through that handle.
+    #[must_use = "requests submitted through the handle need the loop running"]
+    pub fn failover(&self) -> (Failover<E>, FailoverLoop<E>) {
+        let (tx, rx) = channel();
+        let pending = Arc::new(Mutex::new(VecDeque::new()));
+        (Failover { tx, pending: Arc::clone(&pending) }, FailoverLoop { rx, pending })
+    }
+
+    /// Admission control: sheds instead of queuing past capacity. The
+    /// in-flight count is held (and always released) by the returned
+    /// guard.
+    fn admit(&self) -> Result<(Instant, InflightGuard), PipelineError> {
         let start = clock::now();
-        // Admission control: shed instead of queuing past capacity. The
-        // count is held (and always released) by the guard, which moves
-        // into the handle on success.
         let admitted = self.inflight.fetch_add(1, Ordering::AcqRel) + 1;
-        let guard = InflightGuard { counter: &self.inflight };
+        let guard = InflightGuard { counter: Arc::clone(&self.inflight) };
         if admitted > self.inflight_cap {
             let mut router = lock_metrics(&self.router);
             router.note_shed();
@@ -278,12 +372,10 @@ impl<E: BatchEngine> ReplicaSet<E> {
                 capacity: self.inflight_cap,
             });
         }
-        {
-            let mut router = lock_metrics(&self.router);
-            router.note_submit(start);
-            router.note_inflight(admitted as u64);
-        }
-        Ok(ClusterHandle { set: self, input, start, _guard: guard })
+        let mut router = lock_metrics(&self.router);
+        router.note_submit(start);
+        router.note_inflight(admitted as u64);
+        Ok((start, guard))
     }
 
     /// Requests currently admitted and not yet settled (includes
@@ -292,13 +384,17 @@ impl<E: BatchEngine> ReplicaSet<E> {
         self.inflight.load(Ordering::Acquire)
     }
 
-    /// The retry loop behind [`ClusterHandle::settle`]: health-routed
+    /// The retry loop behind [`ClusterHandle::settle`] (from attempt 1)
+    /// and the failover loop (from attempt 2, after the completion
+    /// path's first attempt failed with `last_error`): health-routed
     /// dispatch, deadline-bounded wait, exponential backoff onto
     /// surviving replicas.
     fn settle_admitted(
         &self,
         input: E::Input,
-        start: std::time::Instant,
+        start: Instant,
+        first_attempt: u32,
+        mut last_error: PipelineError,
     ) -> Result<ClusterReply<E::Output>, PipelineError>
     where
         E::Input: Clone,
@@ -306,11 +402,7 @@ impl<E: BatchEngine> ReplicaSet<E> {
         let policy = self.config.retry;
         let deadline = start + policy.deadline;
         let budget_ms = policy.deadline.as_millis() as u64;
-        let mut last_error = PipelineError::Runtime {
-            stage: "route",
-            detail: "no replica admitted the request".into(),
-        };
-        for attempt in 1..=policy.max_attempts {
+        for attempt in first_attempt..=policy.max_attempts {
             if attempt > 1 {
                 lock_metrics(&self.router).note_retry();
                 let pause = policy.backoff(attempt - 1);
@@ -324,26 +416,15 @@ impl<E: BatchEngine> ReplicaSet<E> {
                 return self.fail(start, PipelineError::DeadlineExceeded { budget_ms });
             }
             let Some(index) = self.route(now) else {
-                last_error = PipelineError::Runtime {
-                    stage: "route",
-                    detail: "no healthy replica available".into(),
-                };
+                last_error = no_replica_error();
                 continue;
             };
-            let attempt_start = clock::now();
             match self.dispatch(index, input.clone(), deadline) {
                 Ok(value) => {
                     lock_breaker(&self.slots[index].breaker).on_success();
                     let done = clock::now();
-                    lock_metrics(&self.router).note_batch(
-                        1,
-                        [(
-                            attempt_start.saturating_duration_since(start),
-                            done.saturating_duration_since(start),
-                        )],
-                        done.saturating_duration_since(attempt_start),
-                        done,
-                    );
+                    lock_metrics(&self.router)
+                        .note_request(done.saturating_duration_since(start), done);
                     return Ok(ClusterReply { value, replica: index, attempts: attempt });
                 }
                 Err(e) => {
@@ -369,7 +450,7 @@ impl<E: BatchEngine> ReplicaSet<E> {
     /// Round-robin over slots, returning the first one whose breaker
     /// admits traffic and that is not draining. Open breakers past their
     /// cool-down convert to a half-open probe here.
-    fn route(&self, now: std::time::Instant) -> Option<usize> {
+    fn route(&self, now: Instant) -> Option<usize> {
         let n = self.slots.len();
         let offset = self.round_robin.fetch_add(1, Ordering::Relaxed);
         for step in 0..n {
@@ -391,15 +472,12 @@ impl<E: BatchEngine> ReplicaSet<E> {
         &self,
         index: usize,
         input: E::Input,
-        deadline: std::time::Instant,
+        deadline: Instant,
     ) -> Result<E::Output, PipelineError> {
         let handle = {
             let guard = self.slots[index].runtime.read().unwrap_or_else(|p| p.into_inner());
             let Some(runtime) = guard.as_ref() else {
-                return Err(PipelineError::Runtime {
-                    stage: "route",
-                    detail: format!("replica {index} already removed"),
-                });
+                return Err(removed_error(index));
             };
             runtime.submit(input)?
             // The read lock drops here: waiting must not block a
@@ -423,15 +501,35 @@ impl<E: BatchEngine> ReplicaSet<E> {
 
     /// Records a failed request's end-to-end latency, then returns the
     /// error.
-    fn fail<T>(&self, start: std::time::Instant, error: PipelineError) -> Result<T, PipelineError> {
+    fn fail<T>(&self, start: Instant, error: PipelineError) -> Result<T, PipelineError> {
         let done = clock::now();
-        lock_metrics(&self.router).note_batch(
-            1,
-            [(done.saturating_duration_since(start), done.saturating_duration_since(start))],
-            std::time::Duration::ZERO,
-            done,
-        );
+        lock_metrics(&self.router).note_request(done.saturating_duration_since(start), done);
         Err(error)
+    }
+
+    /// Answers a first attempt still pending at its deadline: the
+    /// replica's breaker records the failure, the caller gets
+    /// [`PipelineError::DeadlineExceeded`], and the attempt's late
+    /// result will find the ticket answered and be dropped.
+    fn expire(&self, ticket: &Ticket<E::Output>) {
+        let Some(answer) = lock_ticket(&ticket.answer).take() else {
+            return;
+        };
+        if let Some(slot) = self.slots.get(ticket.replica) {
+            lock_breaker(&slot.breaker).on_failure(clock::now());
+        }
+        let budget_ms = self.config.retry.deadline.as_millis() as u64;
+        answer.send(self.fail(ticket.start, PipelineError::DeadlineExceeded { budget_ms }));
+    }
+
+    /// Retries a request whose first attempt failed, from attempt 2,
+    /// and answers it.
+    fn resume(&self, stranded: Stranded<E>)
+    where
+        E::Input: Clone,
+    {
+        let Stranded { answer, input, start, error } = stranded;
+        answer.send(self.settle_admitted(input, start, 2, error));
     }
 
     /// Gracefully drains replica `index`: the router stops routing to it
@@ -582,7 +680,7 @@ impl<E: BatchEngine> ReplicaSet<E> {
 }
 
 /// Combines the breaker's view with the drain flags into one state.
-fn slot_state<E: BatchEngine>(slot: &Slot<E>, now: std::time::Instant) -> ReplicaState {
+fn slot_state<E: BatchEngine>(slot: &Slot<E>, now: Instant) -> ReplicaState {
     let removed = {
         let guard = slot.runtime.read().unwrap_or_else(|p| p.into_inner());
         guard.is_none()
@@ -596,20 +694,30 @@ fn slot_state<E: BatchEngine>(slot: &Slot<E>, now: std::time::Instant) -> Replic
     }
 }
 
-/// RAII decrement for the cluster in-flight counter.
-struct InflightGuard<'a> {
-    counter: &'a AtomicUsize,
+/// The typed report for a request no replica admitted.
+fn no_replica_error() -> PipelineError {
+    PipelineError::Runtime { stage: "route", detail: "no healthy replica available".into() }
 }
 
-impl Drop for InflightGuard<'_> {
+/// The typed report for a request routed to a replica drained since.
+fn removed_error(index: usize) -> PipelineError {
+    PipelineError::Runtime { stage: "route", detail: format!("replica {index} already removed") }
+}
+
+/// RAII decrement for the cluster in-flight counter.
+struct InflightGuard {
+    counter: Arc<AtomicUsize>,
+}
+
+impl Drop for InflightGuard {
     fn drop(&mut self) {
         self.counter.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
 /// An admitted-but-unserved request: the two-step surface behind
-/// [`ReplicaSet::predict`], used by callers (the `nshd-net` service
-/// threads) that separate admission from the blocking retry loop.
+/// [`ReplicaSet::predict`], for callers that separate admission from
+/// the blocking retry loop.
 ///
 /// The handle owns the request's in-flight slot; dropping it without
 /// settling releases the slot and serves nothing.
@@ -617,8 +725,8 @@ impl Drop for InflightGuard<'_> {
 pub struct ClusterHandle<'a, E: BatchEngine> {
     set: &'a ReplicaSet<E>,
     input: E::Input,
-    start: std::time::Instant,
-    _guard: InflightGuard<'a>,
+    start: Instant,
+    _guard: InflightGuard,
 }
 
 impl<E: BatchEngine> ClusterHandle<'_, E> {
@@ -638,7 +746,237 @@ impl<E: BatchEngine> ClusterHandle<'_, E> {
     where
         E::Input: Clone,
     {
-        self.set.settle_admitted(self.input, self.start)
+        self.set.settle_admitted(self.input, self.start, 1, no_replica_error())
+    }
+}
+
+/// The caller's side of one request on the completion path: its
+/// completion and the in-flight slot it holds until answered.
+struct Answer<O> {
+    done: Box<dyn FnOnce(Result<ClusterReply<O>, PipelineError>) + Send>,
+    inflight: InflightGuard,
+}
+
+impl<O> Answer<O> {
+    /// Releases the in-flight slot, then calls the completion. A panic
+    /// inside the completion is contained, so it can take down neither
+    /// a collector nor the failover loop.
+    fn send(self, result: Result<ClusterReply<O>, PipelineError>) {
+        let Answer { done, inflight } = self;
+        drop(inflight);
+        let _ = catch_unwind(AssertUnwindSafe(move || done(result)));
+    }
+}
+
+/// One first attempt on the completion path, shared by its completion
+/// and the failover loop's deadline watch. Whichever takes `answer`
+/// first answers the request; the other finds `None` and does nothing.
+struct Ticket<O> {
+    answer: Mutex<Option<Answer<O>>>,
+    start: Instant,
+    replica: usize,
+}
+
+/// Locks a ticket, recovering from poisoning.
+fn lock_ticket<O>(answer: &Mutex<Option<Answer<O>>>) -> MutexGuard<'_, Option<Answer<O>>> {
+    answer.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+impl<O> Ticket<O> {
+    fn is_answered(&self) -> bool {
+        lock_ticket(&self.answer).is_none()
+    }
+}
+
+/// A request whose first attempt failed, on its way to the failover
+/// loop's blocking retry.
+struct Stranded<E: BatchEngine> {
+    answer: Answer<E::Output>,
+    input: E::Input,
+    start: Instant,
+    error: PipelineError,
+}
+
+enum FailoverMsg<E: BatchEngine> {
+    Stranded(Stranded<E>),
+    Close,
+}
+
+/// The completion queued with a first attempt's batcher request. It is
+/// resolved exactly once: by the batch's result, or — when the
+/// completion is dropped uncalled because the replica died or refused
+/// the request — by a typed worker-gone error.
+struct FirstAttempt<E: BatchEngine> {
+    ticket: Arc<Ticket<E::Output>>,
+    /// A copy of the input for the failover retry; `None` once resolved.
+    retry_input: Option<E::Input>,
+    breaker: Arc<Mutex<Breaker>>,
+    router: Arc<Mutex<ServingAccumulator>>,
+    failover: Failover<E>,
+}
+
+impl<E: BatchEngine> FirstAttempt<E> {
+    fn complete(mut self, result: Result<E::Output, PipelineError>) {
+        self.resolve(result);
+    }
+
+    fn resolve(&mut self, result: Result<E::Output, PipelineError>) {
+        let Some(input) = self.retry_input.take() else {
+            return;
+        };
+        let mut answer_slot = lock_ticket(&self.ticket.answer);
+        // `None`: the deadline watch already answered this request (and
+        // fed the breaker), so the late result is dropped.
+        let Some(answer) = answer_slot.take() else {
+            return;
+        };
+        let start = self.ticket.start;
+        match result {
+            Ok(value) => {
+                drop(answer_slot);
+                lock_breaker(&self.breaker).on_success();
+                let done = clock::now();
+                lock_metrics(&self.router)
+                    .note_request(done.saturating_duration_since(start), done);
+                answer.send(Ok(ClusterReply { value, replica: self.ticket.replica, attempts: 1 }));
+            }
+            Err(error) => {
+                lock_breaker(&self.breaker).on_failure(clock::now());
+                // Sent with the ticket still locked, so a closing loop
+                // that sees this ticket answered also sees the message.
+                self.failover.strand(Stranded { answer, input, start, error });
+            }
+        }
+    }
+}
+
+impl<E: BatchEngine> Drop for FirstAttempt<E> {
+    fn drop(&mut self) {
+        self.resolve(Err(worker_gone_error()));
+    }
+}
+
+/// The handle [`ReplicaSet::submit_then`] callers pass along: it queues
+/// failed first attempts for the [`FailoverLoop`] and registers every
+/// routed first attempt with the loop's deadline watch. Clones share
+/// one queue.
+pub struct Failover<E: BatchEngine> {
+    tx: Sender<FailoverMsg<E>>,
+    pending: Arc<Watch<E::Output>>,
+}
+
+impl<E: BatchEngine> Clone for Failover<E> {
+    fn clone(&self) -> Self {
+        Failover { tx: self.tx.clone(), pending: Arc::clone(&self.pending) }
+    }
+}
+
+/// The deadline watch: routed first attempts in submission order,
+/// which is also deadline order.
+type Watch<O> = Mutex<VecDeque<Arc<Ticket<O>>>>;
+
+/// Locks the deadline watch's queue, recovering from poisoning.
+fn lock_pending<O>(
+    pending: &Mutex<VecDeque<Arc<Ticket<O>>>>,
+) -> MutexGuard<'_, VecDeque<Arc<Ticket<O>>>> {
+    pending.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Pops answered tickets off the front of the watch queue.
+fn prune<O>(pending: &mut VecDeque<Arc<Ticket<O>>>) {
+    while pending.front().is_some_and(|ticket| ticket.is_answered()) {
+        pending.pop_front();
+    }
+}
+
+impl<E: BatchEngine> Failover<E> {
+    /// Adds a first attempt to the deadline watch. Every deadline is
+    /// `start + retry.deadline`, so the queue is already in deadline
+    /// order and a new ticket never needs to wake the loop: it expires
+    /// after everything queued before it.
+    fn watch(&self, ticket: Arc<Ticket<E::Output>>) {
+        let mut pending = lock_pending(&self.pending);
+        prune(&mut pending);
+        pending.push_back(ticket);
+    }
+
+    /// Queues a failed first attempt for the loop's retry. Should the
+    /// loop be gone, the single failed attempt is final.
+    fn strand(&self, stranded: Stranded<E>) {
+        if let Err(refused) = self.tx.send(FailoverMsg::Stranded(stranded)) {
+            if let FailoverMsg::Stranded(s) = refused.0 {
+                let last = Box::new(s.error);
+                s.answer.send(Err(PipelineError::Unavailable { attempts: 1, last }));
+            }
+        }
+    }
+
+    /// Tells the loop no more requests will be submitted: it returns
+    /// once every request already submitted has been answered.
+    pub fn close(&self) {
+        let _ = self.tx.send(FailoverMsg::Close);
+    }
+}
+
+/// The completion path's failure side, run on one dedicated thread:
+/// retries requests whose first attempt failed and answers first
+/// attempts still pending at their deadline.
+pub struct FailoverLoop<E: BatchEngine> {
+    rx: Receiver<FailoverMsg<E>>,
+    pending: Arc<Watch<E::Output>>,
+}
+
+impl<E: BatchEngine> FailoverLoop<E> {
+    /// Serves failovers for `set` until [`Failover::close`] is called
+    /// (or every [`Failover`] handle and pending completion is gone) and
+    /// every request submitted before that has been answered.
+    ///
+    /// Each failed first attempt runs the blocking retry loop of
+    /// [`ClusterHandle::settle`] from attempt 2, on this thread; deadline
+    /// expiries queued behind it wait for it to finish.
+    pub fn run(self, set: &ReplicaSet<E>)
+    where
+        E::Input: Clone,
+    {
+        let budget = set.config.retry.deadline;
+        let mut closing = false;
+        loop {
+            let now = clock::now();
+            let head = {
+                let mut pending = lock_pending(&self.pending);
+                prune(&mut pending);
+                pending.front().map(|ticket| ticket.start + budget)
+            };
+            let wait = match head {
+                Some(deadline) if deadline <= now => {
+                    let expired = lock_pending(&self.pending).pop_front();
+                    if let Some(ticket) = expired {
+                        set.expire(&ticket);
+                    }
+                    continue;
+                }
+                Some(deadline) => deadline - now,
+                None if closing => match self.rx.try_recv() {
+                    Ok(FailoverMsg::Stranded(stranded)) => {
+                        set.resume(stranded);
+                        continue;
+                    }
+                    Ok(FailoverMsg::Close) => continue,
+                    Err(_) => return,
+                },
+                // An empty watch: any ticket added from now on expires
+                // no earlier than a full budget away.
+                None => budget,
+            };
+            match self.rx.recv_timeout(wait) {
+                Ok(FailoverMsg::Stranded(stranded)) => set.resume(stranded),
+                Ok(FailoverMsg::Close) => closing = true,
+                Err(RecvTimeoutError::Timeout) => {}
+                // Every handle and completion is gone, so every request
+                // has been answered.
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+        }
     }
 }
 

@@ -1,9 +1,18 @@
-//! Micro-batcher behaviour tests against a mock engine: tail-batch
-//! flushing, submission-order results under out-of-order worker
-//! completion, idle shutdown, and shutdown with in-flight requests.
+//! Micro-batcher behaviour tests against a mock engine: a work-conserving
+//! collector (no linger, batches formed from what queued), submission-
+//! order results under out-of-order worker completion, contained
+//! completion faults, idle shutdown, and shutdown with in-flight
+//! requests.
+//!
+//! Tests that need a multi-request batch form it explicitly: a
+//! [`ChaosMode::Hold`] plug request holds the collector inside its batch
+//! while the burst queues, so releasing the plug runs the burst as one
+//! batch.
 
 use nshd_core::PipelineError;
-use nshd_runtime::{BatchEngine, InferenceRuntime, RuntimeConfig};
+use nshd_runtime::{
+    BatchEngine, ChaosEngine, ChaosMode, ChaosSwitch, InferenceRuntime, RuntimeConfig,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -60,6 +69,28 @@ impl BatchEngine for MockEngine {
 
 const WAIT: Duration = Duration::from_secs(20);
 
+/// Waits until `switch` has injected `n` faults: with
+/// [`ChaosMode::Hold`], until `n` extract calls are held.
+fn wait_injected(switch: &ChaosSwitch, n: u64) {
+    let started = Instant::now();
+    while switch.injected() < n {
+        assert!(started.elapsed() < WAIT, "the plug never reached extract");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A runtime over `engine` behind a chaos switch, for plugging.
+fn plugged_runtime(
+    engine: &Arc<MockEngine>,
+    config: RuntimeConfig,
+) -> (InferenceRuntime<ChaosEngine<MockEngine>>, ChaosSwitch) {
+    let (chaos, switch) = ChaosEngine::new(engine.clone());
+    (InferenceRuntime::new(Arc::new(chaos), config).unwrap(), switch)
+}
+
+/// Sentinel id of the plug request that holds the collector.
+const PLUG: u64 = 1_000;
+
 /// Sentinel id the mock engine rejects, failing its whole batch.
 const POISON: u64 = u64::MAX;
 
@@ -68,10 +99,11 @@ fn tail_batch_flushes_on_deadline() {
     let engine = MockEngine::new();
     let runtime = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 1, max_batch: 64, max_wait: Duration::from_millis(20) },
+        RuntimeConfig { workers: 1, max_batch: 64, ..RuntimeConfig::default() },
     )
     .unwrap();
-    // Far fewer requests than max_batch: only the deadline can flush.
+    // Far fewer requests than max_batch: the collector must run what it
+    // has instead of waiting for a full batch.
     let started = Instant::now();
     let handles: Vec<_> = (0..3u64).map(|id| runtime.submit((id, 0)).unwrap()).collect();
     for (id, h) in handles.into_iter().enumerate() {
@@ -93,22 +125,97 @@ fn tail_batch_flushes_on_deadline() {
 #[test]
 fn results_follow_submission_order_despite_out_of_order_workers() {
     let engine = MockEngine::new();
-    let runtime = InferenceRuntime::new(
-        engine.clone(),
-        RuntimeConfig { workers: 4, max_batch: 16, max_wait: Duration::from_millis(100) },
-    )
-    .unwrap();
+    let (runtime, switch) = plugged_runtime(
+        &engine,
+        RuntimeConfig { workers: 4, max_batch: 16, ..RuntimeConfig::default() },
+    );
+    // Plug the collector so the 16 requests below queue behind it and
+    // run as one 16-request batch once the plug is released.
+    switch.set(ChaosMode::Hold);
+    let plug = runtime.submit((PLUG, 0)).unwrap();
+    wait_injected(&switch, 1);
     // The first chunk of the batch (lowest ids) is the slowest, so the
     // later chunks complete first; reassembly must still route result
     // `id*3+7` to the handle that submitted `id`.
     let handles: Vec<_> =
         (0..16u64).map(|id| runtime.submit((id, if id < 4 { 60 } else { 0 })).unwrap()).collect();
+    switch.set(ChaosMode::Healthy);
+    assert_eq!(plug.wait_timeout(WAIT).ready(), Some(Ok(PLUG * 3 + 7)));
     for (id, h) in handles.into_iter().enumerate() {
         assert_eq!(h.wait_timeout(WAIT).ready(), Some(Ok(id as u64 * 3 + 7)), "request {id}");
     }
+    assert_eq!(engine.batch_sizes(), vec![1, 16], "the burst must run as one batch");
     let metrics = runtime.shutdown();
-    assert_eq!(metrics.requests, 16);
+    assert_eq!(metrics.requests, 17, "16 requests plus the plug");
     assert!(!metrics.batch_histogram.is_empty());
+}
+
+#[test]
+fn a_lone_request_never_waits_for_max_wait() {
+    let engine = MockEngine::new();
+    let runtime = InferenceRuntime::new(
+        engine.clone(),
+        RuntimeConfig { workers: 1, max_batch: 16, max_wait: Duration::from_secs(10) },
+    )
+    .unwrap();
+    let started = Instant::now();
+    let h = runtime.submit((4, 0)).unwrap();
+    assert_eq!(h.wait_timeout(WAIT).ready(), Some(Ok(4 * 3 + 7)));
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "a lone request waited {:?}: the collector lingered",
+        started.elapsed()
+    );
+    runtime.shutdown();
+}
+
+#[test]
+fn requests_queued_behind_a_plugged_batch_run_as_full_batches() {
+    for (queued, expected) in [(5usize, vec![1, 5]), (20, vec![1, 8, 8, 4])] {
+        let engine = MockEngine::new();
+        let (runtime, switch) = plugged_runtime(
+            &engine,
+            RuntimeConfig { workers: 2, max_batch: 8, ..RuntimeConfig::default() },
+        );
+        switch.set(ChaosMode::Hold);
+        let plug = runtime.submit((PLUG, 0)).unwrap();
+        wait_injected(&switch, 1);
+        let handles: Vec<_> =
+            (0..queued as u64).map(|id| runtime.submit((id, 0)).unwrap()).collect();
+        switch.set(ChaosMode::Healthy);
+        assert_eq!(plug.wait_timeout(WAIT).ready(), Some(Ok(PLUG * 3 + 7)));
+        for (id, h) in handles.into_iter().enumerate() {
+            assert_eq!(h.wait_timeout(WAIT).ready(), Some(Ok(id as u64 * 3 + 7)));
+        }
+        // Everything queued runs in batches of min(queued, max_batch).
+        assert_eq!(engine.batch_sizes(), expected, "{queued} queued requests");
+        runtime.shutdown();
+    }
+}
+
+#[test]
+fn panicking_or_dropped_completions_never_kill_the_collector() {
+    let engine = MockEngine::new();
+    let (runtime, switch) = plugged_runtime(
+        &engine,
+        RuntimeConfig { workers: 1, max_batch: 8, ..RuntimeConfig::default() },
+    );
+    // One batch holding a panicking completion, a dropped handle, and a
+    // live handle: the live one is still answered.
+    switch.set(ChaosMode::Hold);
+    let plug = runtime.submit((PLUG, 0)).unwrap();
+    wait_injected(&switch, 1);
+    runtime.submit_then((1, 0), |_| panic!("injected completion panic")).unwrap();
+    drop(runtime.submit((2, 0)).unwrap());
+    let live = runtime.submit((3, 0)).unwrap();
+    switch.set(ChaosMode::Healthy);
+    assert_eq!(plug.wait_timeout(WAIT).ready(), Some(Ok(PLUG * 3 + 7)));
+    assert_eq!(live.wait_timeout(WAIT).ready(), Some(Ok(3 * 3 + 7)));
+    assert_eq!(engine.batch_sizes(), vec![1, 3]);
+    // And the collector keeps serving later batches.
+    let after = runtime.submit((4, 0)).unwrap();
+    assert_eq!(after.wait_timeout(WAIT).ready(), Some(Ok(4 * 3 + 7)));
+    assert_eq!(runtime.shutdown().requests, 5);
 }
 
 #[test]
@@ -128,7 +235,7 @@ fn shutdown_with_in_flight_requests_answers_everything() {
     let engine = MockEngine::new();
     let runtime = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 2, max_batch: 4, max_wait: Duration::from_millis(50) },
+        RuntimeConfig { workers: 2, max_batch: 4, ..RuntimeConfig::default() },
     )
     .unwrap();
     // Slow batches guarantee requests are still queued or executing
@@ -150,7 +257,7 @@ fn max_batch_bounds_every_executed_batch() {
     let engine = MockEngine::new();
     let runtime = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 2, max_batch: 8, max_wait: Duration::from_millis(20) },
+        RuntimeConfig { workers: 2, max_batch: 8, ..RuntimeConfig::default() },
     )
     .unwrap();
     let handles: Vec<_> = (0..40u64).map(|id| runtime.submit((id, 0)).unwrap()).collect();
@@ -172,7 +279,7 @@ fn drop_without_shutdown_still_drains() {
     let handles: Vec<_> = {
         let runtime = InferenceRuntime::new(
             engine.clone(),
-            RuntimeConfig { workers: 2, max_batch: 4, max_wait: Duration::from_millis(30) },
+            RuntimeConfig { workers: 2, max_batch: 4, ..RuntimeConfig::default() },
         )
         .unwrap();
         (0..6u64).map(|id| runtime.submit((id, 10)).unwrap()).collect()
@@ -188,14 +295,14 @@ fn misconfiguration_is_rejected_before_any_thread_spawns() {
     let engine = MockEngine::new();
     let Err(err) = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 0, max_batch: 8, max_wait: Duration::from_millis(1) },
+        RuntimeConfig { workers: 0, max_batch: 8, ..RuntimeConfig::default() },
     ) else {
         panic!("zero workers accepted");
     };
     assert!(err.to_string().contains("worker"), "{err}");
     let Err(err) = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 2, max_batch: 0, max_wait: Duration::from_millis(1) },
+        RuntimeConfig { workers: 2, max_batch: 0, ..RuntimeConfig::default() },
     ) else {
         panic!("zero max_batch accepted");
     };
@@ -244,7 +351,7 @@ fn a_failed_batch_fails_only_its_own_handles() {
     let engine = MockEngine::new();
     let runtime = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 2, max_batch: 4, max_wait: Duration::from_millis(5) },
+        RuntimeConfig { workers: 2, max_batch: 4, ..RuntimeConfig::default() },
     )
     .unwrap();
     // One poisoned request: its whole batch errors, every handle in
@@ -270,7 +377,7 @@ fn wait_timeout_distinguishes_pending_from_ready() {
     let engine = MockEngine::new();
     let runtime = InferenceRuntime::new(
         engine,
-        RuntimeConfig { workers: 1, max_batch: 1, max_wait: Duration::from_millis(1) },
+        RuntimeConfig { workers: 1, max_batch: 1, ..RuntimeConfig::default() },
     )
     .unwrap();
     // A 200 ms extract keeps the request in flight past the short wait.
@@ -313,7 +420,7 @@ fn dead_runtime_reports_worker_gone_not_timeout() {
     use nshd_runtime::WaitOutcome;
     let runtime = InferenceRuntime::new(
         Arc::new(PanickingEngine),
-        RuntimeConfig { workers: 1, max_batch: 4, max_wait: Duration::from_millis(1) },
+        RuntimeConfig { workers: 1, max_batch: 4, ..RuntimeConfig::default() },
     )
     .unwrap();
     let h = runtime.submit(1).unwrap();

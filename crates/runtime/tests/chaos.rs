@@ -75,7 +75,7 @@ impl BatchEngine for PanickingEngine {
 
 fn fast_cluster_config() -> ClusterConfig {
     ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 4, max_wait: Duration::from_millis(1) },
+        runtime: RuntimeConfig { workers: 1, max_batch: 4, ..RuntimeConfig::default() },
         retry: RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),

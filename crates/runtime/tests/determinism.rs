@@ -8,7 +8,6 @@ use nshd_nn::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d, Model, Se
 use nshd_runtime::{InferenceRuntime, RuntimeConfig};
 use nshd_tensor::{Rng, Tensor};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn trained_model() -> (NshdModel, ImageDataset) {
     let (mut train, mut test) = SynthSpec::synth10(33).with_sizes(40, 24).generate();
@@ -45,7 +44,7 @@ fn batched_runtime_matches_sequential_predict_exactly() {
     for (workers, max_batch) in [(1usize, 1usize), (1, 8), (2, 4), (4, 16)] {
         let runtime = InferenceRuntime::new(
             engine.clone(),
-            RuntimeConfig { workers, max_batch, max_wait: Duration::from_millis(5) },
+            RuntimeConfig { workers, max_batch, ..RuntimeConfig::default() },
         )
         .expect("verified engine must serve");
         let handles: Vec<_> =

@@ -4,9 +4,9 @@
 
 use nshd_core::PipelineError;
 use nshd_obs::Recorder;
-use nshd_runtime::{BatchEngine, InferenceRuntime, RuntimeConfig};
+use nshd_runtime::{BatchEngine, ChaosEngine, ChaosMode, InferenceRuntime, RuntimeConfig};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serialises tests that install the process-global recorder.
 static GLOBAL_RECORDER_LOCK: Mutex<()> = Mutex::new(());
@@ -39,14 +39,27 @@ impl BatchEngine for SpanningEngine {
     }
 }
 
+/// Serves `requests` requests, the first one plugging the collector
+/// inside its batch until the rest have queued, so the rest run as
+/// multi-request batches (sliced across the pool when `workers > 1`).
 fn serve(workers: usize, requests: u64) -> nshd_obs::ServingMetrics {
+    let (engine, switch) = ChaosEngine::new(Arc::new(SpanningEngine));
     let runtime = InferenceRuntime::new(
-        Arc::new(SpanningEngine),
-        RuntimeConfig { workers, max_batch: 8, max_wait: Duration::from_millis(10) },
+        Arc::new(engine),
+        RuntimeConfig { workers, max_batch: 8, ..RuntimeConfig::default() },
     )
     .unwrap();
-    let handles: Vec<_> = (0..requests).map(|id| runtime.submit(id).unwrap()).collect();
-    for (id, h) in handles.into_iter().enumerate() {
+    switch.set(ChaosMode::Hold);
+    let plug = runtime.submit(0).unwrap();
+    let started = Instant::now();
+    while switch.injected() < 1 {
+        assert!(started.elapsed() < Duration::from_secs(20), "the plug never reached extract");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let rest: Vec<_> = (1..requests).map(|id| runtime.submit(id).unwrap()).collect();
+    switch.set(ChaosMode::Healthy);
+    let handles = std::iter::once(plug).chain(rest);
+    for (id, h) in handles.enumerate() {
         assert_eq!(h.wait_timeout(Duration::from_secs(20)).ready(), Some(Ok(id as u64 + 1)));
     }
     runtime.shutdown()
@@ -62,6 +75,7 @@ fn batches_trace_request_spans_with_worker_extract_nested() {
     nshd_obs::install(previous);
 
     assert_eq!(metrics.requests, 16);
+    assert_eq!(metrics.batch_histogram, vec![(1, 1), (7, 1), (8, 1)], "plug, then two batches");
     // Queue-wait and execute summaries are accounted per batch.
     assert!(metrics.execute.max_us > 0.0, "{:?}", metrics.execute);
     assert!(metrics.queue_wait.p99_us <= metrics.p99_us, "waits are part of latency");

@@ -47,7 +47,7 @@ impl BatchEngine for CountingEngine {
 
 fn cluster_config() -> ClusterConfig {
     ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 4, max_wait: Duration::from_millis(1) },
+        runtime: RuntimeConfig { workers: 1, max_batch: 4, ..RuntimeConfig::default() },
         retry: RetryPolicy {
             max_attempts: 2,
             base_backoff: Duration::from_millis(1),

@@ -66,7 +66,7 @@ impl BatchEngine for AlwaysFailEngine {
 
 fn config(retry: RetryPolicy, breaker: BreakerConfig) -> ClusterConfig {
     ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 4, max_wait: Duration::from_millis(1) },
+        runtime: RuntimeConfig { workers: 1, max_batch: 4, ..RuntimeConfig::default() },
         retry,
         breaker,
         max_inflight: 0,
