@@ -525,7 +525,11 @@ fn a_hung_replica_is_answered_at_the_deadline_and_its_late_reply_dropped() {
     config.breaker = BreakerConfig { failure_threshold: 1, cooldown: Duration::ZERO };
     let (set, switches) = chaos_set(1, config);
     let server = NetServer::start(Arc::clone(&set), NetServerConfig::default()).expect("starts");
-    let mut client = NetClient::connect(server.local_addr()).expect("connects");
+    // A read deadline turns a missing deadline answer into a failure, not
+    // a hang.
+    let deadline = Duration::from_secs(10);
+    let mut client = NetClient::connect_with_deadlines(server.local_addr(), deadline, deadline)
+        .expect("connects");
 
     switches[0].set(ChaosMode::Hold);
     let t = Tensor::from_vec(vec![1.5; 8], vec![8]).expect("tensor");
