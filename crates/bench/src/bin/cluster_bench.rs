@@ -179,7 +179,7 @@ fn run_scenario(
     }
 
     let config = ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 8, ..RuntimeConfig::default() },
+        runtime: RuntimeConfig { max_batch: 8, ..RuntimeConfig::default() },
         retry: RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),

@@ -236,7 +236,7 @@ fn main() {
     let glue = Arc::new(GlueEngine::new(full.clone()));
     let runtime = InferenceRuntime::new(
         glue.clone(),
-        RuntimeConfig { workers: 1, max_batch: 16, ..RuntimeConfig::default() },
+        RuntimeConfig { max_batch: 16, ..RuntimeConfig::default() },
     )
     .expect("fused engine must verify");
     let mut memory_lat = Vec::with_capacity(args.swaps);
@@ -272,7 +272,7 @@ fn main() {
     // Replica-level hot swap: drain + readmit a fresh engine on a live
     // two-replica glue cluster.
     let cluster = ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 8, ..RuntimeConfig::default() },
+        runtime: RuntimeConfig { max_batch: 8, ..RuntimeConfig::default() },
         retry: RetryPolicy {
             max_attempts: 2,
             base_backoff: Duration::from_millis(1),

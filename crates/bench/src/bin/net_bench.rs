@@ -201,7 +201,7 @@ fn run_scenario(spec: &NetSpec<'_>, engine: &NshdEngine, cases: &[Case]) -> RunO
     }
 
     let config = ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 8, ..RuntimeConfig::default() },
+        runtime: RuntimeConfig { max_batch: 8, ..RuntimeConfig::default() },
         retry: RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),
@@ -494,7 +494,7 @@ fn main() {
         ReplicaSet::new(
             probe_replicas,
             ClusterConfig {
-                runtime: RuntimeConfig { workers: 1, max_batch: 8, ..RuntimeConfig::default() },
+                runtime: RuntimeConfig { max_batch: 8, ..RuntimeConfig::default() },
                 retry: RetryPolicy {
                     max_attempts: 2,
                     base_backoff: Duration::from_millis(1),

@@ -1,5 +1,5 @@
-//! Serving-runtime benchmark: batched multi-worker inference through
-//! `nshd-runtime` versus a single-threaded per-sample baseline.
+//! Serving-runtime benchmark: batched inference through `nshd-runtime`
+//! versus a single-threaded per-sample baseline.
 //!
 //! Trains a small NSHD model on Synth10, then serves the same request
 //! stream two ways:
@@ -7,8 +7,8 @@
 //! 1. **baseline** — one image at a time through `NshdModel::predict`
 //!    on the calling thread (bit-serial HD encode, scalar scoring);
 //! 2. **batched** — every request submitted to an `InferenceRuntime`
-//!    (micro-batching collector + worker pool + GEMM encode + one
-//!    `matmul_bt` score per batch), with an `nshd-obs` recorder
+//!    (micro-batching collector + one engine call per batch: CNN
+//!    extract, GEMM encode, one `matmul_bt` score), with an `nshd-obs` recorder
 //!    installed so every stage is traced and profiled.
 //!
 //! Emits one JSON object on stdout with both throughputs, the batched
@@ -20,8 +20,8 @@
 //! configuration and exits non-zero if the report is malformed or the
 //! predictions diverge — the CI gate.
 //!
-//! Flags: `--workers N` (default 4), `--batch N` (default 32),
-//! `--requests N` (default by `NSHD_SCALE`), `--smoke`.
+//! Flags: `--batch N` (default 32), `--requests N` (default by
+//! `NSHD_SCALE`), `--smoke`. The kernels run at `NSHD_THREADS` threads.
 
 use nshd_bench::Scale;
 use nshd_core::{NshdConfig, NshdEngine, NshdModel};
@@ -37,7 +37,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 struct Args {
-    workers: usize,
     max_batch: usize,
     requests: usize,
     smoke: bool,
@@ -45,7 +44,6 @@ struct Args {
 
 fn parse_args(scale: Scale) -> Args {
     let mut args = Args {
-        workers: 4,
         max_batch: 32,
         requests: match scale {
             Scale::Quick => 512,
@@ -61,7 +59,6 @@ fn parse_args(scale: Scale) -> Args {
                 .unwrap_or_else(|| panic!("{name} expects a number"))
         };
         match flag.as_str() {
-            "--workers" => args.workers = num("--workers") as usize,
             "--batch" => args.max_batch = num("--batch") as usize,
             "--requests" => args.requests = num("--requests") as usize,
             "--smoke" => args.smoke = true,
@@ -69,7 +66,6 @@ fn parse_args(scale: Scale) -> Args {
         }
     }
     if args.smoke {
-        args.workers = 2;
         args.requests = args.requests.min(96);
     }
     args
@@ -164,17 +160,13 @@ fn main() {
     baseline_lat_us.sort_by(f64::total_cmp);
 
     // Batched: everything through the serving runtime, traced.
-    eprintln!("[serve_bench] batched: workers={} max_batch={}", args.workers, args.max_batch);
+    eprintln!("[serve_bench] batched: max_batch={}", args.max_batch);
     let recorder = Recorder::new();
     let previous = nshd_obs::install(recorder.clone());
     let engine = Arc::new(NshdEngine::new(&model).expect("trained model must pass verification"));
     let runtime = InferenceRuntime::new(
         engine,
-        RuntimeConfig {
-            workers: args.workers,
-            max_batch: args.max_batch,
-            ..RuntimeConfig::default()
-        },
+        RuntimeConfig { max_batch: args.max_batch, ..RuntimeConfig::default() },
     )
     .expect("verified engine must construct a runtime");
     let handles: Vec<_> = images
@@ -205,17 +197,9 @@ fn main() {
         ),
         (
             "config",
-            nshd_bench::run_config(
-                args.smoke,
-                71,
-                vec![
-                    ("workers", Json::from(args.workers)),
-                    ("max_batch", Json::from(args.max_batch)),
-                ],
-            ),
+            nshd_bench::run_config(args.smoke, 71, vec![("max_batch", Json::from(args.max_batch))]),
         ),
         ("requests", Json::from(images.len())),
-        ("workers", Json::from(args.workers)),
         ("max_batch", Json::from(args.max_batch)),
         ("hv_dim", Json::from(hv_dim)),
         (

@@ -11,10 +11,10 @@
 //! - associative-memory scoring is one `matmul_bt` against the class
 //!   matrix instead of `N·k` scalar cosine loops.
 //!
-//! The two halves are exposed separately ([`extract_values`] /
-//! [`finish_values`]) so the runtime can data-parallelise the
-//! convolutional half across workers and still finish the whole batch
-//! with one GEMM.
+//! The serving runtime runs a batch as one call through both halves;
+//! they are also exposed separately ([`extract_values`] /
+//! [`finish_values`]) so benchmarks and traces can time the
+//! convolutional half and the encode + scoring half on their own.
 //!
 //! **Determinism.** The produced hypervectors are bit-identical to
 //! [`NshdModel::symbolize`]: evaluation-mode CNN layers are
@@ -114,7 +114,7 @@ impl NshdEngine {
 
     /// Re-checks the snapshot's internal consistency — the same static
     /// analysis [`NshdEngine::new`] runs, applied to the engine's own
-    /// copies. `nshd-runtime` calls this before spawning any worker
+    /// copies. `nshd-runtime` calls this before spawning its collector
     /// thread.
     ///
     /// # Errors
@@ -176,7 +176,7 @@ impl NshdEngine {
     /// Stage 1 — CNN feature extraction: stacks the CHW images into one
     /// NCHW batch, runs the truncated teacher once, then standardises
     /// and (optionally) manifold-compresses each sample. This is the
-    /// compute-heavy half the runtime splits across workers.
+    /// compute-heavy half of a batch.
     ///
     /// # Errors
     ///

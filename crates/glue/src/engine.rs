@@ -260,13 +260,11 @@ impl GlueEngine {
     }
 }
 
-/// Glue serving: inputs are CHW image tensors, the data-parallel stage
-/// is the weighted fused encode across all heads, and the batch-level
-/// stage scores the fused hypervectors against the pinned snapshot's
-/// consensus memory.
+/// Glue serving: inputs are CHW image tensors; a batch is the weighted
+/// fused encode across all heads, then scoring of the fused
+/// hypervectors against the pinned snapshot's consensus memory.
 impl BatchEngine for GlueEngine {
     type Input = Tensor;
-    type Partial = BipolarHv;
     type Output = usize;
     type Snapshot = GlueState;
 
@@ -274,20 +272,8 @@ impl BatchEngine for GlueEngine {
         self.state()
     }
 
-    fn extract(
-        &self,
-        snapshot: &GlueState,
-        chunk: &[Tensor],
-    ) -> Result<Vec<BipolarHv>, PipelineError> {
-        snapshot.encode_fused(chunk)
-    }
-
-    fn finish(
-        &self,
-        snapshot: &GlueState,
-        partials: Vec<BipolarHv>,
-    ) -> Result<Vec<usize>, PipelineError> {
-        Ok(snapshot.score(partials))
+    fn run(&self, snapshot: &GlueState, batch: &[Tensor]) -> Result<Vec<usize>, PipelineError> {
+        snapshot.predict_batch(batch)
     }
 
     fn verify(&self) -> Result<(), PipelineError> {

@@ -2,7 +2,7 @@
 //! before a swap must be answered **entirely** by that snapshot —
 //! bit-identical to a pre-swap baseline — while batches submitted after
 //! the swap are answered entirely by the new state. The stall fault of
-//! the PR-6 chaos harness holds a batch open in its extract stage so a
+//! the runtime's chaos harness holds a batch open inside the engine so a
 //! swap provably lands mid-batch; `NSHD_THREADS`-style parallelism is
 //! exercised via `par::with_threads(1)` and `par::with_threads(4)`.
 
@@ -55,7 +55,7 @@ fn fused_fixture() -> (GlueEnsemble, ImageDataset) {
 fn runtime_config() -> RuntimeConfig {
     // max_batch comfortably covers the burst, so a burst queued behind
     // a plugged batch runs as one batch.
-    RuntimeConfig { workers: 2, max_batch: 16, ..RuntimeConfig::default() }
+    RuntimeConfig { max_batch: 16, ..RuntimeConfig::default() }
 }
 
 fn spin_until_injected(switch: &nshd_runtime::ChaosSwitch, n: u64) {
@@ -65,12 +65,12 @@ fn spin_until_injected(switch: &nshd_runtime::ChaosSwitch, n: u64) {
         }
         std::thread::sleep(Duration::from_millis(1));
     }
-    panic!("the stalled batch never reached its extract stage");
+    panic!("the stalled batch never reached the engine");
 }
 
 /// Drives one mid-traffic swap and checks both sides of the snapshot
 /// boundary. `swap` receives the engine once the stalled batch is
-/// provably inside extract (fault injected ⇒ snapshot already pinned).
+/// provably inside the engine (fault injected ⇒ snapshot already pinned).
 fn assert_swap_is_torn_free(swap: impl FnOnce(&GlueEngine)) {
     let (ensemble, test) = fused_fixture();
     let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
@@ -81,7 +81,7 @@ fn assert_swap_is_torn_free(swap: impl FnOnce(&GlueEngine)) {
     let runtime = InferenceRuntime::new(Arc::new(chaos), runtime_config()).expect("runtime starts");
 
     // Plug the collector with one stalled request so the burst queues
-    // behind it and runs as one batch; that batch stalls inside extract
+    // behind it and runs as one batch; that batch stalls inside the engine
     // too (its snapshot pinned), and the swap lands under it.
     switch.set(ChaosMode::Stall(Duration::from_millis(250)));
     let plug = runtime.submit(images[0].clone()).expect("submit");

@@ -75,8 +75,8 @@ pub const LEDGERS: [LedgerSpec; 5] = [
         file: "thread_allowlist.txt",
         code: RuleCode::L006AdHocThread,
         what: "ad-hoc thread creation outside the sanctioned sites",
-        advice: "use `nshd_tensor::par` for data parallelism or the nshd-runtime pool for \
-                 service threads",
+        advice: "use `nshd_tensor::par` for data parallelism; serving threads belong to the \
+                 nshd-runtime collector and the nshd-net server",
         rationale_required: false,
     },
     LedgerSpec {

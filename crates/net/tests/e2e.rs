@@ -40,7 +40,6 @@ fn class_of(t: &Tensor, classes: usize) -> usize {
 
 impl BatchEngine for BitsEngine {
     type Input = Tensor;
-    type Partial = usize;
     type Output = usize;
     type Snapshot = ();
 
@@ -48,18 +47,14 @@ impl BatchEngine for BitsEngine {
         Arc::new(())
     }
 
-    fn extract(&self, _s: &(), chunk: &[Tensor]) -> Result<Vec<usize>, PipelineError> {
-        Ok(chunk.iter().map(|t| class_of(t, self.classes)).collect())
-    }
-
-    fn finish(&self, _s: &(), partials: Vec<usize>) -> Result<Vec<usize>, PipelineError> {
-        Ok(partials)
+    fn run(&self, _s: &(), batch: &[Tensor]) -> Result<Vec<usize>, PipelineError> {
+        Ok(batch.iter().map(|t| class_of(t, self.classes)).collect())
     }
 }
 
 fn fast_config() -> ClusterConfig {
     ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 4, ..RuntimeConfig::default() },
+        runtime: RuntimeConfig { max_batch: 4, ..RuntimeConfig::default() },
         retry: RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),
@@ -496,7 +491,7 @@ fn pipelined_requests_batch_past_the_service_thread_count() {
         client.send(RequestBody::f32_from(plug.dims(), plug.as_slice())).expect("send"),
         class_of(&plug, 10),
     );
-    wait_for("the plug to reach extract", || switches[0].injected() >= 1);
+    wait_for("the plug to reach the engine", || switches[0].injected() >= 1);
     for _ in 0..16 {
         let t = random_tensor(&mut rng);
         let id = client.send(RequestBody::f32_from(t.dims(), t.as_slice())).expect("send");

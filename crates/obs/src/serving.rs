@@ -295,7 +295,7 @@ pub struct ServingMetrics {
     pub inflight_peak: u64,
     /// Time requests spent queued before their batch started executing.
     pub queue_wait: LatencySummary,
-    /// Per-batch execute (extract + finish) time.
+    /// Per-batch execute time (one engine run).
     pub execute: LatencySummary,
 }
 

@@ -1,7 +1,6 @@
 //! The micro-batching request queue and its collector thread.
 
 use crate::engine::BatchEngine;
-use crate::pool::WorkerPool;
 use nshd_core::PipelineError;
 use nshd_obs::{clock, ServingAccumulator, ServingMetrics};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -13,12 +12,10 @@ use std::time::{Duration, Instant};
 /// Serving-runtime knobs.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Worker threads for the data-parallel extract stage. With one
-    /// worker the stage runs on the collector thread itself. When the
-    /// tensor kernels are themselves parallel (`nshd_tensor::par`
-    /// reports more than one thread), the inner pool is skipped — the
-    /// kernels already use the cores, and stacking a request-level pool
-    /// on top would oversubscribe them.
+    /// No longer read: a batch runs as one engine call on the collector
+    /// thread, parallel only inside its `nshd_tensor::par` kernels. The
+    /// field remains only so the `perfbench/` serving benchmark, which
+    /// names it, keeps building.
     pub workers: usize,
     /// Largest batch the collector will assemble before executing.
     pub max_batch: usize,
@@ -39,15 +36,8 @@ impl RuntimeConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::Runtime`] when `workers` or `max_batch`
-    /// is zero.
+    /// Returns [`PipelineError::Runtime`] when `max_batch` is zero.
     pub fn validate(&self) -> Result<(), PipelineError> {
-        if self.workers == 0 {
-            return Err(PipelineError::Runtime {
-                stage: "config",
-                detail: "need at least one worker".into(),
-            });
-        }
         if self.max_batch == 0 {
             return Err(PipelineError::Runtime {
                 stage: "config",
@@ -80,23 +70,6 @@ struct Request<E: BatchEngine> {
     input: E::Input,
     enqueued: Instant,
     complete: Completion<E::Output>,
-}
-
-/// What a worker reports back for one chunk: its index plus the
-/// extract-stage result.
-type ChunkResult<E> = (usize, Result<Vec<<E as BatchEngine>::Partial>, PipelineError>);
-
-/// One data-parallel slice of a batch, dispatched to a worker. `ctx`
-/// carries the batcher thread's span path so the worker's extract spans
-/// nest under the batch's `request` span in traces; `snapshot` is the
-/// batch's pinned engine state, shared by every chunk of the batch so a
-/// concurrent hot-swap cannot tear a batch across two snapshots.
-struct Chunk<E: BatchEngine> {
-    index: usize,
-    inputs: Vec<E::Input>,
-    snapshot: Arc<E::Snapshot>,
-    ctx: Option<String>,
-    done: Sender<ChunkResult<E>>,
 }
 
 /// The blocking handle returned by [`InferenceRuntime::submit`]: a
@@ -176,20 +149,21 @@ pub(crate) fn worker_gone_error() -> PipelineError {
     }
 }
 
-/// A batched, multi-threaded inference server around a [`BatchEngine`].
+/// A batched inference server around a [`BatchEngine`].
 ///
 /// Requests submitted from any thread are collected by a dedicated
 /// batcher thread. The collector is work-conserving: it blocks for the
 /// first request of a batch, adds whatever else is already queued (up
 /// to `max_batch`), and runs the batch at once — it never waits for a
 /// batch to fill. Under load, batches form from the requests that
-/// queued while the previous batch executed. Each batch's extract stage
-/// is sliced across the worker pool; the finish stage then runs once
-/// over the whole batch, and every request's result is delivered to its
-/// completion ([`submit_then`](InferenceRuntime::submit_then)) or
-/// [`PredictionHandle`] ([`submit`](InferenceRuntime::submit)) —
-/// results always line up with the submitting request, regardless of
-/// worker completion order.
+/// queued while the previous batch executed. Each batch is one
+/// [`BatchEngine::run`] call on the collector thread, with the
+/// engine's `nshd_tensor::par` kernels as wide as
+/// [`par::threads`](nshd_tensor::par::threads) read on the thread that
+/// constructed the runtime (so a `par::with_threads` override there
+/// sets it). Every request's result is delivered, in submission order,
+/// to its completion ([`submit_then`](InferenceRuntime::submit_then))
+/// or [`PredictionHandle`] ([`submit`](InferenceRuntime::submit)).
 ///
 /// Construction statically verifies the engine
 /// ([`BatchEngine::verify`]) and the configuration before any thread is
@@ -216,9 +190,9 @@ pub struct InferenceRuntime<E: BatchEngine> {
 }
 
 impl<E: BatchEngine> InferenceRuntime<E> {
-    /// Starts the batcher thread and worker pool around a shared
-    /// engine, after validating the configuration and statically
-    /// verifying the engine ([`BatchEngine::verify`]).
+    /// Starts the batcher thread around a shared engine, after
+    /// validating the configuration and statically verifying the engine
+    /// ([`BatchEngine::verify`]).
     ///
     /// # Errors
     ///
@@ -230,16 +204,19 @@ impl<E: BatchEngine> InferenceRuntime<E> {
     pub fn new(engine: Arc<E>, config: RuntimeConfig) -> Result<Self, PipelineError> {
         config.validate()?;
         engine.verify()?;
-        // Probed on the constructing thread so a `par::with_threads`
-        // override active there (tests, benchmarks) is honored.
-        let kernel_parallel = nshd_tensor::par::threads() > 1;
+        // Read on the constructing thread so a `par::with_threads`
+        // override active there (tests, benchmarks) sets the width of
+        // the collector's kernels.
+        let threads = nshd_tensor::par::threads();
         let metrics = Arc::new(Mutex::new(ServingAccumulator::new()));
         let (submit_tx, submit_rx) = channel();
         let thread_metrics = metrics.clone();
         let collector = std::thread::Builder::new()
             .name("nshd-batcher".into())
             .spawn(move || {
-                collector_loop(engine, config, kernel_parallel, submit_rx, thread_metrics)
+                nshd_tensor::par::with_threads(threads, || {
+                    collector_loop(&*engine, config.max_batch, submit_rx, &thread_metrics);
+                });
             })
             .map_err(|e| PipelineError::Runtime {
                 stage: "spawn",
@@ -316,7 +293,7 @@ impl<E: BatchEngine> InferenceRuntime<E> {
     fn teardown(&mut self) {
         // Dropping the sender disconnects the queue; the collector
         // drains buffered requests (mpsc delivers them before
-        // reporting disconnection), then exits and joins its workers.
+        // reporting disconnection), then exits.
         self.submit_tx.take();
         if let Some(handle) = self.collector.take() {
             let _ = handle.join();
@@ -331,35 +308,11 @@ impl<E: BatchEngine> Drop for InferenceRuntime<E> {
 }
 
 fn collector_loop<E: BatchEngine>(
-    engine: Arc<E>,
-    config: RuntimeConfig,
-    kernel_parallel: bool,
+    engine: &E,
+    max_batch: usize,
     rx: Receiver<Request<E>>,
-    metrics: Arc<Mutex<ServingAccumulator>>,
+    metrics: &Mutex<ServingAccumulator>,
 ) {
-    // The pool is owned here so its Drop (join) runs when serving ends.
-    // If the OS refuses the extra threads, degrade to collector-thread
-    // extraction instead of failing the whole runtime.
-    // When the tensor kernels themselves run parallel, the inner pool is
-    // redundant layering (both would compete for the same cores), so the
-    // extract stage runs on the collector thread and lets the kernels
-    // fan out instead.
-    let pool = if config.workers > 1 && !kernel_parallel {
-        let worker_engine = engine.clone();
-        WorkerPool::new(config.workers, move |chunk: Chunk<E>| {
-            // Re-root this worker's span stack under the batch's
-            // `request` span (a no-op when no recorder is installed).
-            let _ctx = chunk.ctx.as_deref().map(nshd_obs::enter_context);
-            let partials = worker_engine.extract(&chunk.snapshot, &chunk.inputs);
-            // The collector hanging up mid-batch only happens on panic;
-            // nothing useful to do with the error.
-            let _ = chunk.done.send((chunk.index, partials));
-        })
-        .ok()
-    } else {
-        None
-    };
-
     // Block for the first request of the next batch, then take
     // whatever else is already queued and run at once: the collector
     // never idles while work waits. `recv` only errs once the queue is
@@ -367,72 +320,18 @@ fn collector_loop<E: BatchEngine>(
     // served before shutdown.
     while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
-        while batch.len() < config.max_batch {
+        while batch.len() < max_batch {
             match rx.try_recv() {
                 Ok(request) => batch.push(request),
                 Err(_) => break,
             }
         }
-        run_batch(&*engine, pool.as_ref(), batch, &metrics);
+        run_batch(engine, batch, metrics);
     }
-}
-
-/// Runs the extract stage, data-parallel across the pool when one is
-/// available; partials are reassembled in submission order.
-fn extract_batch<E: BatchEngine>(
-    engine: &E,
-    snapshot: &Arc<E::Snapshot>,
-    pool: Option<&WorkerPool<Chunk<E>>>,
-    inputs: Vec<E::Input>,
-    ctx: Option<&str>,
-) -> Result<Vec<E::Partial>, PipelineError> {
-    let n = inputs.len();
-    let pool = match pool {
-        Some(pool) if n > 1 => pool,
-        _ => return engine.extract(snapshot, &inputs),
-    };
-    // Contiguous chunks, one per worker, front-loading the remainder;
-    // reassembled by index so partials stay in submission order no
-    // matter which worker finishes first.
-    let chunks = pool.len().min(n);
-    let base = n / chunks;
-    let extra = n % chunks;
-    let (done_tx, done_rx) = channel();
-    let mut iter = inputs.into_iter();
-    for index in 0..chunks {
-        let size = base + usize::from(index < extra);
-        let chunk_inputs: Vec<E::Input> = iter.by_ref().take(size).collect();
-        let chunk = Chunk {
-            index,
-            inputs: chunk_inputs,
-            snapshot: snapshot.clone(),
-            ctx: ctx.map(str::to_owned),
-            done: done_tx.clone(),
-        };
-        pool.send(index, chunk)?;
-    }
-    drop(done_tx);
-    let mut parts: Vec<Option<Vec<E::Partial>>> = (0..chunks).map(|_| None).collect();
-    for _ in 0..chunks {
-        let (index, chunk_partials) = done_rx.recv().map_err(|_| PipelineError::Runtime {
-            stage: "extract",
-            detail: "worker thread died mid-batch".into(),
-        })?;
-        parts[index] = Some(chunk_partials?);
-    }
-    let mut partials = Vec::with_capacity(n);
-    for part in parts {
-        partials.extend(part.ok_or_else(|| PipelineError::Runtime {
-            stage: "extract",
-            detail: "a chunk never reported its partials".into(),
-        })?);
-    }
-    Ok(partials)
 }
 
 fn run_batch<E: BatchEngine>(
     engine: &E,
-    pool: Option<&WorkerPool<Chunk<E>>>,
     batch: Vec<Request<E>>,
     metrics: &Mutex<ServingAccumulator>,
 ) {
@@ -447,27 +346,23 @@ fn run_batch<E: BatchEngine>(
     }
 
     // One `request` span per executed batch; the engine's stage spans
-    // (extract/encode/score) nest under it, including extract work done
-    // on pool workers (they re-enter `ctx`).
+    // (extract/encode/score) nest under it, including those opened on
+    // `nshd_tensor::par` workers (they re-root under the caller's path).
     let exec_start = clock::now();
     let span = nshd_obs::span("request");
-    let ctx = nshd_obs::current_path();
-    // Pin the engine state exactly once per batch: every chunk of the
-    // extract stage and the finish stage see this one snapshot, so a
-    // hot-swap that lands mid-batch only affects *later* batches.
+    // Pin the engine state exactly once per batch, so a hot-swap that
+    // lands mid-batch only affects *later* batches.
     let snapshot = engine.snapshot();
-    let outputs =
-        extract_batch(engine, &snapshot, pool, inputs, ctx.as_deref()).and_then(|partials| {
-            let outputs = engine.finish(&snapshot, partials)?;
-            if outputs.len() == n {
-                Ok(outputs)
-            } else {
-                Err(PipelineError::Runtime {
-                    stage: "finish",
-                    detail: format!("engine returned {} outputs for {n} requests", outputs.len()),
-                })
-            }
-        });
+    let outputs = engine.run(&snapshot, &inputs).and_then(|outputs| {
+        if outputs.len() == n {
+            Ok(outputs)
+        } else {
+            Err(PipelineError::Runtime {
+                stage: "run",
+                detail: format!("engine returned {} outputs for {n} requests", outputs.len()),
+            })
+        }
+    });
     drop(span);
 
     let done = clock::now();

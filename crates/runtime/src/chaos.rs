@@ -2,7 +2,7 @@
 //!
 //! [`ChaosEngine`] wraps any [`BatchEngine`] and misbehaves on command:
 //! a shared [`ChaosSwitch`] flips the wrapped replica between healthy
-//! operation, injected extract-stage stalls or holds, and hard failures
+//! operation, injected batch stalls or holds, and hard failures
 //! — while live traffic is in flight. Combined with `nshd_hdc::FaultScenario`
 //! memory corruption (see `NshdEngine::degraded` in `nshd-core`), this
 //! gives chaos tests and
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// What a [`ChaosEngine`] does with the next extract call.
+/// What a [`ChaosEngine`] does with the next batch it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosMode {
     /// Delegate untouched to the wrapped engine.
@@ -40,7 +40,7 @@ pub enum ChaosMode {
     /// (errors feed the breaker), but chaos harnesses treat it as
     /// terminal and never flip the switch back.
     Kill,
-    /// Block inside extract until the switch is set to another mode,
+    /// Block inside the batch until the switch is set to another mode,
     /// then delegate — a hung replica. Tests hold a collector inside one
     /// batch with it while they queue the next, or hang a replica past
     /// its deadline. A held replica cannot drain: release it before
@@ -51,7 +51,7 @@ pub enum ChaosMode {
 #[derive(Debug)]
 struct SwitchInner {
     mode: Mutex<ChaosMode>,
-    /// Signalled on every mode change, waking held extract calls.
+    /// Signalled on every mode change, waking held batches.
     changed: Condvar,
     injected: AtomicU64,
 }
@@ -83,8 +83,8 @@ impl ChaosSwitch {
         }
     }
 
-    /// Flips the fault mode; takes effect on the next extract call,
-    /// and releases extract calls held by [`ChaosMode::Hold`].
+    /// Flips the fault mode; takes effect on the next batch, and
+    /// releases batches held by [`ChaosMode::Hold`].
     pub fn set(&self, mode: ChaosMode) {
         *lock_mode(&self.inner.mode) = mode;
         self.inner.changed.notify_all();
@@ -121,12 +121,12 @@ fn lock_mode(mode: &Mutex<ChaosMode>) -> std::sync::MutexGuard<'_, ChaosMode> {
 
 /// A [`BatchEngine`] decorator that injects faults on command.
 ///
-/// Faults hit the **extract** stage — the data-parallel stage the
-/// runtime distributes — so an injected failure exercises exactly the
-/// path a real malformed batch or resource failure would take: the
-/// batch's handles all fail with a typed [`PipelineError`], the replica
-/// process survives, and the router's circuit breaker sees the
-/// failures.
+/// Faults hit the top of [`run`](BatchEngine::run), after the runtime
+/// has pinned the batch's snapshot, so an injected failure exercises
+/// exactly the path a real malformed batch or resource failure would
+/// take: the batch's handles all fail with a typed [`PipelineError`],
+/// the replica process survives, and the router's circuit breaker sees
+/// the failures.
 ///
 /// # Examples
 ///
@@ -172,7 +172,6 @@ impl<E: BatchEngine> ChaosEngine<E> {
 
 impl<E: BatchEngine> BatchEngine for ChaosEngine<E> {
     type Input = E::Input;
-    type Partial = E::Partial;
     type Output = E::Output;
     // Snapshot pinning passes straight through: a batch served through a
     // chaos decorator pins the *inner* engine's snapshot, so hot-swap
@@ -183,17 +182,17 @@ impl<E: BatchEngine> BatchEngine for ChaosEngine<E> {
         self.inner.snapshot()
     }
 
-    fn extract(
+    fn run(
         &self,
         snapshot: &Self::Snapshot,
-        chunk: &[Self::Input],
-    ) -> Result<Vec<Self::Partial>, PipelineError> {
+        batch: &[Self::Input],
+    ) -> Result<Vec<Self::Output>, PipelineError> {
         match self.switch.mode() {
-            ChaosMode::Healthy => self.inner.extract(snapshot, chunk),
+            ChaosMode::Healthy => self.inner.run(snapshot, batch),
             ChaosMode::Stall(pause) => {
                 self.switch.note_injected();
                 std::thread::sleep(pause);
-                self.inner.extract(snapshot, chunk)
+                self.inner.run(snapshot, batch)
             }
             ChaosMode::Fail => {
                 self.switch.note_injected();
@@ -212,17 +211,9 @@ impl<E: BatchEngine> BatchEngine for ChaosEngine<E> {
             ChaosMode::Hold => {
                 self.switch.note_injected();
                 self.switch.wait_while_held();
-                self.inner.extract(snapshot, chunk)
+                self.inner.run(snapshot, batch)
             }
         }
-    }
-
-    fn finish(
-        &self,
-        snapshot: &Self::Snapshot,
-        partials: Vec<Self::Partial>,
-    ) -> Result<Vec<Self::Output>, PipelineError> {
-        self.inner.finish(snapshot, partials)
     }
 
     fn verify(&self) -> Result<(), PipelineError> {

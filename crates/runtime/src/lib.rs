@@ -1,7 +1,7 @@
 //! # nshd-runtime
 //!
-//! A batched, multi-threaded inference **serving runtime** for NSHD
-//! models, built entirely on `std` (threads + mpsc channels).
+//! A batched inference **serving runtime** for NSHD models, built
+//! entirely on `std` (a collector thread per runtime + mpsc channels).
 //!
 //! Individual requests trickle in one image at a time, but the NSHD
 //! pipeline is dramatically cheaper per sample when run batched: one
@@ -17,9 +17,11 @@
 //!    `max_batch`) and runs the batch at once. It never lingers for a
 //!    batch to fill: under load, batches form from the requests that
 //!    queued while the previous batch ran.
-//! 3. The data-parallel extract stage is sliced across a
-//!    [`WorkerPool`]; the batch-level finish stage runs once for the
-//!    whole batch; every completion is then called in submission order.
+//! 3. The batch runs as one [`BatchEngine::run`] call on the collector
+//!    thread, against one pinned engine snapshot; every completion is
+//!    then called in submission order. The only parallelism inside a
+//!    batch is the engine's `nshd_tensor::par` kernels, as wide as
+//!    `par::threads()` read where the runtime was constructed.
 //!
 //! Serving statistics (requests/s, batch-size histogram, p50/p95/p99
 //! latency, queue-wait vs. execute time) are accounted through
@@ -27,7 +29,7 @@
 //! [`nshd_obs::ServingMetrics::to_json`]. When a global [`nshd_obs`] recorder is
 //! installed, every executed batch additionally opens a `request` span
 //! under which the engine's extract/encode/score stage spans nest —
-//! including extract work sliced across pool workers.
+//! including spans opened on `nshd_tensor::par` kernel workers.
 //!
 //! The engine abstraction is [`BatchEngine`]; the NSHD implementation
 //! is [`nshd_core::NshdEngine`], whose batched predictions are
@@ -65,7 +67,7 @@
 //! let engine = Arc::new(NshdEngine::new(&model)?);
 //! let runtime = InferenceRuntime::new(
 //!     engine,
-//!     RuntimeConfig { workers: 4, max_batch: 32, ..RuntimeConfig::default() },
+//!     RuntimeConfig { max_batch: 32, ..RuntimeConfig::default() },
 //! )?;
 //! let handles: Vec<_> = images
 //!     .into_iter()
@@ -84,16 +86,13 @@
 mod batcher;
 mod chaos;
 mod engine;
-mod pool;
 mod replica;
 mod retry;
 
 pub use batcher::{InferenceRuntime, PredictionHandle, RuntimeConfig, WaitOutcome};
 pub use chaos::{ChaosEngine, ChaosMode, ChaosSwitch};
 pub use engine::BatchEngine;
-pub use pool::WorkerPool;
 pub use replica::{
-    ClusterConfig, ClusterHandle, ClusterMetrics, ClusterReply, Failover, FailoverLoop,
-    ReplicaMetrics, ReplicaSet,
+    ClusterConfig, ClusterMetrics, ClusterReply, Failover, FailoverLoop, ReplicaMetrics, ReplicaSet,
 };
 pub use retry::{BreakerConfig, ReplicaState, RetryPolicy};

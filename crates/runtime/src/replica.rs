@@ -58,7 +58,7 @@ use std::time::Instant;
 /// Knobs for the replicated serving tier.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterConfig {
-    /// Per-replica batcher configuration (workers, `max_batch`).
+    /// Per-replica batcher configuration (`max_batch`).
     pub runtime: RuntimeConfig,
     /// Retry/backoff/deadline policy applied to every request.
     pub retry: RetryPolicy,
@@ -76,13 +76,21 @@ impl ClusterConfig {
     /// # Errors
     ///
     /// Returns [`PipelineError::Runtime`] when the per-replica runtime
-    /// config is unusable or `retry.max_attempts` is zero.
+    /// config is unusable, `retry.max_attempts` is zero, or
+    /// `retry.deadline` is zero (no request could ever be answered in
+    /// time, and the failover loop's deadline watch would spin).
     pub fn validate(&self) -> Result<(), PipelineError> {
         self.runtime.validate()?;
         if self.retry.max_attempts == 0 {
             return Err(PipelineError::Runtime {
                 stage: "config",
                 detail: "retry policy needs at least one attempt".into(),
+            });
+        }
+        if self.retry.deadline.is_zero() {
+            return Err(PipelineError::Runtime {
+                stage: "config",
+                detail: "retry policy needs a positive request deadline".into(),
             });
         }
         Ok(())
@@ -249,9 +257,8 @@ impl<E: BatchEngine> ReplicaSet<E> {
     /// health-routed dispatch, deadline-bounded wait, bounded retry with
     /// exponential backoff onto surviving replicas.
     ///
-    /// Equivalent to [`submit`](ReplicaSet::submit) followed immediately
-    /// by [`ClusterHandle::settle`]. Callers that must not block use
-    /// [`submit_then`](ReplicaSet::submit_then) instead.
+    /// Callers that must not block use [`submit_then`](ReplicaSet::submit_then)
+    /// instead.
     ///
     /// # Errors
     ///
@@ -264,25 +271,9 @@ impl<E: BatchEngine> ReplicaSet<E> {
     where
         E::Input: Clone,
     {
-        self.submit(input)?.settle()
-    }
-
-    /// Admits one request into the cluster without blocking on a reply:
-    /// the admission check runs (shedding with
-    /// [`PipelineError::Overloaded`] past the cap) and the end-to-end
-    /// deadline starts ticking, but no replica is contacted until the
-    /// returned [`ClusterHandle`] is [`settle`](ClusterHandle::settle)d.
-    /// The in-flight slot is held by the handle and released when it is
-    /// settled or dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Overloaded`] when the cluster already
-    /// has [`inflight_cap`](ReplicaSet::inflight_cap) requests in
-    /// flight.
-    pub fn submit(&self, input: E::Input) -> Result<ClusterHandle<'_, E>, PipelineError> {
-        let (start, guard) = self.admit()?;
-        Ok(ClusterHandle { set: self, input, start, _guard: guard })
+        // The guard holds the in-flight slot until the reply is in hand.
+        let (start, _inflight) = self.admit()?;
+        self.settle_admitted(input, start, 1, no_replica_error())
     }
 
     /// Serves one request without blocking: admission (shedding with
@@ -295,7 +286,7 @@ impl<E: BatchEngine> ReplicaSet<E> {
     /// Only failures leave the collector thread: an engine error, a dead
     /// or removed replica, or no admissible replica hands the request to
     /// `failover`'s [`FailoverLoop`], which retries it from attempt 2
-    /// exactly as [`ClusterHandle::settle`] would. A first attempt still
+    /// exactly as [`predict`](ReplicaSet::predict) would. A first attempt still
     /// pending at `start + retry.deadline` is answered with
     /// [`PipelineError::DeadlineExceeded`] by that loop; its late result
     /// is dropped. `done` is called exactly once unless the request is
@@ -384,7 +375,7 @@ impl<E: BatchEngine> ReplicaSet<E> {
         self.inflight.load(Ordering::Acquire)
     }
 
-    /// The retry loop behind [`ClusterHandle::settle`] (from attempt 1)
+    /// The retry loop behind [`predict`](ReplicaSet::predict) (from attempt 1)
     /// and the failover loop (from attempt 2, after the completion
     /// path's first attempt failed with `last_error`): health-routed
     /// dispatch, deadline-bounded wait, exponential backoff onto
@@ -715,41 +706,6 @@ impl Drop for InflightGuard {
     }
 }
 
-/// An admitted-but-unserved request: the two-step surface behind
-/// [`ReplicaSet::predict`], for callers that separate admission from
-/// the blocking retry loop.
-///
-/// The handle owns the request's in-flight slot; dropping it without
-/// settling releases the slot and serves nothing.
-#[must_use = "an admitted request serves nothing until settled"]
-pub struct ClusterHandle<'a, E: BatchEngine> {
-    set: &'a ReplicaSet<E>,
-    input: E::Input,
-    start: Instant,
-    _guard: InflightGuard,
-}
-
-impl<E: BatchEngine> ClusterHandle<'_, E> {
-    /// Drives the admitted request to completion: health-routed
-    /// dispatch, deadline-bounded wait (the budget started at
-    /// [`submit`](ReplicaSet::submit) time), bounded retry with
-    /// exponential backoff onto surviving replicas. Consumes the handle
-    /// and releases the in-flight slot.
-    ///
-    /// # Errors
-    ///
-    /// - [`PipelineError::DeadlineExceeded`] — the end-to-end budget ran
-    ///   out before any replica answered;
-    /// - [`PipelineError::Unavailable`] — every attempt failed; `last`
-    ///   carries the final attempt's error.
-    pub fn settle(self) -> Result<ClusterReply<E::Output>, PipelineError>
-    where
-        E::Input: Clone,
-    {
-        self.set.settle_admitted(self.input, self.start, 1, no_replica_error())
-    }
-}
-
 /// The caller's side of one request on the completion path: its
 /// completion and the in-flight slot it holds until answered.
 struct Answer<O> {
@@ -932,7 +888,7 @@ impl<E: BatchEngine> FailoverLoop<E> {
     /// every request submitted before that has been answered.
     ///
     /// Each failed first attempt runs the blocking retry loop of
-    /// [`ClusterHandle::settle`] from attempt 2, on this thread; deadline
+    /// [`ReplicaSet::predict`] from attempt 2, on this thread; deadline
     /// expiries queued behind it wait for it to finish.
     pub fn run(self, set: &ReplicaSet<E>)
     where

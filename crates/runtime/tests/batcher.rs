@@ -1,8 +1,8 @@
 //! Micro-batcher behaviour tests against a mock engine: a work-conserving
 //! collector (no linger, batches formed from what queued), submission-
-//! order results under out-of-order worker completion, contained
-//! completion faults, idle shutdown, and shutdown with in-flight
-//! requests.
+//! order results, the kernel thread count pinned at construction,
+//! contained completion faults, idle shutdown, and shutdown with
+//! in-flight requests.
 //!
 //! Tests that need a multi-request batch form it explicitly: a
 //! [`ChaosMode::Hold`] plug request holds the collector inside its batch
@@ -13,23 +13,21 @@ use nshd_core::PipelineError;
 use nshd_runtime::{
     BatchEngine, ChaosEngine, ChaosMode, ChaosSwitch, InferenceRuntime, RuntimeConfig,
 };
+use nshd_tensor::par;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Echoes request ids through an affine map, sleeping per chunk by the
-/// largest requested delay so tests can force worker completion order.
+/// Echoes request ids through an affine map, sleeping per batch by the
+/// largest requested delay so tests can keep a batch in flight.
 struct MockEngine {
     batch_sizes: Mutex<Vec<usize>>,
-    finish_calls: AtomicUsize,
+    run_calls: AtomicUsize,
 }
 
 impl MockEngine {
     fn new() -> Arc<Self> {
-        Arc::new(MockEngine {
-            batch_sizes: Mutex::new(Vec::new()),
-            finish_calls: AtomicUsize::new(0),
-        })
+        Arc::new(MockEngine { batch_sizes: Mutex::new(Vec::new()), run_calls: AtomicUsize::new(0) })
     }
 
     fn batch_sizes(&self) -> Vec<usize> {
@@ -38,9 +36,8 @@ impl MockEngine {
 }
 
 impl BatchEngine for MockEngine {
-    /// `(id, delay_ms)` — the delay stalls whichever worker gets it.
+    /// `(id, delay_ms)` — the delay stalls the batch holding it.
     type Input = (u64, u64);
-    type Partial = u64;
     type Output = u64;
     type Snapshot = ();
 
@@ -48,33 +45,29 @@ impl BatchEngine for MockEngine {
         Arc::new(())
     }
 
-    fn extract(&self, _snapshot: &(), chunk: &[(u64, u64)]) -> Result<Vec<u64>, PipelineError> {
-        let delay = chunk.iter().map(|&(_, d)| d).max().unwrap_or(0);
+    fn run(&self, _snapshot: &(), batch: &[(u64, u64)]) -> Result<Vec<u64>, PipelineError> {
+        let delay = batch.iter().map(|&(_, d)| d).max().unwrap_or(0);
         if delay > 0 {
             std::thread::sleep(Duration::from_millis(delay));
         }
         // Poisoned ids simulate a malformed request rejected mid-batch.
-        if chunk.iter().any(|&(id, _)| id == POISON) {
+        if batch.iter().any(|&(id, _)| id == POISON) {
             return Err(PipelineError::EmptyBatch);
         }
-        Ok(chunk.iter().map(|&(id, _)| id).collect())
-    }
-
-    fn finish(&self, _snapshot: &(), partials: Vec<u64>) -> Result<Vec<u64>, PipelineError> {
-        self.batch_sizes.lock().unwrap().push(partials.len());
-        self.finish_calls.fetch_add(1, Ordering::SeqCst);
-        Ok(partials.into_iter().map(|id| id * 3 + 7).collect())
+        self.batch_sizes.lock().unwrap().push(batch.len());
+        self.run_calls.fetch_add(1, Ordering::SeqCst);
+        Ok(batch.iter().map(|&(id, _)| id * 3 + 7).collect())
     }
 }
 
 const WAIT: Duration = Duration::from_secs(20);
 
 /// Waits until `switch` has injected `n` faults: with
-/// [`ChaosMode::Hold`], until `n` extract calls are held.
+/// [`ChaosMode::Hold`], until `n` batches are held.
 fn wait_injected(switch: &ChaosSwitch, n: u64) {
     let started = Instant::now();
     while switch.injected() < n {
-        assert!(started.elapsed() < WAIT, "the plug never reached extract");
+        assert!(started.elapsed() < WAIT, "the plug never reached the engine");
         std::thread::sleep(Duration::from_millis(1));
     }
 }
@@ -99,7 +92,7 @@ fn tail_batch_flushes_on_deadline() {
     let engine = MockEngine::new();
     let runtime = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 1, max_batch: 64, ..RuntimeConfig::default() },
+        RuntimeConfig { max_batch: 64, ..RuntimeConfig::default() },
     )
     .unwrap();
     // Far fewer requests than max_batch: the collector must run what it
@@ -125,18 +118,16 @@ fn tail_batch_flushes_on_deadline() {
 #[test]
 fn results_follow_submission_order_despite_out_of_order_workers() {
     let engine = MockEngine::new();
-    let (runtime, switch) = plugged_runtime(
-        &engine,
-        RuntimeConfig { workers: 4, max_batch: 16, ..RuntimeConfig::default() },
-    );
+    let (runtime, switch) =
+        plugged_runtime(&engine, RuntimeConfig { max_batch: 16, ..RuntimeConfig::default() });
     // Plug the collector so the 16 requests below queue behind it and
     // run as one 16-request batch once the plug is released.
     switch.set(ChaosMode::Hold);
     let plug = runtime.submit((PLUG, 0)).unwrap();
     wait_injected(&switch, 1);
-    // The first chunk of the batch (lowest ids) is the slowest, so the
-    // later chunks complete first; reassembly must still route result
-    // `id*3+7` to the handle that submitted `id`.
+    // The lowest ids carry the longest delays, so the batch stays in
+    // flight a while; its outputs must still reach their requests in
+    // order, result `id*3+7` to the handle that submitted `id`.
     let handles: Vec<_> =
         (0..16u64).map(|id| runtime.submit((id, if id < 4 { 60 } else { 0 })).unwrap()).collect();
     switch.set(ChaosMode::Healthy);
@@ -155,7 +146,11 @@ fn a_lone_request_never_waits_for_max_wait() {
     let engine = MockEngine::new();
     let runtime = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 1, max_batch: 16, max_wait: Duration::from_secs(10) },
+        RuntimeConfig {
+            max_batch: 16,
+            max_wait: Duration::from_secs(10),
+            ..RuntimeConfig::default()
+        },
     )
     .unwrap();
     let started = Instant::now();
@@ -173,10 +168,8 @@ fn a_lone_request_never_waits_for_max_wait() {
 fn requests_queued_behind_a_plugged_batch_run_as_full_batches() {
     for (queued, expected) in [(5usize, vec![1, 5]), (20, vec![1, 8, 8, 4])] {
         let engine = MockEngine::new();
-        let (runtime, switch) = plugged_runtime(
-            &engine,
-            RuntimeConfig { workers: 2, max_batch: 8, ..RuntimeConfig::default() },
-        );
+        let (runtime, switch) =
+            plugged_runtime(&engine, RuntimeConfig { max_batch: 8, ..RuntimeConfig::default() });
         switch.set(ChaosMode::Hold);
         let plug = runtime.submit((PLUG, 0)).unwrap();
         wait_injected(&switch, 1);
@@ -196,10 +189,8 @@ fn requests_queued_behind_a_plugged_batch_run_as_full_batches() {
 #[test]
 fn panicking_or_dropped_completions_never_kill_the_collector() {
     let engine = MockEngine::new();
-    let (runtime, switch) = plugged_runtime(
-        &engine,
-        RuntimeConfig { workers: 1, max_batch: 8, ..RuntimeConfig::default() },
-    );
+    let (runtime, switch) =
+        plugged_runtime(&engine, RuntimeConfig { max_batch: 8, ..RuntimeConfig::default() });
     // One batch holding a panicking completion, a dropped handle, and a
     // live handle: the live one is still answered.
     switch.set(ChaosMode::Hold);
@@ -226,7 +217,7 @@ fn zero_request_idle_shutdown() {
     let metrics = runtime.shutdown(); // must not hang
     assert_eq!(metrics.requests, 0);
     assert_eq!(metrics.batches, 0);
-    assert_eq!(engine.finish_calls.load(Ordering::SeqCst), 0);
+    assert_eq!(engine.run_calls.load(Ordering::SeqCst), 0);
     assert_eq!(metrics.requests_per_sec, 0.0);
 }
 
@@ -235,7 +226,7 @@ fn shutdown_with_in_flight_requests_answers_everything() {
     let engine = MockEngine::new();
     let runtime = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 2, max_batch: 4, ..RuntimeConfig::default() },
+        RuntimeConfig { max_batch: 4, ..RuntimeConfig::default() },
     )
     .unwrap();
     // Slow batches guarantee requests are still queued or executing
@@ -257,7 +248,7 @@ fn max_batch_bounds_every_executed_batch() {
     let engine = MockEngine::new();
     let runtime = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 2, max_batch: 8, ..RuntimeConfig::default() },
+        RuntimeConfig { max_batch: 8, ..RuntimeConfig::default() },
     )
     .unwrap();
     let handles: Vec<_> = (0..40u64).map(|id| runtime.submit((id, 0)).unwrap()).collect();
@@ -279,7 +270,7 @@ fn drop_without_shutdown_still_drains() {
     let handles: Vec<_> = {
         let runtime = InferenceRuntime::new(
             engine.clone(),
-            RuntimeConfig { workers: 2, max_batch: 4, ..RuntimeConfig::default() },
+            RuntimeConfig { max_batch: 4, ..RuntimeConfig::default() },
         )
         .unwrap();
         (0..6u64).map(|id| runtime.submit((id, 10)).unwrap()).collect()
@@ -295,20 +286,53 @@ fn misconfiguration_is_rejected_before_any_thread_spawns() {
     let engine = MockEngine::new();
     let Err(err) = InferenceRuntime::new(
         engine.clone(),
-        RuntimeConfig { workers: 0, max_batch: 8, ..RuntimeConfig::default() },
-    ) else {
-        panic!("zero workers accepted");
-    };
-    assert!(err.to_string().contains("worker"), "{err}");
-    let Err(err) = InferenceRuntime::new(
-        engine.clone(),
-        RuntimeConfig { workers: 2, max_batch: 0, ..RuntimeConfig::default() },
+        RuntimeConfig { max_batch: 0, ..RuntimeConfig::default() },
     ) else {
         panic!("zero max_batch accepted");
     };
     assert!(err.to_string().contains("batch"), "{err}");
-    // Neither rejected construction ran the engine.
-    assert_eq!(engine.finish_calls.load(Ordering::SeqCst), 0);
+    // The rejected construction never ran the engine.
+    assert_eq!(engine.run_calls.load(Ordering::SeqCst), 0);
+}
+
+/// Records the kernel thread count (`par::threads()`) each batch runs
+/// under.
+struct ThreadProbe {
+    seen: Mutex<Vec<usize>>,
+}
+
+impl BatchEngine for ThreadProbe {
+    type Input = u64;
+    type Output = u64;
+    type Snapshot = ();
+
+    fn snapshot(&self) -> Arc<()> {
+        Arc::new(())
+    }
+
+    fn run(&self, _snapshot: &(), batch: &[u64]) -> Result<Vec<u64>, PipelineError> {
+        self.seen.lock().unwrap().push(par::threads());
+        Ok(batch.to_vec())
+    }
+}
+
+#[test]
+fn kernels_run_at_the_thread_count_seen_at_construction() {
+    for threads in [3, 1] {
+        let probe = Arc::new(ThreadProbe { seen: Mutex::new(Vec::new()) });
+        // The override is only active while the runtime is constructed;
+        // the collector must carry it over to every batch it runs.
+        let runtime = par::with_threads(threads, || {
+            InferenceRuntime::new(probe.clone(), RuntimeConfig::default()).unwrap()
+        });
+        for id in 0..3u64 {
+            assert_eq!(runtime.submit(id).unwrap().wait_timeout(WAIT).ready(), Some(Ok(id)));
+        }
+        runtime.shutdown();
+        let seen = probe.seen.lock().unwrap().clone();
+        assert!(!seen.is_empty());
+        assert!(seen.iter().all(|&t| t == threads), "built at {threads}, ran at {seen:?}");
+    }
 }
 
 /// An engine whose static verification fails: construction must refuse
@@ -317,7 +341,6 @@ struct BrokenEngine;
 
 impl BatchEngine for BrokenEngine {
     type Input = ();
-    type Partial = ();
     type Output = ();
     type Snapshot = ();
 
@@ -325,11 +348,7 @@ impl BatchEngine for BrokenEngine {
         Arc::new(())
     }
 
-    fn extract(&self, _snapshot: &(), _chunk: &[()]) -> Result<Vec<()>, PipelineError> {
-        unreachable!("a rejected engine must never run");
-    }
-
-    fn finish(&self, _snapshot: &(), _partials: Vec<()>) -> Result<Vec<()>, PipelineError> {
+    fn run(&self, _snapshot: &(), _batch: &[()]) -> Result<Vec<()>, PipelineError> {
         unreachable!("a rejected engine must never run");
     }
 
@@ -349,11 +368,13 @@ fn engine_failing_verification_is_rejected_at_construction() {
 #[test]
 fn a_failed_batch_fails_only_its_own_handles() {
     let engine = MockEngine::new();
-    let runtime = InferenceRuntime::new(
-        engine.clone(),
-        RuntimeConfig { workers: 2, max_batch: 4, ..RuntimeConfig::default() },
-    )
-    .unwrap();
+    let (runtime, switch) =
+        plugged_runtime(&engine, RuntimeConfig { max_batch: 4, ..RuntimeConfig::default() });
+    // Plug the collector so the four requests below queue behind it and
+    // run as one batch.
+    switch.set(ChaosMode::Hold);
+    let plug = runtime.submit((PLUG, 0)).unwrap();
+    wait_injected(&switch, 1);
     // One poisoned request: its whole batch errors, every handle in
     // that batch gets the engine's error rather than hanging.
     let bad: Vec<_> = (0..4)
@@ -362,6 +383,8 @@ fn a_failed_batch_fails_only_its_own_handles() {
             runtime.submit((id, 0)).unwrap()
         })
         .collect();
+    switch.set(ChaosMode::Healthy);
+    assert_eq!(plug.wait_timeout(WAIT).ready(), Some(Ok(PLUG * 3 + 7)));
     for h in bad {
         assert!(h.wait_timeout(WAIT).ready().expect("handle must resolve").is_err());
     }
@@ -375,12 +398,10 @@ fn a_failed_batch_fails_only_its_own_handles() {
 fn wait_timeout_distinguishes_pending_from_ready() {
     use nshd_runtime::WaitOutcome;
     let engine = MockEngine::new();
-    let runtime = InferenceRuntime::new(
-        engine,
-        RuntimeConfig { workers: 1, max_batch: 1, ..RuntimeConfig::default() },
-    )
-    .unwrap();
-    // A 200 ms extract keeps the request in flight past the short wait.
+    let runtime =
+        InferenceRuntime::new(engine, RuntimeConfig { max_batch: 1, ..RuntimeConfig::default() })
+            .unwrap();
+    // A 200 ms batch keeps the request in flight past the short wait.
     let h = runtime.submit((1, 200)).unwrap();
     assert!(
         matches!(h.wait_timeout(Duration::from_millis(5)), WaitOutcome::Timeout),
@@ -391,14 +412,13 @@ fn wait_timeout_distinguishes_pending_from_ready() {
     runtime.shutdown();
 }
 
-/// An engine that panics in extract: with one worker the extract stage
-/// runs on the collector thread, so the panic kills the collector and
-/// every pending reply sender is dropped without an answer.
+/// An engine that panics in `run`: a batch runs on the collector
+/// thread, so the panic kills the collector and every pending reply
+/// sender is dropped without an answer.
 struct PanickingEngine;
 
 impl BatchEngine for PanickingEngine {
     type Input = u64;
-    type Partial = u64;
     type Output = u64;
     type Snapshot = ();
 
@@ -406,12 +426,8 @@ impl BatchEngine for PanickingEngine {
         Arc::new(())
     }
 
-    fn extract(&self, _snapshot: &(), _chunk: &[u64]) -> Result<Vec<u64>, PipelineError> {
+    fn run(&self, _snapshot: &(), _batch: &[u64]) -> Result<Vec<u64>, PipelineError> {
         panic!("injected collector death");
-    }
-
-    fn finish(&self, _snapshot: &(), partials: Vec<u64>) -> Result<Vec<u64>, PipelineError> {
-        Ok(partials)
     }
 }
 
@@ -420,7 +436,7 @@ fn dead_runtime_reports_worker_gone_not_timeout() {
     use nshd_runtime::WaitOutcome;
     let runtime = InferenceRuntime::new(
         Arc::new(PanickingEngine),
-        RuntimeConfig { workers: 1, max_batch: 4, ..RuntimeConfig::default() },
+        RuntimeConfig { max_batch: 4, ..RuntimeConfig::default() },
     )
     .unwrap();
     let h = runtime.submit(1).unwrap();

@@ -32,7 +32,6 @@ impl CountingEngine {
 
 impl BatchEngine for CountingEngine {
     type Input = u64;
-    type Partial = u64;
     type Output = u64;
     type Snapshot = ();
 
@@ -40,23 +39,18 @@ impl BatchEngine for CountingEngine {
         Arc::new(())
     }
 
-    fn extract(&self, _snapshot: &(), chunk: &[u64]) -> Result<Vec<u64>, PipelineError> {
-        Ok(chunk.to_vec())
-    }
-
-    fn finish(&self, _snapshot: &(), partials: Vec<u64>) -> Result<Vec<u64>, PipelineError> {
-        self.served.fetch_add(partials.len() as u64, Ordering::SeqCst);
-        Ok(partials.into_iter().map(|id| id * 3 + 7).collect())
+    fn run(&self, _snapshot: &(), batch: &[u64]) -> Result<Vec<u64>, PipelineError> {
+        self.served.fetch_add(batch.len() as u64, Ordering::SeqCst);
+        Ok(batch.iter().map(|id| id * 3 + 7).collect())
     }
 }
 
-/// An engine that panics in extract, killing its replica's collector
+/// An engine that panics in `run`, killing its replica's collector
 /// thread — the harshest fault: the runtime never answers the request.
 struct PanickingEngine;
 
 impl BatchEngine for PanickingEngine {
     type Input = u64;
-    type Partial = u64;
     type Output = u64;
     type Snapshot = ();
 
@@ -64,18 +58,14 @@ impl BatchEngine for PanickingEngine {
         Arc::new(())
     }
 
-    fn extract(&self, _snapshot: &(), _chunk: &[u64]) -> Result<Vec<u64>, PipelineError> {
+    fn run(&self, _snapshot: &(), _batch: &[u64]) -> Result<Vec<u64>, PipelineError> {
         panic!("chaos: injected collector death");
-    }
-
-    fn finish(&self, _snapshot: &(), partials: Vec<u64>) -> Result<Vec<u64>, PipelineError> {
-        Ok(partials)
     }
 }
 
 fn fast_cluster_config() -> ClusterConfig {
     ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 4, ..RuntimeConfig::default() },
+        runtime: RuntimeConfig { max_batch: 4, ..RuntimeConfig::default() },
         retry: RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),
@@ -182,7 +172,6 @@ mod dyn_engine {
 
     impl BatchEngine for Either {
         type Input = u64;
-        type Partial = u64;
         type Output = u64;
         type Snapshot = ();
 
@@ -190,17 +179,10 @@ mod dyn_engine {
             Arc::new(())
         }
 
-        fn extract(&self, _snapshot: &(), chunk: &[u64]) -> Result<Vec<u64>, PipelineError> {
+        fn run(&self, _snapshot: &(), batch: &[u64]) -> Result<Vec<u64>, PipelineError> {
             match self {
-                Either::Dead(e) => e.extract(&(), chunk),
-                Either::Alive(e) => e.extract(&(), chunk),
-            }
-        }
-
-        fn finish(&self, _snapshot: &(), partials: Vec<u64>) -> Result<Vec<u64>, PipelineError> {
-            match self {
-                Either::Dead(e) => e.finish(&(), partials),
-                Either::Alive(e) => e.finish(&(), partials),
+                Either::Dead(e) => e.run(&(), batch),
+                Either::Alive(e) => e.run(&(), batch),
             }
         }
     }

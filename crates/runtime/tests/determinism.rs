@@ -1,12 +1,12 @@
 //! End-to-end determinism: for a seeded trained NSHD model, predictions
 //! served through the batched runtime must exactly match per-sample
-//! `NshdModel::predict`, for any worker count and batch size.
+//! `NshdModel::predict`, for any kernel thread count and batch size.
 
 use nshd_core::{NshdConfig, NshdEngine, NshdModel};
 use nshd_data::{normalize_pair, ImageDataset, SynthSpec};
 use nshd_nn::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d, Model, Sequential};
 use nshd_runtime::{InferenceRuntime, RuntimeConfig};
-use nshd_tensor::{Rng, Tensor};
+use nshd_tensor::{par, Rng, Tensor};
 use std::sync::Arc;
 
 fn trained_model() -> (NshdModel, ImageDataset) {
@@ -41,11 +41,14 @@ fn batched_runtime_matches_sequential_predict_exactly() {
     let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
     let expected: Vec<usize> = images.iter().map(|img| model.predict(img)).collect();
 
-    for (workers, max_batch) in [(1usize, 1usize), (1, 8), (2, 4), (4, 16)] {
-        let runtime = InferenceRuntime::new(
-            engine.clone(),
-            RuntimeConfig { workers, max_batch, ..RuntimeConfig::default() },
-        )
+    for (threads, max_batch) in [(1usize, 1usize), (1, 8), (4, 4), (4, 16)] {
+        // The runtime's kernels run at the thread count seen here.
+        let runtime = par::with_threads(threads, || {
+            InferenceRuntime::new(
+                engine.clone(),
+                RuntimeConfig { max_batch, ..RuntimeConfig::default() },
+            )
+        })
         .expect("verified engine must serve");
         let handles: Vec<_> =
             images.iter().map(|img| runtime.submit(img.clone()).unwrap()).collect();
@@ -53,7 +56,7 @@ fn batched_runtime_matches_sequential_predict_exactly() {
             handles.into_iter().map(|h| h.wait().expect("batch must succeed")).collect();
         assert_eq!(
             served, expected,
-            "workers={workers} max_batch={max_batch}: batched predictions diverged"
+            "threads={threads} max_batch={max_batch}: batched predictions diverged"
         );
         let metrics = runtime.shutdown();
         assert_eq!(metrics.requests as usize, images.len());

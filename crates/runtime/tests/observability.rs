@@ -1,25 +1,27 @@
 //! Serving-runtime observability: every executed batch opens a `request`
-//! span, worker-side extract spans re-root under it (cross-thread
-//! context propagation), and queue-wait / execute summaries populate.
+//! span, extract spans opened on `par` kernel workers re-root under it
+//! (cross-thread context propagation), and queue-wait / execute
+//! summaries populate.
 
 use nshd_core::PipelineError;
 use nshd_obs::Recorder;
 use nshd_runtime::{BatchEngine, ChaosEngine, ChaosMode, InferenceRuntime, RuntimeConfig};
+use nshd_tensor::par;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Serialises tests that install the process-global recorder.
 static GLOBAL_RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
-/// A mock engine that opens an `extract` span in its extract stage —
-/// the same shape `NshdEngine` produces — so the test can assert the
-/// span lands under the batcher's `request` span even when extract
-/// runs on a pool worker thread.
+/// A mock engine that opens an `extract` span per request inside a
+/// 4-thread `par::par_map` region — the way `NshdEngine`'s kernels fan
+/// out — then a `score` span on the collector, so the test can assert
+/// that spans opened on kernel worker threads land under the batcher's
+/// `request` span.
 struct SpanningEngine;
 
 impl BatchEngine for SpanningEngine {
     type Input = u64;
-    type Partial = u64;
     type Output = u64;
     type Snapshot = ();
 
@@ -27,33 +29,34 @@ impl BatchEngine for SpanningEngine {
         Arc::new(())
     }
 
-    fn extract(&self, _snapshot: &(), chunk: &[u64]) -> Result<Vec<u64>, PipelineError> {
-        let _sp = nshd_obs::span("extract");
-        std::thread::sleep(Duration::from_millis(2));
-        Ok(chunk.to_vec())
-    }
-
-    fn finish(&self, _snapshot: &(), partials: Vec<u64>) -> Result<Vec<u64>, PipelineError> {
+    fn run(&self, _snapshot: &(), batch: &[u64]) -> Result<Vec<u64>, PipelineError> {
+        let extracted = par::with_threads(4, || {
+            par::par_map(batch, |&id| {
+                let _sp = nshd_obs::span("extract");
+                std::thread::sleep(Duration::from_millis(2));
+                id
+            })
+        });
         let _sp = nshd_obs::span("score");
-        Ok(partials.into_iter().map(|id| id + 1).collect())
+        Ok(extracted.into_iter().map(|id| id + 1).collect())
     }
 }
 
 /// Serves `requests` requests, the first one plugging the collector
 /// inside its batch until the rest have queued, so the rest run as
-/// multi-request batches (sliced across the pool when `workers > 1`).
-fn serve(workers: usize, requests: u64) -> nshd_obs::ServingMetrics {
+/// multi-request batches (fanned out across `par` workers).
+fn serve(requests: u64) -> nshd_obs::ServingMetrics {
     let (engine, switch) = ChaosEngine::new(Arc::new(SpanningEngine));
     let runtime = InferenceRuntime::new(
         Arc::new(engine),
-        RuntimeConfig { workers, max_batch: 8, ..RuntimeConfig::default() },
+        RuntimeConfig { max_batch: 8, ..RuntimeConfig::default() },
     )
     .unwrap();
     switch.set(ChaosMode::Hold);
     let plug = runtime.submit(0).unwrap();
     let started = Instant::now();
     while switch.injected() < 1 {
-        assert!(started.elapsed() < Duration::from_secs(20), "the plug never reached extract");
+        assert!(started.elapsed() < Duration::from_secs(20), "the plug never reached the engine");
         std::thread::sleep(Duration::from_millis(1));
     }
     let rest: Vec<_> = (1..requests).map(|id| runtime.submit(id).unwrap()).collect();
@@ -71,7 +74,7 @@ fn batches_trace_request_spans_with_worker_extract_nested() {
     let recorder = Recorder::new();
     let previous = nshd_obs::install(recorder.clone());
 
-    let metrics = serve(4, 16);
+    let metrics = serve(16);
     nshd_obs::install(previous);
 
     assert_eq!(metrics.requests, 16);
@@ -87,8 +90,8 @@ fn batches_trace_request_spans_with_worker_extract_nested() {
     // Worker-side extract spans re-rooted under the batch's request
     // span — not recorded as orphan roots on the worker threads.
     let extract = stats.get("request/extract").expect("extract nested under request");
-    assert!(extract.count >= metrics.batches, "one extract span per chunk");
-    assert!(stats.contains_key("request/score"), "finish stage nested too");
+    assert!(extract.count >= metrics.batches, "one extract span per request");
+    assert!(stats.contains_key("request/score"), "score stage nested too");
     assert!(!stats.contains_key("extract"), "no orphan extract roots: {:?}", stats.keys());
 
     let report = recorder.report();
@@ -102,7 +105,7 @@ fn serving_without_a_recorder_traces_nothing() {
     let recorder = Recorder::new();
     let previous = nshd_obs::install(nshd_obs::Recorder::disabled());
 
-    let metrics = serve(2, 6);
+    let metrics = serve(6);
     nshd_obs::install(previous);
 
     // Serving statistics still accumulate (they are runtime-owned) ...

@@ -27,7 +27,6 @@ impl CountingEngine {
 
 impl BatchEngine for CountingEngine {
     type Input = u64;
-    type Partial = u64;
     type Output = u64;
     type Snapshot = ();
 
@@ -35,19 +34,15 @@ impl BatchEngine for CountingEngine {
         Arc::new(())
     }
 
-    fn extract(&self, _snapshot: &(), chunk: &[u64]) -> Result<Vec<u64>, PipelineError> {
-        Ok(chunk.to_vec())
-    }
-
-    fn finish(&self, _snapshot: &(), partials: Vec<u64>) -> Result<Vec<u64>, PipelineError> {
-        self.served.fetch_add(partials.len() as u64, Ordering::SeqCst);
-        Ok(partials.into_iter().map(|id| id * 3 + 7).collect())
+    fn run(&self, _snapshot: &(), batch: &[u64]) -> Result<Vec<u64>, PipelineError> {
+        self.served.fetch_add(batch.len() as u64, Ordering::SeqCst);
+        Ok(batch.iter().map(|id| id * 3 + 7).collect())
     }
 }
 
 fn cluster_config() -> ClusterConfig {
     ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 4, ..RuntimeConfig::default() },
+        runtime: RuntimeConfig { max_batch: 4, ..RuntimeConfig::default() },
         retry: RetryPolicy {
             max_attempts: 2,
             base_backoff: Duration::from_millis(1),

@@ -16,7 +16,6 @@ struct OkEngine;
 
 impl BatchEngine for OkEngine {
     type Input = u64;
-    type Partial = u64;
     type Output = u64;
     type Snapshot = ();
 
@@ -24,12 +23,8 @@ impl BatchEngine for OkEngine {
         Arc::new(())
     }
 
-    fn extract(&self, _snapshot: &(), chunk: &[u64]) -> Result<Vec<u64>, PipelineError> {
-        Ok(chunk.to_vec())
-    }
-
-    fn finish(&self, _snapshot: &(), partials: Vec<u64>) -> Result<Vec<u64>, PipelineError> {
-        Ok(partials.into_iter().map(|id| id * 2 + 1).collect())
+    fn run(&self, _snapshot: &(), batch: &[u64]) -> Result<Vec<u64>, PipelineError> {
+        Ok(batch.iter().map(|id| id * 2 + 1).collect())
     }
 }
 
@@ -46,7 +41,6 @@ impl AlwaysFailEngine {
 
 impl BatchEngine for AlwaysFailEngine {
     type Input = u64;
-    type Partial = u64;
     type Output = u64;
     type Snapshot = ();
 
@@ -54,19 +48,15 @@ impl BatchEngine for AlwaysFailEngine {
         Arc::new(())
     }
 
-    fn extract(&self, _snapshot: &(), _chunk: &[u64]) -> Result<Vec<u64>, PipelineError> {
+    fn run(&self, _snapshot: &(), _batch: &[u64]) -> Result<Vec<u64>, PipelineError> {
         self.attempts.fetch_add(1, Ordering::SeqCst);
         Err(PipelineError::Runtime { stage: "test", detail: "injected failure".into() })
-    }
-
-    fn finish(&self, _snapshot: &(), partials: Vec<u64>) -> Result<Vec<u64>, PipelineError> {
-        Ok(partials)
     }
 }
 
 fn config(retry: RetryPolicy, breaker: BreakerConfig) -> ClusterConfig {
     ClusterConfig {
-        runtime: RuntimeConfig { workers: 1, max_batch: 4, ..RuntimeConfig::default() },
+        runtime: RuntimeConfig { max_batch: 4, ..RuntimeConfig::default() },
         retry,
         breaker,
         max_inflight: 0,
@@ -183,4 +173,19 @@ fn drain_called_twice_is_a_typed_error_and_the_set_keeps_serving() {
     assert_eq!(reply.value, 43);
     assert_eq!(reply.replica, 0);
     drop(set.shutdown());
+}
+
+/// A zero request deadline can never be met, and it would leave the
+/// failover loop's deadline watch waiting zero-length timeouts forever:
+/// construction must reject it, typed, before any replica starts.
+#[test]
+fn zero_request_deadline_is_rejected_at_construction() {
+    let zero = RetryPolicy { deadline: Duration::ZERO, ..RetryPolicy::default() };
+    match ReplicaSet::new(vec![Arc::new(OkEngine)], config(zero, BreakerConfig::default())) {
+        Err(PipelineError::Runtime { stage: "config", detail }) => {
+            assert!(detail.contains("deadline"), "unexpected detail: {detail}");
+        }
+        Err(other) => panic!("expected a config error, got {other:?}"),
+        Ok(_) => panic!("a zero request deadline was accepted"),
+    }
 }

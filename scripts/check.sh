@@ -83,9 +83,10 @@ echo "==> cargo doc (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "==> serve_bench --smoke"
-# Serving-runtime smoke: tiny model, 2 workers; asserts a well-formed
-# JSON report (BENCH_serve.json, with per-stage trace + GFLOP/s) and
-# batched == sequential predictions (exits non-zero otherwise).
+# Serving-runtime smoke: tiny model, one engine call per batch;
+# asserts a well-formed JSON report (BENCH_serve.json, with per-stage
+# trace + GFLOP/s) and batched == sequential predictions (exits
+# non-zero otherwise).
 cargo run --release -q -p nshd-bench --bin serve_bench -- --smoke
 
 echo "==> kernel_bench --smoke"

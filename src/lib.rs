@@ -17,8 +17,8 @@
 //! - [`hdc`] — hypervectors, encoders, associative memory, MASS and
 //!   distillation retraining;
 //! - [`core`] — the NSHD pipeline and the paper's baselines;
-//! - [`runtime`] — batched, multi-threaded inference serving
-//!   (micro-batching queue, worker pool, latency metrics);
+//! - [`runtime`] — batched inference serving (micro-batching queue,
+//!   one engine call per batch, latency metrics);
 //! - [`net`] — the TCP serving front end: the compact `nshd-wire/v1`
 //!   binary protocol (f32 / INT8 / bit-packed payloads), a threaded
 //!   pipelined server over the replicated cluster, and a blocking
