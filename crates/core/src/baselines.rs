@@ -3,12 +3,13 @@
 
 use crate::robust::PipelineError;
 use crate::scaler::FeatureScaler;
+use crate::symbolizer::{extract, Symbolizer};
 use nshd_data::ImageDataset;
 use nshd_hdc::{
     bundle_init, AssociativeMemory, BipolarHv, MassTrainer, NonlinearEncoder, RandomProjection,
 };
-use nshd_nn::{evaluate as nn_evaluate, Mode, Model};
-use nshd_tensor::{Tensor, TensorError};
+use nshd_nn::{evaluate as nn_evaluate, Model};
+use nshd_tensor::Tensor;
 
 /// A trained image classifier that can be scored on a dataset.
 pub trait Classifier {
@@ -47,28 +48,15 @@ pub trait EmbeddingClassifier: Classifier {
     fn extractor(&self) -> (Model, usize);
 }
 
-/// Shared [`EmbeddingClassifier::embed_batch`] implementation: stack,
-/// run the truncated teacher once, flatten to `N×E`, and reject
-/// non-finite values.
+/// Shared [`EmbeddingClassifier::embed_batch`] implementation:
+/// [`extract`] (input checks, one truncated-CNN pass), flattened to
+/// `N×E`, with non-finite values rejected.
 fn embed_with(teacher: &Model, cut: usize, images: &[Tensor]) -> Result<Tensor, PipelineError> {
     let embedding = teacher.feature_len_at(cut);
     if images.is_empty() {
         return Ok(Tensor::zeros([0, embedding]));
     }
-    for image in images {
-        if image.dims() != teacher.input_shape {
-            return Err(TensorError::IncompatibleShapes {
-                lhs: teacher.input_shape.clone(),
-                rhs: image.dims().to_vec(),
-            }
-            .into());
-        }
-        if image.as_slice().iter().any(|v| !v.is_finite()) {
-            return Err(PipelineError::NonFiniteActivation { stage: "embedding input" });
-        }
-    }
-    let batch = Tensor::stack(images)?;
-    let feats = teacher.infer_features_at(&batch, cut);
+    let feats = extract(teacher, cut, images)?;
     if feats.as_slice().iter().any(|v| !v.is_finite()) {
         return Err(PipelineError::NonFiniteActivation { stage: "embedding" });
     }
@@ -133,12 +121,13 @@ impl Classifier for VanillaHd {
 /// random-projection encoded (no manifold layer) with plain MASS
 /// retraining (no distillation).
 pub struct BaselineHd {
-    teacher: Model,
-    cut: usize,
-    scaler: FeatureScaler,
-    projection: RandomProjection,
+    symbolizer: Symbolizer,
     memory: AssociativeMemory,
 }
+
+/// Images per truncated-CNN pass when BaselineHD extracts or
+/// classifies a dataset.
+const CHUNK: usize = 64;
 
 impl BaselineHd {
     /// Trains BaselineHD from a (pre-trained) teacher CNN truncated at
@@ -146,9 +135,10 @@ impl BaselineHd {
     ///
     /// # Panics
     ///
-    /// Panics if the dataset is empty or `cut` exceeds the feature stack.
+    /// Panics if the dataset is empty, `cut` exceeds the feature stack,
+    /// or the teacher fails static verification.
     pub fn train(
-        mut teacher: Model,
+        teacher: Model,
         train: &ImageDataset,
         cut: usize,
         dim: usize,
@@ -157,63 +147,75 @@ impl BaselineHd {
     ) -> Self {
         assert!(!train.is_empty(), "cannot train on an empty dataset");
         assert!(cut <= teacher.features.len(), "cut {cut} exceeds feature stack");
-        let features = teacher.feature_len_at(cut);
-        let projection = RandomProjection::new(features, dim, seed);
-        // Extract once, standardise per feature (see `FeatureScaler`),
-        // then encode.
-        let feats: Vec<Tensor> = (0..train.len())
-            .map(|i| {
-                let (img, _) = train.sample(i);
-                let batched = img
-                    .reshape([1, img.dims()[0], img.dims()[1], img.dims()[2]])
-                    .expect("CHW image");
-                teacher.features_at(&batched, cut, Mode::Eval).batch_item(0)
+        // Extract once in bounded chunks, standardise per feature (see
+        // `FeatureScaler`), then encode.
+        let feats: Vec<Tensor> = train
+            .batches(CHUNK)
+            .flat_map(|(chunk, _)| {
+                let batch =
+                    extract(&teacher, cut, &chunk).expect("training images are well-formed");
+                (0..chunk.len()).map(move |b| batch.batch_item(b))
             })
             .collect();
         let scaler = FeatureScaler::fit(&feats);
+        let projection = RandomProjection::new(teacher.feature_len_at(cut), dim, seed);
+        let symbolizer = Symbolizer::new(teacher, cut, scaler, None, &projection)
+            .unwrap_or_else(|report| panic!("{report}"));
         let samples: Vec<(BipolarHv, usize)> = feats
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                let scaled = scaler.transform(f);
-                (projection.encode(scaled.as_slice()), train.sample(i).1)
+            .chunks(CHUNK)
+            .flat_map(|chunk| {
+                let rows: Vec<Vec<f32>> = chunk
+                    .iter()
+                    .map(|f| symbolizer.scaler().transform(f).as_slice().to_vec())
+                    .collect();
+                symbolizer.try_encode(&rows).expect("rows match the projection width")
             })
+            .zip(train.labels().iter().copied())
             .collect();
         let mut memory = bundle_init(train.num_classes(), dim, &samples);
         let trainer = MassTrainer::new(0.2);
         for _ in 0..epochs {
             trainer.epoch(&mut memory, &samples);
         }
-        BaselineHd { teacher, cut, scaler, projection, memory }
+        BaselineHd { symbolizer, memory }
     }
 
     /// The truncation point.
     pub fn cut(&self) -> usize {
-        self.cut
+        self.symbolizer.cut()
+    }
+
+    /// Symbolises a batch of CHW images.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an image disagrees with the teacher's input shape or
+    /// holds non-finite values.
+    fn symbolize_batch(&self, images: &[Tensor]) -> Vec<BipolarHv> {
+        self.symbolizer.try_symbolize(images).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Symbolises one CHW image.
-    pub fn symbolize(&mut self, image: &Tensor) -> BipolarHv {
-        let batched = image
-            .reshape([1, image.dims()[0], image.dims()[1], image.dims()[2]])
-            .expect("CHW image");
-        let feats = self.teacher.features_at(&batched, self.cut, Mode::Eval);
-        let scaled = self.scaler.transform(&feats.batch_item(0));
-        self.projection.encode(scaled.as_slice())
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image disagrees with the teacher's input shape or
+    /// holds non-finite values.
+    pub fn symbolize(&self, image: &Tensor) -> BipolarHv {
+        self.symbolize_batch(std::slice::from_ref(image)).remove(0)
     }
 }
 
 impl Classifier for BaselineHd {
     fn name(&self) -> String {
-        format!("BaselineHD({}@{})", self.teacher.name, self.cut)
+        format!("BaselineHD({}@{})", self.symbolizer.extractor().name, self.cut())
     }
 
     fn evaluate(&mut self, dataset: &ImageDataset) -> f32 {
-        let samples: Vec<(BipolarHv, usize)> = (0..dataset.len())
-            .map(|i| {
-                let (img, label) = dataset.sample(i);
-                (self.symbolize(&img), label)
-            })
+        let samples: Vec<(BipolarHv, usize)> = dataset
+            .batches(CHUNK)
+            .flat_map(|(images, _)| self.symbolize_batch(&images))
+            .zip(dataset.labels().iter().copied())
             .collect();
         self.memory.accuracy(&samples)
     }
@@ -332,6 +334,48 @@ mod tests {
         assert!(acc > 0.15, "BaselineHD accuracy {acc}");
         assert!(baseline.name().starts_with("BaselineHD"));
         assert_eq!(baseline.cut(), 8);
+    }
+
+    #[test]
+    fn baseline_hd_batched_path_is_bit_identical_to_per_sample_reference() {
+        let (train, test) = data();
+        let mut teacher = Architecture::EfficientNetB0.build(10, &mut Rng::new(9));
+        // One epoch moves the batch-norm running statistics off their
+        // initial values, so the eval path really normalises.
+        let config = TrainConfig { epochs: 1, batch_size: 32, seed: 4, ..TrainConfig::default() };
+        fit(&mut teacher, train.images(), train.labels(), &mut Adam::new(2e-3, 1e-5), &config);
+        let (cut, dim, epochs, seed) = (8, 1_000, 2, 11);
+
+        // The per-sample `&mut` reference: one eval-mode forward per
+        // image, a scaler fitted over the same training images, the
+        // bit-serial projection encoder, and MASS retraining.
+        let mut reference = teacher.clone();
+        let mut features = |image: Tensor| {
+            let batched = image.reshape([1, 3, 32, 32]).unwrap();
+            reference.features_at(&batched, cut, nshd_nn::Mode::Eval).batch_item(0)
+        };
+        let train_feats: Vec<Tensor> =
+            (0..train.len()).map(|i| features(train.sample(i).0)).collect();
+        let test_feats: Vec<Tensor> = (0..test.len()).map(|i| features(test.sample(i).0)).collect();
+        let scaler = FeatureScaler::fit(&train_feats);
+        let projection = RandomProjection::new(teacher.feature_len_at(cut), dim, seed);
+        let encode = |f: &Tensor| projection.encode(scaler.transform(f).as_slice());
+        let samples: Vec<(BipolarHv, usize)> =
+            train_feats.iter().map(encode).zip(train.labels().iter().copied()).collect();
+        let mut memory = bundle_init(train.num_classes(), dim, &samples);
+        for _ in 0..epochs {
+            MassTrainer::new(0.2).epoch(&mut memory, &samples);
+        }
+
+        let baseline = BaselineHd::train(teacher, &train, cut, dim, epochs, seed);
+        assert_eq!(baseline.memory, memory, "trained class memory diverged");
+        let want: Vec<BipolarHv> = test_feats.iter().map(encode).collect();
+        let (images, _) = test.batches(60).next().unwrap();
+        assert_eq!(images.len(), 60);
+        assert_eq!(baseline.symbolizer.try_symbolize(&images).unwrap(), want);
+        for (image, hv) in images.iter().zip(&want) {
+            assert_eq!(&baseline.symbolize(image), hv);
+        }
     }
 
     #[test]

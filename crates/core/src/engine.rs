@@ -2,49 +2,40 @@
 //! runtime (`nshd-runtime`).
 //!
 //! [`NshdEngine`] snapshots a trained [`NshdModel`] into an immutable,
-//! `Send + Sync` form optimised for batch throughput:
-//!
-//! - images are stacked into one NCHW tensor and pushed through the
-//!   truncated teacher **once per batch** (`&self` inference path);
-//! - HD encoding runs as a single dense GEMM via
-//!   [`nshd_hdc::BatchEncoder`] instead of `N` bit-serial passes;
-//! - associative-memory scoring is one `matmul_bt` against the class
-//!   matrix instead of `N·k` scalar cosine loops.
+//! `Send + Sync` form optimised for batch throughput: a [`Symbolizer`]
+//! (one truncated-CNN pass per batch, one dense GEMM encode) in front
+//! of an [`HdScorer`] (one batch-scoring GEMM against the class
+//! memory).
 //!
 //! The serving runtime runs a batch as one call through both halves;
-//! they are also exposed separately ([`extract_values`] /
-//! [`finish_values`]) so benchmarks and traces can time the
+//! they are also exposed separately ([`try_extract_values`] /
+//! [`try_finish_values`]) so benchmarks and traces can time the
 //! convolutional half and the encode + scoring half on their own.
 //!
 //! **Determinism.** The produced hypervectors are bit-identical to
-//! [`NshdModel::symbolize`]: evaluation-mode CNN layers are
-//! batch-size-independent, and the GEMM encoder accumulates features in
-//! the same order (with the same zero-skip) as the bit-serial encoder.
-//! Similarity *scores* may differ from the sequential path in the last
-//! float bits (different dot-product lane structure), so equality is
-//! guaranteed at the argmax/prediction level, not the raw score level.
+//! [`NshdModel::symbolize`] (see [`Symbolizer`]). Similarity *scores*
+//! may differ from the sequential path in the last float bits
+//! (different dot-product lane structure), so equality is guaranteed
+//! at the argmax/prediction level, not the raw score level.
 //!
 //! **Quantised scoring.** The engine can serve the paper's §VI-B
 //! deployments directly: [`NshdEngine::with_scoring`] rebuilds its
-//! [`HdScorer`] for INT8 or bit-packed scoring, and [`finish_values`]
+//! [`HdScorer`] for INT8 or bit-packed scoring, and [`try_finish_values`]
 //! then scores through that backend's batch GEMM. Dense remains the
 //! default and the accuracy reference.
 //!
-//! [`extract_values`]: NshdEngine::extract_values
-//! [`finish_values`]: NshdEngine::finish_values
+//! [`try_extract_values`]: NshdEngine::try_extract_values
+//! [`try_finish_values`]: NshdEngine::try_finish_values
 
-use crate::manifold::ManifoldLearner;
 use crate::model::NshdModel;
 use crate::robust::PipelineError;
-use crate::scaler::FeatureScaler;
+use crate::symbolizer::Symbolizer;
 use crate::verify::{self, AnalysisReport};
 use nshd_data::ImageDataset;
 use nshd_hdc::{
-    AssociativeMemory, BatchEncoder, BipolarHv, FaultReport, FaultScenario, HdScorer, QueryHv,
-    ScoringMode,
+    AssociativeMemory, BipolarHv, FaultReport, FaultScenario, HdScorer, QueryHv, ScoringMode,
 };
-use nshd_nn::Model;
-use nshd_tensor::{Tensor, TensorError};
+use nshd_tensor::Tensor;
 use std::sync::Arc;
 
 /// An immutable, `Send + Sync` snapshot of a trained NSHD pipeline,
@@ -60,11 +51,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct NshdEngine {
-    teacher: Model,
-    cut: usize,
-    scaler: FeatureScaler,
-    manifold: Option<ManifoldLearner>,
-    encoder: BatchEncoder,
+    symbolizer: Symbolizer,
     scorer: HdScorer,
 }
 
@@ -89,14 +76,15 @@ impl NshdEngine {
     #[must_use = "the engine is only constructed when verification passes"]
     pub fn new(model: &NshdModel) -> Result<Self, AnalysisReport> {
         verify::verify_model(model)?;
-        Ok(NshdEngine {
-            teacher: model.teacher().clone(),
-            cut: model.config().cut,
-            scaler: model.scaler().clone(),
-            manifold: model.manifold().cloned(),
-            encoder: model.projection().batch_encoder(),
-            scorer: HdScorer::new(Arc::new(model.memory().clone()), ScoringMode::Dense),
-        })
+        let symbolizer = Symbolizer::new(
+            model.teacher().clone(),
+            model.config().cut,
+            model.scaler().clone(),
+            model.manifold().cloned(),
+            model.projection(),
+        )?;
+        let scorer = HdScorer::new(Arc::new(model.memory().clone()), ScoringMode::Dense);
+        Ok(NshdEngine { symbolizer, scorer })
     }
 
     /// Panicking convenience wrapper around [`NshdEngine::new`].
@@ -122,15 +110,11 @@ impl NshdEngine {
     /// Returns the [`AnalysisReport`] naming the first inconsistent
     /// stage.
     pub fn verify(&self) -> Result<(), AnalysisReport> {
-        let feat_shape = verify::verify_extractor(&self.teacher, self.cut)?;
-        verify::verify_stages(
-            &feat_shape,
-            self.scaler.len(),
-            self.manifold.as_ref(),
-            self.encoder.features(),
-            self.encoder.dim(),
+        self.symbolizer.verify()?;
+        verify::verify_memory(
             self.scorer.memory(),
-            self.teacher.num_classes,
+            self.symbolizer.encoder().dim(),
+            self.symbolizer.extractor().num_classes,
         )
     }
 
@@ -161,8 +145,8 @@ impl NshdEngine {
     /// Rebuilds the scoring stage for `mode` (paper §VI-B): `Dense`
     /// keeps f32 cosine scoring, `Int8`/`Packed` compile the class
     /// memory into the corresponding quantised deployment and route
-    /// [`finish_values`](NshdEngine::finish_values) through its batch
-    /// GEMM.
+    /// [`try_finish_values`](NshdEngine::try_finish_values) through its
+    /// batch GEMM.
     #[must_use]
     pub fn with_scoring(self, mode: ScoringMode) -> Self {
         NshdEngine { scorer: HdScorer::new(Arc::clone(self.scorer.memory()), mode), ..self }
@@ -173,106 +157,20 @@ impl NshdEngine {
         self.scorer.mode()
     }
 
-    /// Stage 1 — CNN feature extraction: stacks the CHW images into one
-    /// NCHW batch, runs the truncated teacher once, then standardises
-    /// and (optionally) manifold-compresses each sample. This is the
+    /// Stage 1 — CNN feature extraction through the engine's
+    /// [`Symbolizer`] ([`Symbolizer::try_embed`]). This is the
     /// compute-heavy half of a batch.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Tensor`] when an image's shape differs
     /// from the teacher's input shape, and
-    /// [`PipelineError::NonFiniteActivation`] when the extracted values
-    /// contain NaN/∞ (which would poison the argmax downstream).
+    /// [`PipelineError::NonFiniteActivation`] when an image or the
+    /// extracted values contain NaN/∞ (which would poison the argmax
+    /// downstream).
     #[must_use = "extraction can fail on malformed inputs"]
     pub fn try_extract_values(&self, images: &[Tensor]) -> Result<Vec<Vec<f32>>, PipelineError> {
-        if images.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _sp = nshd_obs::span("extract");
-        for image in images {
-            if image.dims() != self.teacher.input_shape {
-                return Err(TensorError::IncompatibleShapes {
-                    lhs: self.teacher.input_shape.clone(),
-                    rhs: image.dims().to_vec(),
-                }
-                .into());
-            }
-            // ReLU washes NaN inputs to zero, so poisoned images must be
-            // caught here rather than at the output check below.
-            if image.as_slice().iter().any(|v| !v.is_finite()) {
-                return Err(PipelineError::NonFiniteActivation { stage: "engine input" });
-            }
-        }
-        let batch = Tensor::stack(images)?;
-        let feats = self.teacher.infer_features_at(&batch, self.cut);
-        let values: Vec<Vec<f32>> = (0..images.len())
-            .map(|b| {
-                let feat = self.scaler.transform(&feats.batch_item(b));
-                match &self.manifold {
-                    Some(m) => m.forward(&feat).1,
-                    None => feat.as_slice().to_vec(),
-                }
-            })
-            .collect();
-        if values.iter().flatten().any(|v| !v.is_finite()) {
-            return Err(PipelineError::NonFiniteActivation { stage: "engine feature extraction" });
-        }
-        Ok(values)
-    }
-
-    /// Panicking wrapper around
-    /// [`try_extract_values`](NshdEngine::try_extract_values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if images disagree with the teacher's input shape or the
-    /// extracted values are non-finite.
-    pub fn extract_values(&self, images: &[Tensor]) -> Vec<Vec<f32>> {
-        match self.try_extract_values(images) {
-            Ok(values) => values,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Encodes extracted feature values into bipolar hypervectors with
-    /// one dense GEMM. Bit-identical to encoding each row through
-    /// [`NshdModel::symbolize`]'s per-sample path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Tensor`] when rows differ in length or
-    /// don't match the projection's feature width.
-    #[must_use = "encoding can fail on malformed value rows"]
-    pub fn try_encode_values(&self, values: &[Vec<f32>]) -> Result<Vec<BipolarHv>, PipelineError> {
-        if values.is_empty() {
-            return Ok(Vec::new());
-        }
-        for row in values {
-            if row.len() != self.encoder.features() {
-                return Err(TensorError::IncompatibleShapes {
-                    lhs: vec![self.encoder.features()],
-                    rhs: vec![row.len()],
-                }
-                .into());
-            }
-        }
-        let matrix = Tensor::from_rows(values)?;
-        let _sp = nshd_obs::span("encode");
-        Ok(self.encoder.encode_batch(&matrix))
-    }
-
-    /// Panicking wrapper around
-    /// [`try_encode_values`](NshdEngine::try_encode_values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows differ in length or don't match the projection.
-    pub fn encode_values(&self, values: &[Vec<f32>]) -> Vec<BipolarHv> {
-        match self.try_encode_values(values) {
-            Ok(hvs) => hvs,
-            Err(e) => panic!("{e}"),
-        }
+        self.symbolizer.try_embed(images)
     }
 
     /// Stage 2 — HD encode + associative scoring for a whole batch of
@@ -286,33 +184,32 @@ impl NshdEngine {
     /// don't match the projection's feature width.
     #[must_use = "scoring can fail on malformed value rows"]
     pub fn try_finish_values(&self, values: &[Vec<f32>]) -> Result<Vec<usize>, PipelineError> {
-        let hvs = self.try_encode_values(values)?;
+        let hvs = self.symbolizer.try_encode(values)?;
         let _sp = nshd_obs::span("score");
         Ok(self.scorer.predict(hvs.into_iter().map(QueryHv::Bipolar).collect()))
     }
 
-    /// Panicking wrapper around
-    /// [`try_finish_values`](NshdEngine::try_finish_values).
+    /// Symbolises a batch of CHW images into query hypervectors —
+    /// bit-identical to per-image [`NshdModel::symbolize`].
     ///
     /// # Panics
     ///
-    /// Panics if rows differ in length or don't match the projection.
-    pub fn finish_values(&self, values: &[Vec<f32>]) -> Vec<usize> {
-        match self.try_finish_values(values) {
-            Ok(preds) => preds,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Symbolises a batch of CHW images into query hypervectors —
-    /// bit-identical to per-image [`NshdModel::symbolize`].
+    /// Panics if images disagree with the teacher's input shape or the
+    /// extracted values are non-finite.
     pub fn symbolize_batch(&self, images: &[Tensor]) -> Vec<BipolarHv> {
-        self.encode_values(&self.extract_values(images))
+        self.symbolizer.try_symbolize(images).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Predicts classes for a batch of CHW images.
+    ///
+    /// # Panics
+    ///
+    /// Panics if images disagree with the teacher's input shape or the
+    /// extracted values are non-finite.
     pub fn predict_batch(&self, images: &[Tensor]) -> Vec<usize> {
-        self.finish_values(&self.extract_values(images))
+        self.try_extract_values(images)
+            .and_then(|values| self.try_finish_values(&values))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Predicts the class of a single CHW image (a batch of one).
@@ -326,20 +223,12 @@ impl NshdEngine {
         if dataset.is_empty() {
             return 0.0;
         }
-        const CHUNK: usize = 64;
-        let mut correct = 0usize;
-        let mut index = 0usize;
-        while index < dataset.len() {
-            let end = (index + CHUNK).min(dataset.len());
-            let images: Vec<Tensor> = (index..end).map(|i| dataset.sample(i).0).collect();
-            let preds = self.predict_batch(&images);
-            correct += preds
-                .iter()
-                .enumerate()
-                .filter(|(b, p)| **p == dataset.sample(index + b).1)
-                .count();
-            index = end;
-        }
+        let correct: usize = dataset
+            .batches(64)
+            .map(|(images, labels)| {
+                self.predict_batch(&images).iter().zip(labels).filter(|(p, l)| p == l).count()
+            })
+            .sum();
         correct as f32 / dataset.len() as f32
     }
 }
@@ -347,9 +236,9 @@ impl NshdEngine {
 impl std::fmt::Debug for NshdEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NshdEngine")
-            .field("teacher", &self.teacher.name)
-            .field("cut", &self.cut)
-            .field("manifold", &self.manifold.is_some())
+            .field("teacher", &self.symbolizer.extractor().name)
+            .field("cut", &self.symbolizer.cut())
+            .field("manifold", &self.symbolizer.manifold().is_some())
             .field("classes", &self.num_classes())
             .field("scoring", &self.scorer.mode().name())
             .finish()
@@ -507,7 +396,7 @@ mod tests {
     fn empty_batches_are_fine() {
         let (model, _) = trained_setup(false);
         let engine = NshdEngine::from_model(&model);
-        assert!(engine.extract_values(&[]).is_empty());
+        assert!(engine.try_extract_values(&[]).unwrap().is_empty());
         assert!(engine.predict_batch(&[]).is_empty());
         assert!(engine.symbolize_batch(&[]).is_empty());
         for mode in [ScoringMode::Int8, ScoringMode::Packed] {

@@ -7,7 +7,8 @@
 //!
 //! 1. **Symbolisation** `H = Φ_P(Ψ(conv(x)))`: a trained CNN truncated at
 //!    a configurable layer, the manifold learner Ψ (max-pool + FC
-//!    regressor to `F̂` features), and binary random-projection encoding.
+//!    regressor to `F̂` features), and binary random-projection encoding
+//!    — built once as the [`Symbolizer`] every batched path shares.
 //! 2. **Knowledge-distillation retraining** (Algorithm 1): MASS updates
 //!    blended with soft targets from the *uncut* teacher, so the knowledge
 //!    in the removed layers still reaches the HD model.
@@ -48,6 +49,7 @@ mod robust;
 mod scaler;
 mod serialize;
 mod serve;
+mod symbolizer;
 mod verify;
 
 pub use baselines::{BaselineHd, Classifier, CnnClassifier, EmbeddingClassifier, VanillaHd};
@@ -65,6 +67,7 @@ pub use robust::{DivergenceGuard, GuardVerdict, PipelineError, RollbackReason};
 pub use scaler::FeatureScaler;
 pub use serialize::load_pipeline;
 pub use serve::HdDeployEngine;
+pub use symbolizer::Symbolizer;
 pub use verify::{
     verify_ensemble, verify_model, verify_quantized, verify_teacher, AnalysisReport, EnsembleDims,
     Stage,

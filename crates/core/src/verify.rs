@@ -11,12 +11,14 @@
 //! the offending [`Stage`], the feature-layer index when applicable, and
 //! the expected/actual dimensions.
 //!
-//! The checks run at every construction boundary: [`NshdEngine::new`],
+//! The checks run at every construction boundary: [`Symbolizer::new`]
+//! (and so every `nshd-glue` head), [`NshdEngine::new`],
 //! [`NshdTrainer::try_prepare`] (and `prepare`, which panics with the
 //! report), and `nshd-runtime`'s `InferenceRuntime`, so a misconfigured
 //! model is rejected before any thread is spawned.
 //!
 //! [`Layer::shape_of`]: nshd_nn::Layer::shape_of
+//! [`Symbolizer::new`]: crate::Symbolizer::new
 //! [`NshdEngine::new`]: crate::NshdEngine::new
 //! [`NshdTrainer::try_prepare`]: crate::NshdTrainer::try_prepare
 
@@ -182,17 +184,13 @@ pub fn verify_teacher(teacher: &Model, config: &NshdConfig) -> Result<Vec<usize>
     verify_extractor(teacher, config.cut)
 }
 
-/// Checks every hand-off downstream of the extractor: scaler width,
-/// manifold input shape, projection columns, HD dimension versus memory
-/// width, class count, and memory health.
-pub(crate) fn verify_stages(
+/// Checks the symbolisation hand-offs downstream of the extractor:
+/// scaler width, manifold input shape, and projection columns.
+pub(crate) fn verify_head_stages(
     feat_shape: &[usize],
     scaler_len: usize,
     manifold: Option<&ManifoldLearner>,
     encode_features: usize,
-    encode_dim: usize,
-    memory: &AssociativeMemory,
-    num_classes: usize,
 ) -> Result<(), AnalysisReport> {
     let flat: usize = feat_shape.iter().product();
     if scaler_len != flat {
@@ -225,6 +223,16 @@ pub(crate) fn verify_stages(
         )
         .dims(&[encode_width], &[encode_features]));
     }
+    Ok(())
+}
+
+/// Checks the class memory against the symbolizer feeding it: HD
+/// dimension versus memory width, class count, and memory health.
+pub(crate) fn verify_memory(
+    memory: &AssociativeMemory,
+    encode_dim: usize,
+    num_classes: usize,
+) -> Result<(), AnalysisReport> {
     if memory.dim() != encode_dim {
         return Err(AnalysisReport::new(
             Stage::Memory,
@@ -252,6 +260,21 @@ pub(crate) fn verify_stages(
         return Err(AnalysisReport::new(Stage::Memory, "class memory contains non-finite values"));
     }
     Ok(())
+}
+
+/// Checks every hand-off downstream of the extractor:
+/// [`verify_head_stages`] then [`verify_memory`].
+pub(crate) fn verify_stages(
+    feat_shape: &[usize],
+    scaler_len: usize,
+    manifold: Option<&ManifoldLearner>,
+    encode_features: usize,
+    encode_dim: usize,
+    memory: &AssociativeMemory,
+    num_classes: usize,
+) -> Result<(), AnalysisReport> {
+    verify_head_stages(feat_shape, scaler_len, manifold, encode_features)?;
+    verify_memory(memory, encode_dim, num_classes)
 }
 
 /// Statically checks a fully-assembled [`NshdModel`]: teacher shapes and

@@ -65,6 +65,20 @@ impl ImageDataset {
         (self.images.batch_item(index), self.labels[index])
     }
 
+    /// The CHW images in consecutive batches of at most `size`, each
+    /// with its labels: the bounded-memory way to push a whole dataset
+    /// through a batched inference path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` is zero.
+    pub fn batches(&self, size: usize) -> impl Iterator<Item = (Vec<Tensor>, &[usize])> + '_ {
+        (0..self.len()).step_by(size).map(move |start| {
+            let end = (start + size).min(self.len());
+            ((start..end).map(|i| self.images.batch_item(i)).collect(), &self.labels[start..end])
+        })
+    }
+
     /// A new dataset containing only the first `n` samples.
     ///
     /// # Panics

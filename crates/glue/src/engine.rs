@@ -12,7 +12,7 @@
 use crate::ensemble::{fuse_encode, GlueEnsemble};
 use crate::head::GlueHead;
 use nshd_core::{verify_ensemble, PipelineError};
-use nshd_hdc::{AssociativeMemory, BipolarHv, HdScorer, QueryHv, ScoringMode};
+use nshd_hdc::{AssociativeMemory, BipolarHv, HdScorer, MemorySnapshot, QueryHv, ScoringMode};
 use nshd_runtime::BatchEngine;
 use nshd_tensor::Tensor;
 use std::sync::{Arc, RwLock};
@@ -41,6 +41,15 @@ impl std::fmt::Debug for GlueState {
 }
 
 impl GlueState {
+    /// A state scoring `memory` with `mode` against `heads`.
+    pub(crate) fn new(
+        heads: Vec<Arc<GlueHead>>,
+        memory: MemorySnapshot,
+        mode: ScoringMode,
+    ) -> Self {
+        GlueState { heads, scorer: Arc::new(HdScorer::new(memory, mode)) }
+    }
+
     /// The teacher heads, in fuse order.
     pub fn heads(&self) -> &[Arc<GlueHead>] {
         &self.heads
@@ -119,9 +128,7 @@ impl GlueEngine {
     /// densely. Use [`set_scoring`](GlueEngine::set_scoring) to compile
     /// a quantised backend.
     pub fn new(ensemble: GlueEnsemble) -> Self {
-        let scorer = HdScorer::new(Arc::new(ensemble.memory().clone()), ScoringMode::Dense);
-        let state = GlueState { heads: ensemble.heads().to_vec(), scorer: Arc::new(scorer) };
-        GlueEngine { state: RwLock::new(Arc::new(state)) }
+        GlueEngine { state: RwLock::new(Arc::new(ensemble.state().clone())) }
     }
 
     /// Pins and returns the current state. Callers needing a consistent
@@ -153,8 +160,7 @@ impl GlueEngine {
     pub fn swap_memory(&self, memory: AssociativeMemory) -> Result<Arc<GlueState>, PipelineError> {
         let _sp = nshd_obs::span("glue_memory_swap");
         let current = self.state();
-        let scorer = HdScorer::new(Arc::new(memory), current.scoring_mode());
-        let next = GlueState { heads: current.heads.clone(), scorer: Arc::new(scorer) };
+        let next = GlueState::new(current.heads.clone(), Arc::new(memory), current.scoring_mode());
         let previous = self.publish(next)?;
         nshd_obs::counter("glue.memory_swaps").inc();
         Ok(previous)
@@ -198,8 +204,7 @@ impl GlueEngine {
         let current = self.state();
         let mut memory = AssociativeMemory::clone(current.memory());
         let index = memory.add_class();
-        let scorer = HdScorer::new(Arc::new(memory), current.scoring_mode());
-        let next = GlueState { heads: current.heads.clone(), scorer: Arc::new(scorer) };
+        let next = GlueState::new(current.heads.clone(), Arc::new(memory), current.scoring_mode());
         let mut slot = self.state.write().unwrap_or_else(|poisoned| poisoned.into_inner());
         *slot = Arc::new(next);
         nshd_obs::counter("glue.class_adds").inc();
@@ -227,8 +232,7 @@ impl GlueEngine {
         for hv in &hvs {
             memory.bundle(index, hv);
         }
-        let scorer = HdScorer::new(Arc::new(memory), current.scoring_mode());
-        let next = GlueState { heads: current.heads.clone(), scorer: Arc::new(scorer) };
+        let next = GlueState::new(current.heads.clone(), Arc::new(memory), current.scoring_mode());
         self.publish(next)?;
         nshd_obs::counter("glue.class_adds").inc();
         Ok(index)
@@ -247,8 +251,7 @@ impl GlueEngine {
     pub fn set_scoring(&self, mode: ScoringMode) -> Result<Arc<GlueState>, PipelineError> {
         let _sp = nshd_obs::span("glue_scoring_swap");
         let current = self.state();
-        let scorer = HdScorer::new(Arc::clone(current.scorer.memory()), mode);
-        let next = GlueState { heads: current.heads.clone(), scorer: Arc::new(scorer) };
+        let next = GlueState::new(current.heads.clone(), Arc::clone(current.scorer.memory()), mode);
         let previous = self.publish(next)?;
         nshd_obs::counter("glue.scoring_swaps").inc();
         Ok(previous)

@@ -14,12 +14,13 @@
 //!    ([`OnlineTrainer`]) re-bundles every misclassified example until
 //!    the counts converge (or the epoch budget runs out).
 
+use crate::engine::GlueState;
 use crate::head::GlueHead;
-use nshd_core::{verify_ensemble, EmbeddingClassifier, FeatureScaler, PipelineError};
+use nshd_core::{EmbeddingClassifier, FeatureScaler, PipelineError};
 use nshd_data::ImageDataset;
 use nshd_hdc::{
     bundle_init, sign_with_tiebreak, AssociativeMemory, BipolarHv, EpochReport, OnlineTrainer,
-    RandomProjection,
+    RandomProjection, ScoringMode,
 };
 use nshd_tensor::Tensor;
 use std::fmt;
@@ -97,53 +98,64 @@ pub struct HeadReport {
     pub weight: f32,
 }
 
-/// Weighted fused encode: every head encodes the batch, votes are
-/// accumulated `±weight` per component, and the accumulator re-binarises
-/// with deterministic position-keyed tie-breaking.
+/// Weighted consensus vote: sample `i`'s fused hypervector accumulates
+/// `±weight` per component over every head's `per_head[h][i]`, in head
+/// order, and re-binarises with deterministic position-keyed
+/// tie-breaking.
+fn vote(heads: &[Arc<GlueHead>], per_head: &[Vec<BipolarHv>]) -> Vec<BipolarHv> {
+    let samples = per_head.first().map_or(0, Vec::len);
+    let dim = heads.first().map_or(0, |h| h.hv_dim());
+    (0..samples)
+        .map(|i| {
+            let mut acc = vec![0.0f32; dim];
+            for (head, hvs) in heads.iter().zip(per_head) {
+                let weight = head.weight();
+                for (a, &c) in acc.iter_mut().zip(hvs[i].components()) {
+                    // Multiplication-free weighted bundling by sign.
+                    if c > 0 {
+                        *a += weight;
+                    } else {
+                        *a -= weight;
+                    }
+                }
+            }
+            sign_with_tiebreak(&acc)
+        })
+        .collect()
+}
+
+/// Weighted fused encode: every head encodes the batch, then the heads
+/// [`vote`].
 pub(crate) fn fuse_encode(
     heads: &[Arc<GlueHead>],
     images: &[Tensor],
 ) -> Result<Vec<BipolarHv>, PipelineError> {
-    let Some(first) = heads.first() else {
+    if heads.is_empty() {
         return Err(PipelineError::Runtime {
             stage: "glue",
             detail: "ensemble has no teacher heads".into(),
         });
-    };
+    }
     if images.is_empty() {
         return Ok(Vec::new());
     }
     let _sp = nshd_obs::span("glue_encode");
-    let dim = first.hv_dim();
-    let mut acc = vec![vec![0.0f32; dim]; images.len()];
-    for head in heads {
-        let hvs = head.encode_batch(images)?;
-        let weight = head.weight();
-        for (sample_acc, hv) in acc.iter_mut().zip(&hvs) {
-            for (a, &c) in sample_acc.iter_mut().zip(hv.components()) {
-                // Multiplication-free weighted bundling by sign.
-                if c > 0 {
-                    *a += weight;
-                } else {
-                    *a -= weight;
-                }
-            }
-        }
-    }
-    Ok(acc.iter().map(|sample_acc| sign_with_tiebreak(sample_acc)).collect())
+    let per_head: Vec<Vec<BipolarHv>> =
+        heads.iter().map(|head| head.encode_batch(images)).collect::<Result<_, _>>()?;
+    Ok(vote(heads, &per_head))
 }
 
 /// A fused multi-teacher symbolic classifier: N teacher heads voting
 /// into one consensus [`AssociativeMemory`].
 ///
 /// Built by [`GlueEnsemble::fuse`]; served (with hot-swap and live
-/// class growth) through [`GlueEngine`](crate::GlueEngine). Cloning is
-/// cheap on the head side (`Arc` bumps) and deep-copies the memory, so
-/// replicated serving can snapshot one fuse into several engines.
+/// class growth) through [`GlueEngine`](crate::GlueEngine), which
+/// publishes the ensemble's [`GlueState`] as its first state. Cloning
+/// is cheap (`Arc` bumps), so replicated serving can snapshot one fuse
+/// into several engines.
 #[derive(Clone)]
 pub struct GlueEnsemble {
-    heads: Vec<Arc<GlueHead>>,
-    memory: AssociativeMemory,
+    state: GlueState,
     head_reports: Vec<HeadReport>,
     correction: Vec<EpochReport>,
 }
@@ -152,8 +164,8 @@ impl fmt::Debug for GlueEnsemble {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GlueEnsemble")
             .field("heads", &self.head_reports)
-            .field("classes", &self.memory.num_classes())
-            .field("dim", &self.memory.dim())
+            .field("classes", &self.num_classes())
+            .field("dim", &self.memory().dim())
             .finish()
     }
 }
@@ -188,7 +200,6 @@ impl GlueEnsemble {
         let _sp = nshd_obs::span("glue_fuse");
         let labels = train.labels();
         let num_classes = train.num_classes();
-        let images: Vec<Tensor> = (0..train.len()).map(|i| train.images().batch_item(i)).collect();
         let mut heads = Vec::with_capacity(teachers.len());
         let mut head_reports = Vec::with_capacity(teachers.len());
         let mut per_head_hvs: Vec<Vec<BipolarHv>> = Vec::with_capacity(teachers.len());
@@ -196,24 +207,26 @@ impl GlueEnsemble {
             // Embed the fusion set once per teacher, in chunks so the
             // NCHW activations stay modest.
             let mut embeds: Vec<Tensor> = Vec::with_capacity(train.len());
-            for chunk in images.chunks(config.embed_chunk) {
-                let matrix = teacher.embed_batch(chunk)?;
+            for (chunk, _) in train.batches(config.embed_chunk) {
+                let matrix = teacher.embed_batch(&chunk)?;
                 for b in 0..chunk.len() {
                     embeds.push(matrix.batch_item(b));
                 }
             }
             let scaler = FeatureScaler::fit(&embeds);
-            let embedding = teacher.embedding_dim();
             // Distinct per-teacher seeds: heads must not share a basis,
             // or their votes would be correlated instead of independent.
             let head_seed =
                 config.seed.wrapping_add((t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let projection = RandomProjection::new(embedding, config.hv_dim, head_seed);
-            let encoder = projection.batch_encoder();
-            let rows: Vec<Vec<f32>> =
-                embeds.iter().map(|e| scaler.transform(e).as_slice().to_vec()).collect();
-            let matrix = Tensor::from_rows(&rows)?;
-            let hvs = encoder.encode_batch(&matrix);
+            let projection =
+                RandomProjection::new(teacher.embedding_dim(), config.hv_dim, head_seed);
+            let (model, cut) = teacher.extractor();
+            let mut head = GlueHead::new(teacher.name(), model, cut, scaler, &projection, 0.0)?;
+            let rows: Vec<Vec<f32>> = embeds
+                .iter()
+                .map(|e| head.symbolizer.scaler().transform(e).as_slice().to_vec())
+                .collect();
+            let hvs = head.symbolizer.try_encode(&rows)?;
             let samples: Vec<(BipolarHv, usize)> =
                 hvs.iter().cloned().zip(labels.iter().copied()).collect();
             // The head's weight is its standalone bundling accuracy on
@@ -221,8 +234,7 @@ impl GlueEnsemble {
             // alone gets a proportionally quieter vote.
             let standalone = bundle_init(num_classes, config.hv_dim, &samples);
             let accuracy = standalone.accuracy(&samples);
-            let (model, cut) = teacher.extractor();
-            let head = GlueHead::new(teacher.name(), model, cut, scaler, &projection, accuracy)?;
+            head.weight = accuracy;
             head_reports.push(HeadReport {
                 name: head.name().to_string(),
                 standalone_accuracy: accuracy,
@@ -234,53 +246,45 @@ impl GlueEnsemble {
 
         // Weighted consensus bundle per sample, re-binarised.
         let dim = config.hv_dim;
-        let fused: Vec<(BipolarHv, usize)> = (0..train.len())
-            .map(|i| {
-                let mut acc = vec![0.0f32; dim];
-                for (head, hvs) in heads.iter().zip(&per_head_hvs) {
-                    let weight = head.weight();
-                    for (a, &c) in acc.iter_mut().zip(hvs[i].components()) {
-                        if c > 0 {
-                            *a += weight;
-                        } else {
-                            *a -= weight;
-                        }
-                    }
-                }
-                (sign_with_tiebreak(&acc), labels[i])
-            })
-            .collect();
+        let fused: Vec<(BipolarHv, usize)> =
+            vote(&heads, &per_head_hvs).into_iter().zip(labels.iter().copied()).collect();
         let mut memory = bundle_init(num_classes, dim, &fused);
         // Error-correcting retraining on the fused representatives:
         // every misclassified example strengthens its true class and
         // weakens the false winner, with per-epoch counts recorded.
         let trainer = OnlineTrainer::new(config.learning_rate);
         let correction = trainer.train(&mut memory, &fused, config.correction_epochs);
-        let ensemble = GlueEnsemble { heads, memory, head_reports, correction };
+        let state = GlueState::new(heads, Arc::new(memory), ScoringMode::Dense);
+        let ensemble = GlueEnsemble { state, head_reports, correction };
         ensemble.verify()?;
         Ok(ensemble)
     }
 
     /// Statically verifies head/memory dimension agreement
-    /// ([`nshd_core::verify_ensemble`]).
+    /// ([`GlueState::verify`]).
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Analysis`] naming the first violated
     /// invariant.
     pub fn verify(&self) -> Result<(), PipelineError> {
-        let dims: Vec<_> = self.heads.iter().map(|h| h.dims()).collect();
-        verify_ensemble(&dims, &self.memory).map_err(PipelineError::from)
+        self.state.verify()
+    }
+
+    /// The heads and consensus memory, as [`GlueEngine`](crate::GlueEngine)
+    /// first publishes them.
+    pub fn state(&self) -> &GlueState {
+        &self.state
     }
 
     /// The teacher heads, in fuse order.
     pub fn heads(&self) -> &[Arc<GlueHead>] {
-        &self.heads
+        self.state.heads()
     }
 
     /// The fused consensus memory.
     pub fn memory(&self) -> &AssociativeMemory {
-        &self.memory
+        self.state.memory()
     }
 
     /// Per-teacher fuse summaries (standalone accuracy and weight), in
@@ -296,17 +300,7 @@ impl GlueEnsemble {
 
     /// Number of classes the consensus memory predicts over.
     pub fn num_classes(&self) -> usize {
-        self.memory.num_classes()
-    }
-
-    /// Weighted fused encoding of a batch of CHW images.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first head's error on malformed or non-finite
-    /// images.
-    pub fn encode_fused(&self, images: &[Tensor]) -> Result<Vec<BipolarHv>, PipelineError> {
-        fuse_encode(&self.heads, images)
+        self.state.num_classes()
     }
 
     /// Consensus predictions for a batch of CHW images.
@@ -316,8 +310,7 @@ impl GlueEnsemble {
     /// Returns the first head's error on malformed or non-finite
     /// images.
     pub fn predict_batch(&self, images: &[Tensor]) -> Result<Vec<usize>, PipelineError> {
-        let hvs = self.encode_fused(images)?;
-        Ok(self.memory.predict_batch(&hvs))
+        self.state.predict_batch(images)
     }
 
     /// Consensus classification accuracy over a labelled dataset,
@@ -332,16 +325,9 @@ impl GlueEnsemble {
             return Ok(0.0);
         }
         let mut correct = 0usize;
-        for start in (0..dataset.len()).step_by(64) {
-            let end = (start + 64).min(dataset.len());
-            let images: Vec<Tensor> =
-                (start..end).map(|i| dataset.images().batch_item(i)).collect();
+        for (images, labels) in dataset.batches(64) {
             let preds = self.predict_batch(&images)?;
-            correct += preds
-                .iter()
-                .zip(&dataset.labels()[start..end])
-                .filter(|(p, label)| p == label)
-                .count();
+            correct += preds.iter().zip(labels).filter(|(p, l)| p == l).count();
         }
         Ok(correct as f32 / dataset.len() as f32)
     }

@@ -127,6 +127,38 @@ fn engine_rejects_incompatible_swaps() {
 }
 
 #[test]
+fn heads_with_non_finite_batch_norm_statistics_are_rejected() {
+    use nshd_core::FeatureScaler;
+    use nshd_glue::GlueHead;
+    use nshd_hdc::RandomProjection;
+    use nshd_nn::{Architecture, Layer};
+
+    // A teacher whose batch-norm running statistics went NaN would make
+    // every later batch fail with a non-finite activation; it must not
+    // become a head that `swap_head` could publish.
+    let mut teacher = Architecture::MobileNetV2.build(10, &mut Rng::new(3));
+    let mut state = Vec::new();
+    teacher.features.collect_state(&mut state);
+    assert!(!state.is_empty(), "MobileNetV2 carries batch-norm statistics");
+    for stats in &mut state {
+        stats.fill(f32::NAN);
+    }
+    teacher.features.restore_state(&mut state.into_iter());
+    let cut = teacher.features.len();
+    let embedding = teacher.feature_len_at(cut);
+    let scaler = FeatureScaler::from_raw(vec![0.0; embedding], vec![1.0; embedding])
+        .expect("consistent statistics");
+    let projection = RandomProjection::new(embedding, 256, 1);
+    match GlueHead::new("nan-bn", teacher, cut, scaler, &projection, 1.0) {
+        Err(PipelineError::Analysis(report)) => {
+            assert!(report.to_string().contains("non-finite"), "{report}");
+        }
+        Err(other) => panic!("expected a static-analysis rejection, got: {other}"),
+        Ok(_) => panic!("a head with NaN batch-norm statistics was accepted"),
+    }
+}
+
+#[test]
 fn add_class_from_teaches_a_new_class_live() {
     let (train, test) = datasets();
     let teachers = [tiny_cnn("a", 3, 5), tiny_cnn("b", 5, 6)];
