@@ -3,7 +3,8 @@
 //! Measures achieved GFLOP/s of every parallelized hot kernel — the
 //! GEMM family (`matmul`, `matmul_bt`, `matmul_at`), conv2d forward
 //! (im2col + GEMM), the served extractor's depthwise and 1×1 convs at a
-//! batch of one, the batched HD encode, and the quantised scoring
+//! batch of one, the batched HD encode (also at the served batch of one),
+//! dense scoring against the compiled class panel, and the quantised scoring
 //! kernels (`packed_score` XNOR+popcount, `int8_score` mask-and-add
 //! GEMM) — once with one thread and once with the full worker set
 //! (`par::with_threads`), over a size grid. Every pair of runs is
@@ -123,12 +124,7 @@ fn measure(
 ) -> Cell {
     let serial_out = par::with_threads(1, &run);
     let parallel_out = par::with_threads(threads, &run);
-    let bit_identical = serial_out.as_slice().len() == parallel_out.as_slice().len()
-        && serial_out
-            .as_slice()
-            .iter()
-            .zip(parallel_out.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    let bit_identical = bits_equal(serial_out.as_slice(), parallel_out.as_slice());
     let serial_gflops = par::with_threads(1, || {
         time_gflops(flops, reps, || {
             black_box(run());
@@ -145,6 +141,10 @@ fn measure(
         if bit_identical { "ok" } else { "MISMATCH" }
     );
     Cell { kernel, shape, flops, serial_gflops, parallel_gflops, bit_identical }
+}
+
+fn bits_equal(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn rand_tensor(shape: [usize; 2], rng: &mut Rng) -> Tensor {
@@ -245,6 +245,63 @@ fn main() {
         }));
     }
 
+    // The served HD shapes at a batch of one: the encode against the
+    // bit-packed projection basis at the `image` head width (F = 100)
+    // and the glue heads' summed width (F = 2048 + 768 + 1024), and
+    // dense scoring against the compiled class panel at 10 and 100
+    // classes. Besides serial == parallel, each cell must equal its
+    // oracle bit for bit: the per-sample bit-serial encode, and the
+    // per-call `matmul_bt` against the class matrix.
+    for features in [100usize, 3_840] {
+        let dim = 3_000;
+        let proj = RandomProjection::new(features, dim, 29);
+        let enc = proj.batch_encoder();
+        let values = rand_tensor([1, features], &mut rng);
+        let flops = 2 * (features * dim) as u64;
+        let reps = reps_for(flops, budget / 4);
+        let shape = format!("n1f{features}d{dim}");
+        let mut cell = measure("hd_encode", shape, flops, reps, args.threads, || {
+            enc.encode_raw_batch(&values)
+        });
+        cell.bit_identical &= bits_equal(
+            enc.encode_raw_batch(&values).as_slice(),
+            &proj.encode_raw(values.as_slice()),
+        );
+        cells.push(cell);
+    }
+    for classes in [10usize, 100] {
+        let dim = 3_000;
+        let mut memory = AssociativeMemory::new(classes, dim);
+        let rand_hv = |rng: &mut Rng| -> BipolarHv {
+            BipolarHv::new((0..dim).map(|_| if rng.bipolar() > 0.0 { 1 } else { -1 }).collect())
+        };
+        for c in 0..classes {
+            for _ in 0..3 {
+                memory.bundle(c, &rand_hv(&mut rng));
+            }
+        }
+        let query = vec![rand_hv(&mut rng)];
+        let flops = 2 * (classes * dim) as u64;
+        let reps = reps_for(flops, budget / 8);
+        let shape = format!("n1k{classes}d{dim}");
+        let mut cell = measure("dense_score", shape, flops, reps, args.threads, || {
+            memory.similarities_batch(&query)
+        });
+        let q = Tensor::from_vec(query[0].to_f32(), [1, dim]).expect("one D-wide row");
+        let dots = matmul_bt(&q, &memory.class_matrix());
+        let per_call: Vec<f32> = dots
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(c, &dot)| {
+                let norm = memory.class(c).iter().map(|v| v * v).sum::<f32>().sqrt();
+                dot * (1.0 / (dim as f32).sqrt() / norm)
+            })
+            .collect();
+        cell.bit_identical &= bits_equal(memory.similarities_batch(&query).as_slice(), &per_call);
+        cells.push(cell);
+    }
+
     // Quantised batch scoring: the XNOR+popcount packed kernel and the
     // mask-and-add INT8 GEMM serving bit-packed wire requests, at a
     // batch shape and at the served `hd_query` shape (one query, 100
@@ -285,7 +342,7 @@ fn main() {
         nshd_tensor::set_simd_enabled(false);
         let scalar = matmul(&a, &b);
         nshd_tensor::set_simd_enabled(was_enabled);
-        with_simd.as_slice().iter().zip(scalar.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+        bits_equal(with_simd.as_slice(), scalar.as_slice())
     };
 
     nshd_obs::install(previous);

@@ -8,7 +8,7 @@
 //!    on the calling thread (bit-serial HD encode, scalar scoring);
 //! 2. **batched** — every request submitted to an `InferenceRuntime`
 //!    (micro-batching collector + one engine call per batch: CNN
-//!    extract, GEMM encode, one `matmul_bt` score), with an `nshd-obs` recorder
+//!    extract, GEMM encode, one GEMM score), with an `nshd-obs` recorder
 //!    installed so every stage is traced and profiled.
 //!
 //! Emits one JSON object on stdout with both throughputs, the batched

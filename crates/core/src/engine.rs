@@ -3,8 +3,8 @@
 //!
 //! [`NshdEngine`] snapshots a trained [`NshdModel`] into an immutable,
 //! `Send + Sync` form optimised for batch throughput: a [`Symbolizer`]
-//! (one truncated-CNN pass per batch, one dense GEMM encode) in front
-//! of an [`HdScorer`] (one batch-scoring GEMM against the class
+//! (one truncated-CNN pass per batch, one sign-operand GEMM encode) in
+//! front of an [`HdScorer`] (one batch-scoring GEMM against the class
 //! memory).
 //!
 //! The serving runtime runs a batch as one call through both halves;
@@ -51,7 +51,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct NshdEngine {
-    symbolizer: Symbolizer,
+    symbolizer: Arc<Symbolizer>,
     scorer: HdScorer,
 }
 
@@ -66,7 +66,8 @@ impl NshdEngine {
     /// Snapshots a trained model into an engine after statically
     /// verifying the whole pipeline ([`crate::verify_model`]). The model
     /// remains usable; the engine holds its own copies (teacher weights,
-    /// class memory) plus the unpacked dense projection basis.
+    /// class memory) plus the projection basis laid out as a GEMM sign
+    /// operand.
     ///
     /// # Errors
     ///
@@ -76,13 +77,13 @@ impl NshdEngine {
     #[must_use = "the engine is only constructed when verification passes"]
     pub fn new(model: &NshdModel) -> Result<Self, AnalysisReport> {
         verify::verify_model(model)?;
-        let symbolizer = Symbolizer::new(
+        let symbolizer = Arc::new(Symbolizer::new(
             model.teacher().clone(),
             model.config().cut,
             model.scaler().clone(),
             model.manifold().cloned(),
             model.projection(),
-        )?;
+        )?);
         let scorer = HdScorer::new(Arc::new(model.memory().clone()), ScoringMode::Dense);
         Ok(NshdEngine { symbolizer, scorer })
     }
@@ -121,10 +122,11 @@ impl NshdEngine {
     /// Snapshot-clones the engine with `scenario`'s faults injected into
     /// its class memory — the degraded-replica input for chaos testing
     /// the replicated serving tier. The original engine is untouched
-    /// (replicas never share mutable state), the teacher weights and
-    /// projection basis are shared copies, and only the associative
-    /// memory is corrupted; an empty scenario yields a replica that
-    /// predicts bit-identically to `self`.
+    /// (replicas never share mutable state): the replica shares this
+    /// engine's [`Symbolizer`] (teacher weights, scaler and projection
+    /// basis) by `Arc`, and only its own copy of the associative memory
+    /// is corrupted; an empty scenario yields a replica that predicts
+    /// bit-identically to `self`.
     pub fn degraded(&self, scenario: &FaultScenario) -> (NshdEngine, FaultReport) {
         let mut memory = AssociativeMemory::clone(self.scorer.memory());
         let report = scenario.apply_associative(&mut memory);
@@ -175,8 +177,9 @@ impl NshdEngine {
 
     /// Stage 2 — HD encode + associative scoring for a whole batch of
     /// extracted values: one GEMM to encode, one batch-scoring GEMM
-    /// through the engine's [`HdScorer`] (dense `matmul_bt`, INT8
-    /// add/sub accumulation, or packed XNOR+popcount).
+    /// through the engine's [`HdScorer`] (dense GEMM against the
+    /// compiled class panel, INT8 add/sub accumulation, or packed
+    /// XNOR+popcount).
     ///
     /// # Errors
     ///
@@ -377,6 +380,7 @@ mod tests {
         // An empty scenario is a bit-identical replica.
         let (twin, report) = engine.degraded(&FaultScenario::new());
         assert_eq!(report, nshd_hdc::FaultReport::default());
+        assert!(Arc::ptr_eq(&twin.symbolizer, &engine.symbolizer), "symbolizer was copied");
         assert_eq!(twin.predict_batch(&images), clean_preds);
 
         // A heavy scenario corrupts the replica's memory — and only the

@@ -5,15 +5,17 @@
 //! A [`Symbolizer`] is an immutable, `Send + Sync` snapshot of the
 //! truncated CNN extractor, the per-feature [`FeatureScaler`], the
 //! optional manifold learner Ψ, and the random-projection encoder Φ_P
-//! in its dense GEMM form. [`NshdEngine`](crate::NshdEngine) serves
-//! through one, each `nshd-glue` head wraps one, and
+//! in its batched GEMM form (the basis as a bit-packed sign operand).
+//! [`NshdEngine`](crate::NshdEngine) serves through one, each
+//! `nshd-glue` head wraps one, and
 //! [`BaselineHd`](crate::BaselineHd) classifies through one.
 //!
 //! **Determinism.** Its hypervectors are bit-identical to the
 //! per-sample oracle [`NshdModel::symbolize`](crate::NshdModel::symbolize):
 //! evaluation-mode CNN layers are batch-size-independent, and the GEMM
 //! encoder accumulates features in the same order (with the same
-//! zero-skip) as [`RandomProjection::encode`].
+//! zero-skip, and `v · (±1.0)` terms that are exact) as
+//! [`RandomProjection::encode`].
 
 use crate::manifold::ManifoldLearner;
 use crate::robust::PipelineError;
@@ -23,9 +25,9 @@ use nshd_hdc::{BatchEncoder, BipolarHv, RandomProjection};
 use nshd_nn::Model;
 use nshd_tensor::{Tensor, TensorError};
 
-/// Truncated CNN → feature scaler → optional manifold learner → dense
-/// projection encoder, statically verified at construction.
-#[derive(Clone)]
+/// Truncated CNN → feature scaler → optional manifold learner →
+/// projection encoder, statically verified at construction. It is not
+/// `Clone`: engines and heads that serve through one share it by `Arc`.
 pub struct Symbolizer {
     extractor: Model,
     cut: usize,
@@ -123,7 +125,7 @@ impl Symbolizer {
         self.manifold.as_ref()
     }
 
-    /// The dense projection encoder Φ_P.
+    /// The batched projection encoder Φ_P.
     pub fn encoder(&self) -> &BatchEncoder {
         &self.encoder
     }
@@ -162,7 +164,8 @@ impl Symbolizer {
     }
 
     /// Encodes extracted value rows into bipolar hypervectors with one
-    /// dense GEMM, bit-identical to [`RandomProjection::encode`] per row.
+    /// sign-operand GEMM, bit-identical to [`RandomProjection::encode`]
+    /// per row.
     ///
     /// # Errors
     ///

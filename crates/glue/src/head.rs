@@ -6,6 +6,7 @@ use nshd_core::{EnsembleDims, FeatureScaler, PipelineError, Symbolizer};
 use nshd_hdc::{BipolarHv, RandomProjection};
 use nshd_nn::Model;
 use nshd_tensor::Tensor;
+use std::sync::Arc;
 
 /// An immutable, `Send + Sync` snapshot of one teacher's path into
 /// hyperspace: the teacher CNN truncated at its penultimate layer, the
@@ -17,11 +18,13 @@ use nshd_tensor::Tensor;
 /// Heads are built by
 /// [`GlueEnsemble::fuse`](crate::GlueEnsemble::fuse) and shared by
 /// `Arc` between the ensemble, its serving engine, and in-flight
-/// snapshots; nothing in a head mutates once it is shared.
+/// snapshots; nothing in a head mutates once it is shared. Re-weighted
+/// copies ([`with_weight`](GlueHead::with_weight)) share the symbolizer
+/// by `Arc`.
 #[derive(Clone)]
 pub struct GlueHead {
     name: String,
-    pub(crate) symbolizer: Symbolizer,
+    pub(crate) symbolizer: Arc<Symbolizer>,
     pub(crate) weight: f32,
 }
 
@@ -44,7 +47,7 @@ impl GlueHead {
         projection: &RandomProjection,
         weight: f32,
     ) -> Result<Self, PipelineError> {
-        let symbolizer = Symbolizer::new(extractor, cut, scaler, None, projection)?;
+        let symbolizer = Arc::new(Symbolizer::new(extractor, cut, scaler, None, projection)?);
         Ok(GlueHead { name: name.into(), symbolizer, weight })
     }
 
@@ -81,8 +84,8 @@ impl GlueHead {
 
     /// Encodes a batch of CHW images through this head's
     /// [`Symbolizer`]: one truncated CNN pass, per-sample
-    /// standardisation, one GEMM encode. Returns one bipolar
-    /// hypervector per image, in order.
+    /// standardisation, one sign-operand GEMM encode. Returns one
+    /// bipolar hypervector per image, in order.
     ///
     /// # Errors
     ///
@@ -96,8 +99,31 @@ impl GlueHead {
 
     /// Clone of this head with a different contribution weight (heads
     /// are otherwise immutable; re-weighting builds a new head so
-    /// published snapshots are never mutated).
+    /// published snapshots are never mutated). The new head shares this
+    /// one's teacher, scaler and projection by `Arc`.
     pub fn with_weight(&self, weight: f32) -> GlueHead {
         GlueHead { weight, ..self.clone() }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nshd_nn::Architecture;
+    use nshd_tensor::Rng;
+
+    #[test]
+    fn reweighted_heads_share_the_symbolizer() {
+        let teacher = Architecture::MobileNetV2.build(10, &mut Rng::new(5));
+        let cut = teacher.features.len();
+        let embedding = teacher.feature_len_at(cut);
+        let scaler = FeatureScaler::from_raw(vec![0.0; embedding], vec![1.0; embedding])
+            .expect("consistent statistics");
+        let projection = RandomProjection::new(embedding, 256, 2);
+        let head = GlueHead::new("t", teacher, cut, scaler, &projection, 1.0).expect("verifies");
+        let silenced = head.with_weight(0.0);
+        assert_eq!(silenced.weight(), 0.0);
+        assert_eq!(head.weight(), 1.0);
+        assert!(Arc::ptr_eq(&silenced.symbolizer, &head.symbolizer), "symbolizer was copied");
     }
 }

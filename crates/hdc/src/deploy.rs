@@ -70,9 +70,10 @@ impl ScoringMode {
 
 /// A scoring stage compiled from a dense memory for one
 /// [`ScoringMode`]. `Dense` carries nothing — it scores the f32 memory
-/// it is handed — while the quantised modes own their compiled
-/// deployment. Serving code holds an [`HdScorer`], which pairs the
-/// backend with the memory it was compiled from.
+/// it is handed, through the class panel that memory compiles once and
+/// caches — while the quantised modes own their compiled deployment.
+/// Serving code holds an [`HdScorer`], which pairs the backend with the
+/// memory it was compiled from.
 #[derive(Debug, Clone)]
 pub enum ScoringBackend {
     /// Score against the dense f32 memory.

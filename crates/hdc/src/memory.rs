@@ -2,8 +2,9 @@
 
 use crate::hypervector::BipolarHv;
 use crate::similarity::cosine_dense_bipolar;
-use nshd_tensor::{matmul_bt, Tensor};
+use nshd_tensor::{matmul_packed, PackedRhs, Tensor};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Typed rejection for malformed class matrices or out-of-range class
 /// indices — the fallible counterpart of the panicking constructors.
@@ -60,6 +61,12 @@ impl std::error::Error for MemoryError {}
 /// queries arrive as bipolar hypervectors and are compared by cosine
 /// similarity, the normalised δ of the paper.
 ///
+/// Batch scoring reads a compiled form of the memory: `Cᵀ` packed once
+/// into the tensor crate's GEMM panels plus the per-class cosine scales,
+/// built at the first batch score and dropped by every method that
+/// takes `&mut self`. It is a cache of the class rows, so equality
+/// ignores it.
+///
 /// # Examples
 ///
 /// ```
@@ -70,10 +77,50 @@ impl std::error::Error for MemoryError {}
 /// mem.bundle(0, &h);
 /// assert_eq!(mem.predict(&h), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct AssociativeMemory {
     dim: usize,
     classes: Vec<Vec<f32>>,
+    /// The batch-scoring operand compiled from `classes`; reset on every
+    /// mutation.
+    compiled: OnceLock<DenseOperand>,
+}
+
+impl PartialEq for AssociativeMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim && self.classes == other.classes
+    }
+}
+
+/// The class memory compiled for batch scoring: `Cᵀ` (`D`×`k`) packed
+/// into GEMM panels, padded to whole 16-column panels so even `k = 10`
+/// runs in the micro-kernel, and `col_scale[c] = 1 / (‖C_c‖·√D)` (0 for
+/// a zero-norm class, matching [`cosine_dense_bipolar`]).
+#[derive(Debug, Clone)]
+struct DenseOperand {
+    classes_t: PackedRhs,
+    col_scale: Vec<f32>,
+}
+
+impl DenseOperand {
+    fn compile(classes: &[Vec<f32>], dim: usize) -> Self {
+        let _sp = nshd_obs::span("assoc_compile");
+        let rows: Vec<f32> = classes.concat();
+        let classes_t = PackedRhs::from_columns(dim, classes.len(), &rows);
+        let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
+        let col_scale = classes
+            .iter()
+            .map(|c| {
+                let norm: f32 = c.iter().map(|d| d * d).sum::<f32>().sqrt();
+                if norm == 0.0 {
+                    0.0
+                } else {
+                    inv_sqrt_d / norm
+                }
+            })
+            .collect();
+        DenseOperand { classes_t, col_scale }
+    }
 }
 
 impl AssociativeMemory {
@@ -85,7 +132,7 @@ impl AssociativeMemory {
     /// Panics if `num_classes == 0` or `dim == 0`.
     pub fn new(num_classes: usize, dim: usize) -> Self {
         assert!(num_classes > 0 && dim > 0);
-        AssociativeMemory { dim, classes: vec![vec![0.0; dim]; num_classes] }
+        AssociativeMemory::with_classes(dim, vec![vec![0.0; dim]; num_classes])
     }
 
     /// Rebuilds a memory from raw class accumulators (deserialization).
@@ -120,7 +167,16 @@ impl AssociativeMemory {
                 return Err(MemoryError::Ragged { class, expected: dim, actual: row.len() });
             }
         }
-        Ok(AssociativeMemory { dim, classes })
+        Ok(AssociativeMemory::with_classes(dim, classes))
+    }
+
+    fn with_classes(dim: usize, classes: Vec<Vec<f32>>) -> Self {
+        AssociativeMemory { dim, classes, compiled: OnceLock::new() }
+    }
+
+    /// The batch-scoring operand, compiled on first use.
+    fn compiled(&self) -> &DenseOperand {
+        self.compiled.get_or_init(|| DenseOperand::compile(&self.classes, self.dim))
     }
 
     /// Number of classes `k`.
@@ -150,6 +206,7 @@ impl AssociativeMemory {
     ///
     /// Panics if `class` is out of range.
     pub fn class_mut(&mut self, class: usize) -> &mut [f32] {
+        self.compiled.take();
         &mut self.classes[class]
     }
 
@@ -167,6 +224,7 @@ impl AssociativeMemory {
     /// [`class_mut`](AssociativeMemory::class_mut): returns a typed
     /// [`MemoryError`] for an out-of-range index instead of panicking.
     pub fn try_class_mut(&mut self, class: usize) -> Result<&mut [f32], MemoryError> {
+        self.compiled.take();
         let num_classes = self.classes.len();
         self.classes
             .get_mut(class)
@@ -180,6 +238,7 @@ impl AssociativeMemory {
     /// memory. The new class scores 0 similarity against every query
     /// until samples are bundled into it.
     pub fn add_class(&mut self) -> usize {
+        self.compiled.take();
         self.classes.push(vec![0.0; self.dim]);
         self.classes.len() - 1
     }
@@ -209,6 +268,7 @@ impl AssociativeMemory {
     /// Panics if `class` is out of range or dimensions disagree.
     pub fn add_scaled(&mut self, class: usize, hv: &BipolarHv, weight: f32) {
         assert_eq!(hv.dim(), self.dim, "dimension mismatch");
+        self.compiled.take();
         let mut sp = nshd_obs::span("hd_bundle");
         sp.add_flops(self.dim as u64);
         sp.add_bytes((self.dim + 8 * self.dim) as u64);
@@ -245,8 +305,9 @@ impl AssociativeMemory {
         argmax_last(&self.similarities(hv))
     }
 
-    /// The class accumulators as a row-major `k×D` matrix, the layout
-    /// batched similarity search scores against.
+    /// The class accumulators as a row-major `k×D` matrix (batched
+    /// similarity search equals `matmul_bt` of the queries against it,
+    /// scaled by the class norms).
     pub fn class_matrix(&self) -> Tensor {
         let mut data = Vec::with_capacity(self.classes.len() * self.dim);
         for c in &self.classes {
@@ -261,7 +322,7 @@ impl AssociativeMemory {
         if n == 0 {
             return Tensor::zeros([0, k]);
         }
-        // The dominant FLOPs are attributed by the nested matmul_bt span;
+        // The dominant FLOPs are attributed by the nested matmul span;
         // this span names the stage.
         let _sp = nshd_obs::span("assoc_search");
         let mut qdata = Vec::with_capacity(n * self.dim);
@@ -270,24 +331,10 @@ impl AssociativeMemory {
             qdata.extend(hv.components().iter().map(|&c| c as f32));
         }
         let queries = Tensor::from_vec(qdata, [n, self.dim]).expect("query rows are D long");
-        let mut sims = matmul_bt(&queries, &self.class_matrix());
-        // Per-class normalisation: dot / (‖C_c‖·√D); zero-norm classes
-        // score 0, matching `cosine_dense_bipolar`.
-        let inv_sqrt_d = 1.0 / (self.dim as f32).sqrt();
-        let col_scale: Vec<f32> = self
-            .classes
-            .iter()
-            .map(|c| {
-                let norm: f32 = c.iter().map(|d| d * d).sum::<f32>().sqrt();
-                if norm == 0.0 {
-                    0.0
-                } else {
-                    inv_sqrt_d / norm
-                }
-            })
-            .collect();
+        let compiled = self.compiled();
+        let mut sims = matmul_packed(&queries, &compiled.classes_t);
         for row in sims.as_mut_slice().chunks_mut(k) {
-            for (s, &scale) in row.iter_mut().zip(&col_scale) {
+            for (s, &scale) in row.iter_mut().zip(&compiled.col_scale) {
                 *s *= scale;
             }
         }
@@ -295,10 +342,11 @@ impl AssociativeMemory {
     }
 
     /// Cosine similarities of a whole batch of queries against every
-    /// class, as an `N×k` tensor — one [`matmul_bt`] instead of `N·k`
-    /// scalar dot loops. Row `i` matches
-    /// [`similarities`](AssociativeMemory::similarities) for `hvs[i]` up
-    /// to float summation order.
+    /// class, as an `N×k` tensor — one GEMM against the compiled class
+    /// panel instead of `N·k` scalar dot loops. Bit-identical to
+    /// `matmul_bt(queries, class_matrix())` scaled by the class norms.
+    /// Row `i` matches [`similarities`](AssociativeMemory::similarities)
+    /// for `hvs[i]` up to float summation order.
     ///
     /// # Panics
     ///
@@ -493,6 +541,92 @@ mod tests {
         let sims = mem.similarities_batch(&[]);
         assert_eq!(sims.dims(), &[0, 3]);
         assert!(mem.predict_batch(&[]).is_empty());
+    }
+
+    /// The per-call dense scoring path the compiled operand replaced:
+    /// `matmul_bt` of the queries against `class_matrix()`, then the
+    /// class norms recomputed and applied.
+    fn per_call_scores(mem: &AssociativeMemory, hvs: &[BipolarHv]) -> Tensor {
+        let dim = mem.dim();
+        let q: Vec<f32> =
+            hvs.iter().flat_map(|h| h.components().iter().map(|&c| c as f32)).collect();
+        let queries = Tensor::from_vec(q, [hvs.len(), dim]).unwrap();
+        let mut sims = nshd_tensor::matmul_bt(&queries, &mem.class_matrix());
+        let inv_sqrt_d = 1.0 / (dim as f32).sqrt();
+        let scale: Vec<f32> = (0..mem.num_classes())
+            .map(|c| {
+                let norm: f32 = mem.class(c).iter().map(|d| d * d).sum::<f32>().sqrt();
+                if norm == 0.0 {
+                    0.0
+                } else {
+                    inv_sqrt_d / norm
+                }
+            })
+            .collect();
+        for row in sims.as_mut_slice().chunks_mut(mem.num_classes()) {
+            for (s, &sc) in row.iter_mut().zip(&scale) {
+                *s *= sc;
+            }
+        }
+        sims
+    }
+
+    fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.dims(), want.dims(), "{what}");
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    #[test]
+    fn compiled_scores_equal_the_per_call_path_bit_for_bit() {
+        let mut rng = Rng::new(8);
+        let dim = 700;
+        for classes in [1usize, 10, 16, 17, 100] {
+            let mut mem = AssociativeMemory::new(classes, dim);
+            // Bundled (non-±1) rows; the last class stays all-zero.
+            for c in 0..classes.saturating_sub(1) {
+                for _ in 0..3 {
+                    mem.bundle(c, &random_hv(dim, &mut rng));
+                }
+            }
+            for n in [1usize, 5] {
+                let hvs: Vec<BipolarHv> = (0..n).map(|_| random_hv(dim, &mut rng)).collect();
+                let got = mem.similarities_batch(&hvs);
+                assert_bits_eq(&got, &per_call_scores(&mem, &hvs), &format!("k={classes} n={n}"));
+                assert_eq!(got.at(&[0, classes - 1]), 0.0, "zero-norm class scores 0");
+            }
+        }
+    }
+
+    #[test]
+    fn mutations_after_a_score_invalidate_the_compiled_operand() {
+        let mut rng = Rng::new(9);
+        let dim = 300;
+        let mut mem = AssociativeMemory::new(3, dim);
+        let hvs: Vec<BipolarHv> = (0..4).map(|_| random_hv(dim, &mut rng)).collect();
+        mem.bundle(0, &hvs[0]);
+        let check = |mem: &AssociativeMemory, what: &str| {
+            assert_bits_eq(&mem.similarities_batch(&hvs), &per_call_scores(mem, &hvs), what);
+        };
+        check(&mem, "first score");
+        mem.bundle(1, &hvs[1]);
+        check(&mem, "after bundle");
+        mem.class_mut(2).copy_from_slice(&hvs[2].to_f32());
+        check(&mem, "after class_mut");
+        mem.try_class_mut(0).unwrap()[0] += 5.0;
+        check(&mem, "after try_class_mut");
+        mem.add_scaled(2, &hvs[3], -0.5);
+        check(&mem, "after add_scaled");
+        mem.add_class();
+        assert_eq!(mem.similarities_batch(&hvs).dims(), &[4, 4]);
+        check(&mem, "after add_class");
+        // Clones and equality see the class rows, not the cache.
+        let scored = mem.clone();
+        let fresh = AssociativeMemory::from_classes(
+            (0..mem.num_classes()).map(|c| mem.class(c).to_vec()).collect(),
+        );
+        assert_eq!(scored, fresh);
+        check(&scored, "clone of a scored memory");
     }
 
     #[test]

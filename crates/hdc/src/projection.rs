@@ -2,7 +2,7 @@
 //! adjoint used by the manifold-learner backward pass.
 
 use crate::hypervector::{BipolarHv, PackedHv};
-use nshd_tensor::{matmul, par, Rng, Tensor};
+use nshd_tensor::{matmul_packed, par, PackedRhs, Rng, Tensor};
 
 /// A seeded bipolar random-projection encoder.
 ///
@@ -156,7 +156,7 @@ impl RandomProjection {
             .collect()
     }
 
-    /// Builds the dense-GEMM batch encoder for this projection — see
+    /// Builds the batched-GEMM encoder for this projection — see
     /// [`BatchEncoder`].
     pub fn batch_encoder(&self) -> BatchEncoder {
         BatchEncoder::new(self)
@@ -175,17 +175,20 @@ impl RandomProjection {
     }
 }
 
-/// The dense-GEMM counterpart of [`RandomProjection`] for batched
-/// encoding: the bit-packed base hypervectors unpacked once into an
-/// `F×D` ±1 matrix, so a whole batch of feature vectors encodes as a
-/// single matrix product instead of `N` bit-serial accumulation passes.
+/// The batched-GEMM form of [`RandomProjection`]: the bit-packed base
+/// hypervectors laid out once as a sign operand of the tensor crate's
+/// GEMM ([`PackedRhs::from_sign_rows`], 16 sign bits per panel row, the
+/// same size as the projection itself), so a whole batch of feature
+/// vectors encodes as one register-tiled matrix product instead of `N`
+/// bit-serial accumulation passes. No f32 copy of the basis is ever
+/// made.
 ///
 /// `encode_raw_batch` is **bit-identical** to per-sample
 /// [`RandomProjection::encode_raw`]: the GEMM kernel accumulates the
 /// inner (feature) dimension sequentially and skips exact zeros, the
-/// same summation order and zero-skip as the bit-serial path, and
-/// `±1.0 · v` is exact in IEEE arithmetic. The serving runtime's
-/// determinism guarantee rests on this equality.
+/// same summation order and zero-skip as the bit-serial path, and each
+/// term is `v · (±1.0)`, which is exact in IEEE arithmetic. The serving
+/// runtime's determinism guarantee rests on this equality.
 ///
 /// # Examples
 ///
@@ -204,31 +207,16 @@ impl RandomProjection {
 pub struct BatchEncoder {
     features: usize,
     dim: usize,
-    /// Row-major `F×D` matrix of ±1.0, row `f` = unpacked `P_f`.
-    basis: Tensor,
+    /// The `F×D` ±1 basis as a GEMM sign operand, row `f` = `P_f`.
+    signs: PackedRhs,
 }
 
 impl BatchEncoder {
-    /// Unpacks `proj`'s base hypervectors into the dense basis matrix.
+    /// Lays `proj`'s base hypervectors out as the GEMM sign operand.
     pub fn new(proj: &RandomProjection) -> Self {
-        let (features, dim) = (proj.features, proj.dim);
-        let mut data = Vec::with_capacity(features * dim);
-        for row in &proj.rows {
-            let mut d = 0usize;
-            'row: for word in row.words() {
-                let mut bits = *word;
-                for _ in 0..64 {
-                    if d == dim {
-                        break 'row;
-                    }
-                    data.push(if bits & 1 == 1 { 1.0 } else { -1.0 });
-                    bits >>= 1;
-                    d += 1;
-                }
-            }
-        }
-        let basis = Tensor::from_vec(data, [features, dim]).expect("F·D basis entries");
-        BatchEncoder { features, dim, basis }
+        let words: Vec<&[u64]> = proj.rows.iter().map(PackedHv::words).collect();
+        let signs = PackedRhs::from_sign_rows(proj.dim, &words);
+        BatchEncoder { features: proj.features, dim: proj.dim, signs }
     }
 
     /// Number of input features `F`.
@@ -254,7 +242,7 @@ impl BatchEncoder {
         // FLOPs are attributed by the nested matmul span; this span only
         // names the stage.
         let _sp = nshd_obs::span("hd_encode");
-        matmul(values, &self.basis)
+        matmul_packed(values, &self.signs)
     }
 
     /// Encodes a whole batch of feature vectors into bipolar

@@ -5,9 +5,9 @@
 //!
 //! Individual requests trickle in one image at a time, but the NSHD
 //! pipeline is dramatically cheaper per sample when run batched: one
-//! NCHW pass through the truncated teacher, one dense GEMM for HD
-//! encoding, one `matmul_bt` against the class memory. The runtime
-//! bridges that gap with **micro-batching**:
+//! NCHW pass through the truncated teacher, one GEMM for HD encoding
+//! (against the bit-packed projection basis), one GEMM against the
+//! class memory. The runtime bridges that gap with **micro-batching**:
 //!
 //! 1. [`InferenceRuntime::submit_then`] enqueues a request with a
 //!    completion and returns immediately; [`InferenceRuntime::submit`]

@@ -17,6 +17,10 @@
 //!   in (`simd` feature, on by default) and supported by the CPU; the
 //!   cache-blocked scalar loop is always present as the bit-exact
 //!   reference fallback;
+//! - [`PackedRhs`]/[`matmul_packed`] — a right-hand operand packed once
+//!   into the micro-kernels' panel layout, in f32 or (for ±1 matrices
+//!   such as a random-projection basis) as sign bits, so constant
+//!   operands skip the per-call packing with bit-identical results;
 //! - [`par`] — std-only structured parallelism (scoped workers honoring
 //!   the `NSHD_THREADS` override, deterministic row partitioning);
 //! - [`im2col`]/[`col2im`] — the convolution ⇄ GEMM bridge and its adjoint;
@@ -49,9 +53,11 @@ mod tensor;
 
 pub use error::TensorError;
 pub use im2col::{col2im, im2col, ConvGeometry};
-pub use matmul::{matmul, matmul_at, matmul_bt, matmul_bt_into, matmul_into, matvec, vecmat};
+pub use matmul::{
+    matmul, matmul_at, matmul_bt, matmul_bt_into, matmul_into, matmul_packed, matvec, vecmat,
+};
 pub use ops::dot;
 pub use rng::Rng;
 pub use shape::{conv_out_dim, conv_tap_range, pool_out_dim, Shape};
-pub use simd::{set_simd_enabled, simd_available, simd_enabled};
+pub use simd::{set_simd_enabled, simd_available, simd_enabled, PackedRhs};
 pub use tensor::Tensor;

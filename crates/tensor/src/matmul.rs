@@ -18,10 +18,12 @@
 //!   `crates/tensor/tests/microkernel_conformance.rs` proves
 //!   differentially.
 //!
-//! [`matmul_bt`] materialises `Bᵀ` once per call (a pure copy) and then
-//! reuses the same drivers, so all three orientations share one
-//! accumulation order and the similarity-scoring path streams `B` rows
-//! contiguously instead of striding k-major per output element.
+//! The micro-kernels read `B` from a [`PackedRhs`]: column panels in
+//! f32 or, for a ±1 matrix, as sign bits. [`matmul`] and [`matmul_bt`]
+//! pack their `B` into one per call (`matmul_bt` straight from the
+//! `n`×`k` rows, no transpose); an owner of a constant operand packs it
+//! once and multiplies with [`matmul_packed`]. All of them run through
+//! one driver, so every orientation shares one accumulation order.
 //!
 //! Large products run **row-parallel** across the [`crate::par`] worker
 //! set: the output's rows are split into contiguous chunks and each worker
@@ -34,26 +36,26 @@
 //! [`nshd-nn`]: ../../nshd_nn/index.html
 
 use crate::par;
-use crate::simd;
+use crate::simd::{self, PackedRhs, PanelRow, Panels, NR};
 use crate::tensor::Tensor;
 
 /// Cache block edge, chosen so three `BLOCK×BLOCK` f32 tiles fit in L1.
 const BLOCK: usize = 64;
 
 /// Drives a row-partitioned GEMM-family kernel: opens the profiling span
-/// `name` attributing the f32 traffic of all three operands, then runs
+/// `name` attributing `bytes` of operand traffic, then runs
 /// `kernel(first_row, rows, chunk)` either once over the whole output
 /// (serial; FLOPs attributed to the kernel span) or row-chunked across
 /// the [`crate::par`] workers, each worker recording its own `par` child
 /// span carrying the FLOPs of its chunk (which roll up to the same
 /// total).
-fn run_rowwise<F>(name: &str, m: usize, k: usize, n: usize, c: &mut [f32], kernel: F)
+fn run_rowwise<F>(name: &str, m: usize, k: usize, n: usize, bytes: u64, c: &mut [f32], kernel: F)
 where
     F: Fn(usize, usize, &mut [f32]) + Sync,
 {
     let flops = 2 * (m as u64) * (k as u64) * (n as u64);
     let mut sp = nshd_obs::span(name);
-    sp.add_bytes(4 * (m * k + k * n + m * n) as u64);
+    sp.add_bytes(bytes);
     if n > 0 && par::should_parallelize(flops) {
         par::par_row_chunks(c, n, |first_row, chunk| {
             let rows = chunk.len() / n;
@@ -67,36 +69,90 @@ where
     }
 }
 
-/// Shared driver for `C = A · B` over raw slices (`bv` row-major `k`×`n`):
-/// zero-fills each row chunk, then hands it to the AVX2 micro-kernel
-/// ([`crate::simd`]) or the blocked scalar reference. The backend is
-/// decided **once per call**, before any packing, so a concurrent toggle
-/// flip cannot mix backends within one output (not that it could be
-/// observed — the backends are bit-identical). `matmul_bt` lands here
-/// too, after materialising `Bᵀ`.
-fn gemm_rowwise(name: &str, m: usize, k: usize, n: usize, av: &[f32], bv: &[f32], c: &mut [f32]) {
-    if simd::simd_enabled() {
-        // Pack B panels once, outside the row partition: read-only and a
-        // pure copy, so every worker shares one packing with no numeric
-        // or determinism consequences.
-        let packed = simd::pack_b(k, n, bv);
-        run_rowwise(name, m, k, n, c, |row0, rows, chunk| {
+/// f32 traffic of an `m`×`k` by `k`×`n` product with all three operands
+/// dense.
+fn dense_bytes(m: usize, k: usize, n: usize) -> u64 {
+    4 * (m * k + k * n + m * n) as u64
+}
+
+/// The one GEMM driver: `C = A · B` with `B` packed, `av` row-major
+/// `m`×`k`. Zero-fills each row chunk, then hands it to the AVX2
+/// micro-kernel ([`crate::simd`]) or the scalar panel loop, decided by
+/// `use_simd` **once per call** so a concurrent toggle flip cannot mix
+/// backends within one output (not that it could be observed — the
+/// backends are bit-identical). The panels are shared read-only by
+/// every row worker.
+fn gemm_packed(name: &str, m: usize, av: &[f32], b: &PackedRhs, use_simd: bool, c: &mut [f32]) {
+    fn drive<R: PanelRow>(
+        name: &str,
+        (m, k, n): (usize, usize, usize),
+        av: &[f32],
+        panels: &[R],
+        bytes: u64,
+        use_simd: bool,
+        c: &mut [f32],
+    ) {
+        run_rowwise(name, m, k, n, bytes, c, |row0, rows, chunk| {
             chunk.fill(0.0);
-            simd::gemm_avx2(rows, k, n, &av[row0 * k..(row0 + rows) * k], bv, &packed, chunk);
+            let a = &av[row0 * k..(row0 + rows) * k];
+            if use_simd {
+                simd::gemm_avx2(rows, k, n, a, panels, chunk);
+            } else {
+                gemm_panels(rows, k, n, a, panels, chunk);
+            }
         });
-    } else {
-        run_rowwise(name, m, k, n, c, |row0, rows, chunk| {
-            chunk.fill(0.0);
-            gemm(rows, k, n, &av[row0 * k..(row0 + rows) * k], bv, chunk);
-        });
+    }
+    let (k, n) = (b.k(), b.n());
+    let bytes = (4 * (m * k + m * n) + b.bytes()) as u64;
+    match b.panels() {
+        Panels::F32(rows) => drive(name, (m, k, n), av, rows, bytes, use_simd, c),
+        Panels::Sign(bits) => drive(name, (m, k, n), av, bits, bytes, use_simd, c),
     }
 }
 
+/// `C = A · B` over raw slices (`bv` row-major `k`×`n`): with the
+/// micro-kernels on, packs `B` once (a pure copy) and runs
+/// [`gemm_packed`]; otherwise runs the blocked scalar reference on `B`
+/// as it is.
+fn gemm_rowwise(name: &str, m: usize, k: usize, n: usize, av: &[f32], bv: &[f32], c: &mut [f32]) {
+    if simd::simd_enabled() {
+        gemm_packed(name, m, av, &PackedRhs::from_rows(k, n, bv), true, c);
+    } else {
+        gemm_scalar(name, m, k, n, av, bv, c);
+    }
+}
+
+/// `C = A · Bᵀ` over raw slices (`bv` row-major `n`×`k`): with the
+/// micro-kernels on, packs the panels straight from `B`'s rows;
+/// otherwise materialises the transpose for the scalar reference.
+fn gemm_rowwise_bt(
+    name: &str,
+    m: usize,
+    k: usize,
+    n: usize,
+    av: &[f32],
+    bv: &[f32],
+    c: &mut [f32],
+) {
+    if simd::simd_enabled() {
+        gemm_packed(name, m, av, &PackedRhs::from_columns(k, n, bv), true, c);
+    } else {
+        gemm_scalar(name, m, k, n, av, &transpose_to_kn(n, k, bv), c);
+    }
+}
+
+/// Row-partitioned blocked scalar reference over a row-major `B`.
+fn gemm_scalar(name: &str, m: usize, k: usize, n: usize, av: &[f32], bv: &[f32], c: &mut [f32]) {
+    run_rowwise(name, m, k, n, dense_bytes(m, k, n), c, |row0, rows, chunk| {
+        chunk.fill(0.0);
+        gemm(rows, k, n, &av[row0 * k..(row0 + rows) * k], bv, chunk);
+    });
+}
+
 /// Materialises `Bᵀ` — `bv` row-major `n`×`k` in, row-major `k`×`n` out —
-/// once per `matmul_bt` call, in cache-friendly 32² tiles. Packing the
-/// transpose up front is the layout fix that lets both backends stream
-/// `B` rows contiguously, instead of walking a k-major stride per output
-/// element as the old per-dot kernel did.
+/// for the scalar reference of `matmul_bt`, in cache-friendly 32² tiles,
+/// so the blocked loop streams `B` rows contiguously instead of walking
+/// a k-major stride per output element.
 fn transpose_to_kn(n: usize, k: usize, bv: &[f32]) -> Vec<f32> {
     const TBLOCK: usize = 32;
     let mut bt = vec![0.0f32; k * n];
@@ -170,12 +226,12 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// natural layout for similarity search (query rows against memory rows) and
 /// for the backward pass of linear layers.
 ///
-/// `Bᵀ` is materialised once per call (`transpose_to_kn`, a pure
-/// copy) and the product then runs through the same drivers as
-/// [`matmul`], so each output element accumulates in ascending-`p`
-/// order with a single accumulator — identical to
-/// `matmul(a, &b.transposed())` to the bit, and roughly 2× faster than
-/// the old per-element strided-dot kernel.
+/// `B`'s rows are packed once per call into the micro-kernels' column
+/// panels ([`PackedRhs::from_columns`], a pure copy; the scalar
+/// reference transposes instead) and the product then runs through the
+/// same driver as [`matmul`], so each output element accumulates in
+/// ascending-`p` order with a single accumulator — identical to
+/// `matmul(a, &b.transposed())` to the bit.
 ///
 /// # Panics
 ///
@@ -185,8 +241,7 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, k2) = dims2(b, "matmul_bt rhs");
     assert_eq!(k, k2, "matmul_bt inner dimensions disagree: {k} vs {k2}");
     let mut c = Tensor::zeros([m, n]);
-    let bt = transpose_to_kn(n, k, b.as_slice());
-    gemm_rowwise("matmul_bt", m, k, n, a.as_slice(), &bt, c.as_mut_slice());
+    gemm_rowwise_bt("matmul_bt", m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
     c
 }
 
@@ -206,8 +261,26 @@ pub fn matmul_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     assert_eq!(k, k2, "matmul_bt_into inner dimensions disagree: {k} vs {k2}");
     let (mo, no) = dims2(out, "matmul_bt_into out");
     assert_eq!((mo, no), (m, n), "matmul_bt_into output must be {m}×{n}, got {mo}×{no}");
-    let bt = transpose_to_kn(n, k, b.as_slice());
-    gemm_rowwise("matmul_bt", m, k, n, a.as_slice(), &bt, out.as_mut_slice());
+    gemm_rowwise_bt("matmul_bt", m, k, n, a.as_slice(), b.as_slice(), out.as_mut_slice());
+}
+
+/// Computes `C = A · B` against a pre-packed right-hand operand.
+///
+/// `a` is `m×k` and `b` a [`PackedRhs`] of `k×n`; the result is `m×n`.
+/// Bit-identical to [`matmul`] on the row-major matrix `b` was packed
+/// from (for a sign operand, the ±1.0 matrix), at any thread count and
+/// on either backend; packing `b` once is what a caller with a constant
+/// operand saves over [`matmul`], which packs per call.
+///
+/// # Panics
+///
+/// Panics if `a` is not rank-2 or its width is not `b.k()`.
+pub fn matmul_packed(a: &Tensor, b: &PackedRhs) -> Tensor {
+    let (m, k) = dims2(a, "matmul_packed lhs");
+    assert_eq!(k, b.k(), "matmul_packed inner dimensions disagree: {k} vs {}", b.k());
+    let mut c = Tensor::zeros([m, b.n()]);
+    gemm_packed("matmul_packed", m, a.as_slice(), b, simd::simd_enabled(), c.as_mut_slice());
+    c
 }
 
 /// Computes `C = Aᵀ · B` without materialising the transpose.
@@ -232,25 +305,33 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
     // one rank-1 step (`simd::axpy`), leaving that order untouched;
     // dispatch is pinned before the row partition so all workers agree.
     let use_simd = simd::simd_enabled();
-    run_rowwise("matmul_at", m, k, n, c.as_mut_slice(), |row0, rows, chunk| {
-        for p in 0..k {
-            let arow = &av[p * m + row0..p * m + row0 + rows];
-            let brow = &bv[p * n..(p + 1) * n];
-            for (local, &aip) in arow.iter().enumerate() {
-                if aip == 0.0 {
-                    continue;
-                }
-                let crow = &mut chunk[local * n..(local + 1) * n];
-                if use_simd {
-                    simd::axpy(aip, brow, crow);
-                } else {
-                    for (c_el, &b_el) in crow.iter_mut().zip(brow) {
-                        *c_el += aip * b_el;
+    run_rowwise(
+        "matmul_at",
+        m,
+        k,
+        n,
+        dense_bytes(m, k, n),
+        c.as_mut_slice(),
+        |row0, rows, chunk| {
+            for p in 0..k {
+                let arow = &av[p * m + row0..p * m + row0 + rows];
+                let brow = &bv[p * n..(p + 1) * n];
+                for (local, &aip) in arow.iter().enumerate() {
+                    if aip == 0.0 {
+                        continue;
+                    }
+                    let crow = &mut chunk[local * n..(local + 1) * n];
+                    if use_simd {
+                        simd::axpy(aip, brow, crow);
+                    } else {
+                        for (c_el, &b_el) in crow.iter_mut().zip(brow) {
+                            *c_el += aip * b_el;
+                        }
                     }
                 }
             }
-        }
-    });
+        },
+    );
     c
 }
 
@@ -315,6 +396,29 @@ fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The scalar reference over packed panels: `c += a · B`, each output
+/// element one accumulator over ascending `p` with the `a == 0.0` skip —
+/// the float sequence of [`gemm`] on the unpacked `B`. Pad columns of
+/// the last panel are accumulated and dropped.
+fn gemm_panels<R: PanelRow>(m: usize, k: usize, n: usize, a: &[f32], b: &[R], c: &mut [f32]) {
+    for (arow, crow) in a.chunks_exact(k.max(1)).zip(c.chunks_exact_mut(n.max(1))).take(m) {
+        for (pj, cpanel) in crow.chunks_mut(NR).enumerate() {
+            let mut acc = [0.0f32; NR];
+            acc[..cpanel.len()].copy_from_slice(cpanel);
+            for (&aip, row) in arow.iter().zip(&b[pj * k..(pj + 1) * k]) {
+                if aip == 0.0 {
+                    continue;
+                }
+                let (lo, hi) = row.halves();
+                for (acc_el, &b_el) in acc.iter_mut().zip(lo.iter().chain(hi)) {
+                    *acc_el += aip * b_el;
+                }
+            }
+            cpanel.copy_from_slice(&acc[..cpanel.len()]);
         }
     }
 }

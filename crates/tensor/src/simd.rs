@@ -20,11 +20,15 @@
 //!
 //! The register micro-tile is [`MR`]×[`NR`] = 4×16: eight 8-lane `ymm`
 //! accumulators, two panel loads, and one broadcast stay within the 16
-//! architectural `ymm` registers. `B` is repacked once per call into
-//! `NR`-wide column panels ([`pack_b`]) shared read-only by all row
-//! workers; the `A` tile is repacked p-major per row block inside
-//! [`gemm_avx2`]. Row remainders use a 1×16 kernel; column remainders
-//! past the last full panel fall back to the scalar loop.
+//! architectural `ymm` registers. `B` arrives as a [`PackedRhs`] of
+//! `NR`-wide column panels, shared read-only by all row workers: packed
+//! per call by [`crate::matmul`], or once by an owner of a constant
+//! operand. A panel row is either 16 f32 values or 16 sign bits that
+//! expand to two ±1.0 vectors through a 256×8 table; the kernels are
+//! generic over which ([`PanelRow`]). The `A` tile is repacked p-major
+//! per row block inside [`gemm_avx2`]. Row remainders use a 1×16
+//! kernel; the last panel is padded to `NR` columns and accumulated
+//! through a scratch tile whose pad columns are dropped.
 //!
 //! # Dispatch
 //!
@@ -103,101 +107,299 @@ fn avx2_available() -> bool {
     false
 }
 
-/// `B` repacked into [`NR`]-wide column panels: panel `pj` holds columns
-/// `pj*NR .. (pj+1)*NR` in p-major order (`panel[p * NR + jj]`), so the
-/// micro-kernel streams it contiguously. Columns past the last full
-/// panel stay in the caller's row-major `B` and are handled by the
-/// scalar column tail.
-pub(crate) struct PackedB {
-    panels: Vec<f32>,
-    /// Number of full `NR`-wide panels.
-    np: usize,
+/// A right-hand GEMM operand `B` (`k`×`n`) packed once into 16-column
+/// panels, the layout the micro-kernels stream.
+///
+/// Panel `pj` holds columns `pj*NR .. (pj+1)*NR` in p-major order; the
+/// last panel is padded to `NR` columns and the kernels drop the pad
+/// columns from the output. A panel row is stored in one of two forms:
+///
+/// - **f32** ([`from_rows`](PackedRhs::from_rows),
+///   [`from_columns`](PackedRhs::from_columns)): the `NR` values
+///   themselves, a pure copy of `B`;
+/// - **sign** ([`from_sign_rows`](PackedRhs::from_sign_rows)): a ±1
+///   matrix kept as `NR` sign bits per panel row, 32× smaller. Each
+///   byte selects one 8-lane row of ±1.0 from a 256-entry table, so the
+///   kernels multiply by exactly the `±1.0` the f32 form would hold.
+///
+/// Either way every output element sees the same float sequence as the
+/// scalar reference on the unpacked `B`, so a product through a packed
+/// operand is **bit-identical** to [`matmul`](crate::matmul) on the
+/// equivalent row-major matrix. Packing `B` once and reusing it is what
+/// lets a constant operand (a projection basis, a class memory) skip
+/// the per-call copy [`matmul`](crate::matmul) makes.
+#[derive(Clone)]
+pub struct PackedRhs {
+    k: usize,
+    n: usize,
+    panels: Panels,
 }
 
-/// Packs the first `n - n % NR` columns of the row-major `k`×`n` matrix
-/// `b` into [`PackedB`] panels. A pure copy — no arithmetic — so
-/// packing cannot perturb results.
-pub(crate) fn pack_b(k: usize, n: usize, b: &[f32]) -> PackedB {
-    debug_assert_eq!(b.len(), k * n);
-    let np = n / NR;
-    let mut panels = vec![0.0f32; np * k * NR];
-    for pj in 0..np {
-        let j0 = pj * NR;
-        let base = pj * k * NR;
-        for p in 0..k {
-            panels[base + p * NR..base + (p + 1) * NR]
-                .copy_from_slice(&b[p * n + j0..p * n + j0 + NR]);
+/// The two panel-row forms of a [`PackedRhs`], both indexed
+/// `[pj * k + p]`.
+#[derive(Clone)]
+pub(crate) enum Panels {
+    /// The row's `NR` values as two 8-lane halves.
+    F32(Vec<[[f32; 8]; 2]>),
+    /// The row's `NR` signs, bit `jj` set for `+1.0`.
+    Sign(Vec<u16>),
+}
+
+impl PackedRhs {
+    /// Packs the row-major `k`×`n` matrix `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k * n`.
+    #[must_use]
+    pub fn from_rows(k: usize, n: usize, b: &[f32]) -> Self {
+        assert_eq!(b.len(), k * n, "PackedRhs::from_rows expects a {k}×{n} matrix");
+        Self::pack_f32(k, n, |p, j0, out| {
+            let src = &b[p * n + j0..];
+            match out.first_chunk_mut::<NR>() {
+                // Fixed-size copy for full panels: no `memcpy` call.
+                Some(full) => full.copy_from_slice(&src[..NR]),
+                None => out.copy_from_slice(&src[..out.len()]),
+            }
+        })
+    }
+
+    /// Packs `B` from its transpose: `bt` is row-major `n`×`k`, row `j`
+    /// holding column `j` of `B` — the layout of `A · Bᵀ` operands such
+    /// as a class memory scored against query rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bt.len() != n * k`.
+    #[must_use]
+    pub fn from_columns(k: usize, n: usize, bt: &[f32]) -> Self {
+        assert_eq!(bt.len(), n * k, "PackedRhs::from_columns expects an {n}×{k} matrix");
+        Self::pack_f32(k, n, |p, j0, out| {
+            for (jj, v) in out.iter_mut().enumerate() {
+                *v = bt[(j0 + jj) * k + p];
+            }
+        })
+    }
+
+    /// Builds the f32 form: `fill(p, j0, out)` writes `B[p][j0..]` into
+    /// the `out.len()` valid columns of one panel row.
+    fn pack_f32(k: usize, n: usize, fill: impl Fn(usize, usize, &mut [f32])) -> Self {
+        let np = n.div_ceil(NR);
+        let mut rows = vec![[[0.0f32; 8]; 2]; np * k];
+        for (pj, panel) in rows.chunks_exact_mut(k.max(1)).take(np).enumerate() {
+            let j0 = pj * NR;
+            let width = NR.min(n - j0);
+            for (p, row) in panel.iter_mut().enumerate() {
+                fill(p, j0, &mut row.as_flattened_mut()[..width]);
+            }
+        }
+        PackedRhs { k, n, panels: Panels::F32(rows) }
+    }
+
+    /// Packs a ±1 matrix from its sign bits: `rows[p]` is row `p` of `B`
+    /// as little-endian `u64` words, bit `j` set for `B[p][j] = +1.0`
+    /// and clear for `-1.0` (bits past `n` are ignored). `k` is
+    /// `rows.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row holds fewer than `n` bits.
+    #[must_use]
+    pub fn from_sign_rows<R: AsRef<[u64]>>(n: usize, rows: &[R]) -> Self {
+        let k = rows.len();
+        let np = n.div_ceil(NR);
+        let mut bits = vec![0u16; np * k];
+        for (p, row) in rows.iter().enumerate() {
+            let words = row.as_ref();
+            assert!(words.len() * 64 >= n, "sign row {p} holds fewer than {n} bits");
+            for pj in 0..np {
+                let bit = pj * NR;
+                // NR divides 64, so a panel row never straddles two words.
+                bits[pj * k + p] = (words[bit / 64] >> (bit % 64)) as u16;
+            }
+        }
+        PackedRhs { k, n, panels: Panels::Sign(bits) }
+    }
+
+    /// Inner dimension `k` (rows of `B`).
+    #[must_use]
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Output width `n` (columns of `B`).
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Bytes the packed panels occupy.
+    pub(crate) fn bytes(&self) -> usize {
+        match &self.panels {
+            Panels::F32(rows) => std::mem::size_of_val(rows.as_slice()),
+            Panels::Sign(bits) => std::mem::size_of_val(bits.as_slice()),
         }
     }
-    PackedB { panels, np }
+
+    pub(crate) fn panels(&self) -> &Panels {
+        &self.panels
+    }
 }
 
-/// Micro-kernel GEMM over one row chunk: `c += a · b`, with `a` a
-/// row-major `m`×`k` block, `b` the full row-major `k`×`n` matrix,
-/// `packed` its [`pack_b`] panels, and `c` the `m`×`n` destination.
-/// Per-element float sequence is identical to the scalar reference.
+impl std::fmt::Debug for PackedRhs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let form = match self.panels {
+            Panels::F32(_) => "f32",
+            Panels::Sign(_) => "sign",
+        };
+        f.debug_struct("PackedRhs")
+            .field("k", &self.k)
+            .field("n", &self.n)
+            .field("form", &form)
+            .finish()
+    }
+}
+
+/// One stored panel row: the micro-kernels and the scalar panel loop
+/// are generic over it, so both [`PackedRhs`] forms run through one set
+/// of kernels. A panel is a slice of `k` rows, `p` ascending.
+pub(crate) trait PanelRow: Sync {
+    /// The row's `NR` values as two 8-lane halves.
+    fn halves(&self) -> (&[f32; 8], &[f32; 8]);
+}
+
+impl PanelRow for [[f32; 8]; 2] {
+    #[inline]
+    fn halves(&self) -> (&[f32; 8], &[f32; 8]) {
+        (&self[0], &self[1])
+    }
+}
+
+/// A sign row: each byte expanded through [`SIGNS`].
+impl PanelRow for u16 {
+    #[inline]
+    fn halves(&self) -> (&[f32; 8], &[f32; 8]) {
+        (&SIGNS.0[usize::from(self & 0xff)], &SIGNS.0[usize::from(self >> 8)])
+    }
+}
+
+/// `SIGNS.0[b][l]` is `+1.0` when bit `l` of `b` is set and `-1.0`
+/// otherwise: one byte of a sign panel row as an 8-lane B vector.
+/// 32-byte aligned so every entry is one aligned `ymm` load.
+#[repr(C, align(32))]
+struct SignTable([[f32; 8]; 256]);
+
+static SIGNS: SignTable = SignTable(sign_table());
+
+const fn sign_table() -> [[f32; 8]; 256] {
+    let mut table = [[-1.0f32; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut l = 0;
+        while l < 8 {
+            if (b >> l) & 1 == 1 {
+                table[b][l] = 1.0;
+            }
+            l += 1;
+        }
+        b += 1;
+    }
+    table
+}
+
+/// Copies `rows` rows of `c` (row stride `n`), columns `j0..j0 + width`,
+/// into the `NR`-stride `tile`, zeroing its pad columns — the
+/// destination the kernels accumulate into for the last, partial panel.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) fn gemm_avx2(
+fn load_tile(c: &[f32], n: usize, rows: usize, j0: usize, width: usize, tile: &mut [f32]) {
+    tile.fill(0.0);
+    for r in 0..rows {
+        tile[r * NR..r * NR + width].copy_from_slice(&c[r * n + j0..r * n + j0 + width]);
+    }
+}
+
+/// Writes the valid columns of a [`load_tile`] tile back into `c`,
+/// dropping the pad columns.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+fn store_tile(tile: &[f32], rows: usize, j0: usize, width: usize, n: usize, c: &mut [f32]) {
+    for r in 0..rows {
+        c[r * n + j0..r * n + j0 + width].copy_from_slice(&tile[r * NR..r * NR + width]);
+    }
+}
+
+/// Micro-kernel GEMM over one row chunk: `c += a · B`, with `a` a
+/// row-major `m`×`k` block, `b` the panels of the packed `k`×`n`
+/// operand, and `c` the `m`×`n` destination. Full panels accumulate
+/// straight into `c`; the last, partial panel accumulates into an
+/// `NR`-wide scratch tile whose pad columns are dropped. Per-element
+/// float sequence is identical to the scalar reference.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+pub(crate) fn gemm_avx2<R: PanelRow>(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
-    b: &[f32],
-    packed: &PackedB,
+    b: &[R],
     c: &mut [f32],
 ) {
     debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
+    if k == 0 {
+        // No terms: `c` is already the sum.
+        return;
+    }
     let mut apanel = vec![0.0f32; k * MR];
+    let mut tile = [0.0f32; MR * NR];
     let full_rows = m - m % MR;
     let mut i0 = 0;
     while i0 < full_rows {
         // Repack the A tile p-major (`apanel[p * MR + r]`) so the
-        // kernel broadcast-streams it. Pure copy, like `pack_b`.
+        // kernel broadcast-streams it. Pure copy, like the B packing.
         for p in 0..k {
             for r in 0..MR {
                 apanel[p * MR + r] = a[(i0 + r) * k + p];
             }
         }
-        for pj in 0..packed.np {
-            let bpanel = &packed.panels[pj * k * NR..(pj + 1) * k * NR];
-            let ctile = &mut c[i0 * n + pj * NR..];
+        let crows = &mut c[i0 * n..(i0 + MR) * n];
+        for (pj, bpanel) in b.chunks_exact(k).enumerate() {
+            let (j0, width) = (pj * NR, NR.min(n - pj * NR));
+            let padded = width < NR;
+            let (ctile, stride) = if padded {
+                load_tile(crows, n, MR, j0, width, &mut tile);
+                (&mut tile[..], NR)
+            } else {
+                (&mut crows[j0..], n)
+            };
             // SAFETY: dispatch (`simd_enabled`) verified AVX2 at runtime
-            // before selecting this path; `ctile` spans at least
-            // `(MR - 1) * n + NR` elements because `i0 + MR <= m` and
-            // `(pj + 1) * NR <= n`, and `apanel`/`bpanel` hold `k` full
-            // tiles — the kernel's documented preconditions.
-            unsafe { kernel_4x16(k, n, &apanel, bpanel, ctile) }
+            // before selecting this path, and `ctile` spans at least
+            // `(MR - 1) * stride + NR` elements (a full panel of `MR`
+            // rows of `c`, or the `MR`×`NR` scratch tile) — the kernel's
+            // documented preconditions.
+            unsafe { kernel_4x16(stride, &apanel, bpanel, ctile) }
+            if padded {
+                store_tile(&tile, MR, j0, width, n, crows);
+            }
         }
         i0 += MR;
     }
     for i in full_rows..m {
         let arow = &a[i * k..(i + 1) * k];
-        for pj in 0..packed.np {
-            let bpanel = &packed.panels[pj * k * NR..(pj + 1) * k * NR];
-            let ctile = &mut c[i * n + pj * NR..];
-            // SAFETY: same dispatch guarantee as above; `ctile` spans at
-            // least `NR` elements because `(pj + 1) * NR <= n`, and
-            // `arow`/`bpanel` hold `k` elements / `k` full panel rows.
-            unsafe { kernel_1x16(k, arow, bpanel, ctile) }
-        }
-    }
-    // Scalar column tail for the `n % NR` columns past the last panel:
-    // the reference's single-accumulator p-ascending loop, verbatim.
-    let jt = packed.np * NR;
-    if jt < n {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for j in jt..n {
-                let mut acc = c[i * n + j];
-                for (p, &aip) in arow.iter().enumerate() {
-                    if aip == 0.0 {
-                        continue;
-                    }
-                    acc += aip * b[p * n + j];
-                }
-                c[i * n + j] = acc;
+        let crow = &mut c[i * n..(i + 1) * n];
+        for (pj, bpanel) in b.chunks_exact(k).enumerate() {
+            let (j0, width) = (pj * NR, NR.min(n - pj * NR));
+            let padded = width < NR;
+            let ctile = if padded {
+                load_tile(crow, n, 1, j0, width, &mut tile);
+                &mut tile[..]
+            } else {
+                &mut crow[j0..]
+            };
+            // SAFETY: same dispatch guarantee as above, and `ctile`
+            // spans at least `NR` elements (a full panel of `c`'s row or
+            // the scratch tile).
+            unsafe { kernel_1x16(arow, bpanel, ctile) }
+            if padded {
+                store_tile(&tile, 1, j0, width, n, crow);
             }
         }
     }
@@ -206,13 +408,12 @@ pub(crate) fn gemm_avx2(
 /// Scalar-build stub; never reached because [`simd_enabled`] is `false`
 /// when the micro-kernels are compiled out.
 #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-pub(crate) fn gemm_avx2(
+pub(crate) fn gemm_avx2<R: PanelRow>(
     _m: usize,
     _k: usize,
     _n: usize,
     _a: &[f32],
-    _b: &[f32],
-    _packed: &PackedB,
+    _b: &[R],
     _c: &mut [f32],
 ) {
     unreachable!("micro-kernels compiled out");
@@ -236,27 +437,28 @@ pub(crate) fn axpy(_aip: f32, _b: &[f32], _c: &mut [f32]) {
 }
 
 /// 4×16 register micro-tile:
-/// `ctile[r * n + jj] += Σ_p apanel[p * MR + r] * bpanel[p * NR + jj]`
-/// for `r < MR`, `jj < NR`, with `p` ascending, separate
-/// round-to-nearest multiply and add (no FMA contraction), and the
-/// reference's `a == 0.0` skip per `(r, p)` — bit-identical to the
-/// scalar loop.
+/// `ctile[r * n + jj] += Σ_p apanel[p * MR + r] * B[p][jj]` for
+/// `r < MR`, `jj < NR`, with `B`'s row `p` read from `bpanel[p]` (an
+/// f32 row, or a sign row expanded through [`SIGNS`]), `p` ascending,
+/// separate round-to-nearest multiply and add (no FMA contraction),
+/// and the reference's `a == 0.0` skip per `(r, p)` — bit-identical to
+/// the scalar loop. `n` is `ctile`'s row stride.
+///
+/// The product runs over the rows of `bpanel` and the `MR`-wide tiles
+/// of `apanel` in step, stopping at the shorter of the two.
 ///
 /// # Safety
 ///
-/// Caller must have verified AVX2 support and pass `apanel` of at least
-/// `k * MR` elements, `bpanel` of at least `k * NR` elements, and
-/// `ctile` spanning at least `(MR - 1) * n + NR` elements.
+/// Caller must have verified AVX2 support and pass `ctile` spanning at
+/// least `(MR - 1) * n + NR` elements.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 // SAFETY: declaration carries the caller contract spelled out above —
 // AVX2 verified by the dispatcher plus the slice-extent preconditions.
-unsafe fn kernel_4x16(k: usize, n: usize, apanel: &[f32], bpanel: &[f32], ctile: &mut [f32]) {
+unsafe fn kernel_4x16<R: PanelRow>(n: usize, apanel: &[f32], bpanel: &[R], ctile: &mut [f32]) {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
     };
-    let ap = apanel.as_ptr();
-    let bp = bpanel.as_ptr();
     let cp = ctile.as_mut_ptr();
     // Accumulators start from the destination tile, so `c +=` semantics
     // and the element's full addition sequence match the reference.
@@ -268,28 +470,27 @@ unsafe fn kernel_4x16(k: usize, n: usize, apanel: &[f32], bpanel: &[f32], ctile:
     let mut acc2b = _mm256_loadu_ps(cp.add(2 * n + 8));
     let mut acc3a = _mm256_loadu_ps(cp.add(3 * n));
     let mut acc3b = _mm256_loadu_ps(cp.add(3 * n + 8));
-    for p in 0..k {
-        let b0 = _mm256_loadu_ps(bp.add(p * NR));
-        let b1 = _mm256_loadu_ps(bp.add(p * NR + 8));
-        let a0 = *ap.add(p * MR);
+    let (atiles, _) = apanel.as_chunks::<MR>();
+    // Zipping two slices keeps one induction variable in the loop.
+    for (&[a0, a1, a2, a3], row) in atiles.iter().zip(bpanel) {
+        let (lo, hi) = row.halves();
+        let b0 = _mm256_loadu_ps(lo.as_ptr());
+        let b1 = _mm256_loadu_ps(hi.as_ptr());
         if a0 != 0.0 {
             let av = _mm256_set1_ps(a0);
             acc0a = _mm256_add_ps(acc0a, _mm256_mul_ps(av, b0));
             acc0b = _mm256_add_ps(acc0b, _mm256_mul_ps(av, b1));
         }
-        let a1 = *ap.add(p * MR + 1);
         if a1 != 0.0 {
             let av = _mm256_set1_ps(a1);
             acc1a = _mm256_add_ps(acc1a, _mm256_mul_ps(av, b0));
             acc1b = _mm256_add_ps(acc1b, _mm256_mul_ps(av, b1));
         }
-        let a2 = *ap.add(p * MR + 2);
         if a2 != 0.0 {
             let av = _mm256_set1_ps(a2);
             acc2a = _mm256_add_ps(acc2a, _mm256_mul_ps(av, b0));
             acc2b = _mm256_add_ps(acc2b, _mm256_mul_ps(av, b1));
         }
-        let a3 = *ap.add(p * MR + 3);
         if a3 != 0.0 {
             let av = _mm256_set1_ps(a3);
             acc3a = _mm256_add_ps(acc3a, _mm256_mul_ps(av, b0));
@@ -312,30 +513,27 @@ unsafe fn kernel_4x16(k: usize, n: usize, apanel: &[f32], bpanel: &[f32], ctile:
 ///
 /// # Safety
 ///
-/// Caller must have verified AVX2 support and pass `arow` of at least
-/// `k` elements, `bpanel` of at least `k * NR` elements, and `ctile`
-/// spanning at least `NR` elements.
+/// Caller must have verified AVX2 support and pass `ctile` spanning at
+/// least `NR` elements.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
 // SAFETY: declaration carries the caller contract spelled out above —
 // AVX2 verified by the dispatcher plus the slice-extent preconditions.
-unsafe fn kernel_1x16(k: usize, arow: &[f32], bpanel: &[f32], ctile: &mut [f32]) {
+unsafe fn kernel_1x16<R: PanelRow>(arow: &[f32], bpanel: &[R], ctile: &mut [f32]) {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
     };
-    let ap = arow.as_ptr();
-    let bp = bpanel.as_ptr();
     let cp = ctile.as_mut_ptr();
     let mut acc_a = _mm256_loadu_ps(cp);
     let mut acc_b = _mm256_loadu_ps(cp.add(8));
-    for p in 0..k {
-        let aip = *ap.add(p);
+    for (&aip, row) in arow.iter().zip(bpanel) {
         if aip == 0.0 {
             continue;
         }
+        let (lo, hi) = row.halves();
         let av = _mm256_set1_ps(aip);
-        let b0 = _mm256_loadu_ps(bp.add(p * NR));
-        let b1 = _mm256_loadu_ps(bp.add(p * NR + 8));
+        let b0 = _mm256_loadu_ps(lo.as_ptr());
+        let b1 = _mm256_loadu_ps(hi.as_ptr());
         acc_a = _mm256_add_ps(acc_a, _mm256_mul_ps(av, b0));
         acc_b = _mm256_add_ps(acc_b, _mm256_mul_ps(av, b1));
     }
@@ -382,26 +580,56 @@ mod tests {
     #[test]
     fn pack_b_is_p_major_per_panel() {
         let k = 3;
-        let n = NR + 5; // one full panel plus a ragged tail
+        let n = NR + 5; // one full panel plus a ragged, padded one
         let b: Vec<f32> = (0..k * n).map(|i| i as f32).collect();
-        let packed = pack_b(k, n, &b);
-        assert_eq!(packed.np, 1);
-        assert_eq!(packed.panels.len(), k * NR);
-        for p in 0..k {
-            for jj in 0..NR {
-                assert_eq!(packed.panels[p * NR + jj], b[p * n + jj]);
+        let packed = PackedRhs::from_rows(k, n, &b);
+        let Panels::F32(rows) = packed.panels() else { panic!("f32 form expected") };
+        assert_eq!(rows.len(), 2 * k);
+        for (pj, panel) in rows.chunks_exact(k).enumerate() {
+            for (p, row) in panel.iter().enumerate() {
+                for (jj, &v) in row.as_flattened().iter().enumerate() {
+                    let j = pj * NR + jj;
+                    let want = if j < n { b[p * n + j] } else { 0.0 };
+                    assert_eq!(v, want, "panel {pj} row {p} lane {jj}");
+                }
             }
         }
+        // The transposed packer lays out the same panels.
+        let bt: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+        let Panels::F32(cols) = PackedRhs::from_columns(k, n, &bt).panels else {
+            panic!("f32 form expected")
+        };
+        assert_eq!(&cols, rows);
     }
 
     #[test]
     fn pack_b_handles_narrow_and_empty_matrices() {
-        let packed = pack_b(4, 7, &[1.0; 28]);
-        assert_eq!(packed.np, 0);
-        assert!(packed.panels.is_empty());
-        let packed = pack_b(0, NR, &[]);
-        assert_eq!(packed.np, 1);
-        assert!(packed.panels.is_empty());
+        let packed = PackedRhs::from_rows(4, 7, &[1.0; 28]);
+        assert_eq!((packed.k(), packed.n()), (4, 7));
+        assert_eq!(packed.bytes(), 4 * NR * 4, "one padded panel");
+        let packed = PackedRhs::from_rows(0, NR, &[]);
+        assert_eq!(packed.bytes(), 0);
+        let packed = PackedRhs::from_rows(3, 0, &[]);
+        assert_eq!(packed.bytes(), 0);
+    }
+
+    #[test]
+    fn sign_panels_hold_sixteen_bits_per_row() {
+        // Row p's bits 16·pj .. 16·pj + 16 become panel pj's row p.
+        let rows = [vec![0x0123_4567_89ab_cdefu64, 0x1], vec![u64::MAX, 0]];
+        let packed = PackedRhs::from_sign_rows(70, &rows);
+        let Panels::Sign(bits) = packed.panels() else { panic!("sign form expected") };
+        assert_eq!(packed.k(), 2);
+        assert_eq!(
+            bits.as_slice(),
+            &[0xcdef, 0xffff, 0x89ab, 0xffff, 0x4567, 0xffff, 0x0123, 0xffff, 0x0001, 0x0000]
+        );
+        for (b, lanes) in SIGNS.0.iter().enumerate() {
+            for (l, &v) in lanes.iter().enumerate() {
+                assert_eq!(v, if b >> l & 1 == 1 { 1.0 } else { -1.0 });
+            }
+        }
+        assert_eq!(std::ptr::addr_of!(SIGNS) as usize % 32, 0);
     }
 
     #[test]

@@ -17,12 +17,17 @@
 //!
 //! Inputs are seeded and salted with exact `0.0`/`-0.0` entries so the
 //! zero-skip branch is exercised on every shape.
+//!
+//! Pre-packed operands ([`PackedRhs`]) are held to the same contract:
+//! `matmul_packed` through an f32 operand must equal the reference on
+//! the matrix it was packed from, and through a sign operand must equal
+//! `matmul` on the unpacked ±1.0 matrix.
 
 use std::sync::Mutex;
 
 use nshd_tensor::{
-    matmul, matmul_at, matmul_bt, matmul_bt_into, matmul_into, par, set_simd_enabled,
-    simd_available, simd_enabled, Tensor,
+    matmul, matmul_at, matmul_bt, matmul_bt_into, matmul_into, matmul_packed, par,
+    set_simd_enabled, simd_available, simd_enabled, PackedRhs, Tensor,
 };
 
 /// Shape grid: (m, k, n) for `matmul`; the bt/at variants derive their
@@ -200,6 +205,71 @@ fn matmul_at_matches_reference_on_grid() {
             let got = matmul_at(&a, &b);
             assert_bits_eq(&got, &want, &format!("matmul_at {m}x{k}x{n} [{label}]"));
         });
+    }
+}
+
+#[test]
+fn f32_operand_matches_reference_on_grid() {
+    let _g = lock();
+    for &(m, k, n) in SHAPES {
+        let a = seeded(m, k, (m * 7 + k * 61 + n) as u64 ^ 0xACE);
+        let b = seeded(k, n, (m + k * 13 + n * 29) as u64 ^ 0xD1CE);
+        let want = naive_matmul(&a, &b);
+        let rows = PackedRhs::from_rows(k, n, b.as_slice());
+        let cols = PackedRhs::from_columns(k, n, b.transposed().as_slice());
+        for_each_config(|label| {
+            let what = format!("{m}x{k}x{n} [{label}]");
+            assert_bits_eq(&matmul_packed(&a, &rows), &want, &format!("from_rows {what}"));
+            assert_bits_eq(&matmul_packed(&a, &cols), &want, &format!("from_columns {what}"));
+        });
+    }
+}
+
+/// Seeded sign rows: `k` rows of `n` bits as `u64` words, with random
+/// bits past `n` too (the packer must ignore them).
+fn sign_words(k: usize, n: usize, seed: u64) -> Vec<Vec<u64>> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..k)
+        .map(|_| {
+            (0..n.div_ceil(64))
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn sign_operand_matches_matmul_on_unpacked_signs() {
+    let _g = lock();
+    for &m in &[1usize, 3, 4, 5, 8] {
+        for &n in &[1usize, 8, 15, 16, 17, 130, 3000] {
+            for &k in &[0usize, 1, 37, 70] {
+                let a = seeded(m, k, (m * 97 + k * 7 + n) as u64 ^ 0x5167);
+                let words = sign_words(k, n, (m + 11 * k + 131 * n) as u64);
+                let signs = Tensor::from_fn([k, n], |i| {
+                    let (p, j) = (i / n, i % n);
+                    if words[p][j / 64] >> (j % 64) & 1 == 1 {
+                        1.0
+                    } else {
+                        -1.0
+                    }
+                });
+                let want = naive_matmul(&a, &signs);
+                let packed = PackedRhs::from_sign_rows(n, &words);
+                assert_eq!((packed.k(), packed.n()), (k, n));
+                for_each_config(|label| {
+                    let what = format!("{m}x{k}x{n} [{label}]");
+                    let got = matmul_packed(&a, &packed);
+                    assert_bits_eq(&got, &matmul(&a, &signs), &format!("sign operand {what}"));
+                    assert_bits_eq(&got, &want, &format!("sign operand vs contract {what}"));
+                });
+            }
+        }
     }
 }
 

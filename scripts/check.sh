@@ -43,6 +43,12 @@ echo "==> cargo test -p nshd-nn (NSHD_SIMD=0)"
 # digests must not move when the micro-kernels are switched off.
 NSHD_SIMD=0 cargo test -q -p nshd-nn
 
+echo "==> cargo test -p nshd-hdc (NSHD_SIMD=0)"
+# The HD suite on the scalar panel loop: the batch encoder (sign
+# operand) and dense scoring (compiled class panel) must stay
+# bit-identical to their per-sample oracles with the micro-kernels off.
+NSHD_SIMD=0 cargo test -q -p nshd-hdc
+
 echo "==> nshd-tensor --no-default-features (scalar fallback)"
 # The pure-scalar build (no `simd` feature compiled in at all) must
 # build and pass the full tensor suite, including the micro-kernel
