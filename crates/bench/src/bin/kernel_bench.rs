@@ -3,7 +3,8 @@
 //! Measures achieved GFLOP/s of every parallelized hot kernel — the
 //! GEMM family (`matmul`, `matmul_bt`, `matmul_at`), conv2d forward
 //! (im2col + GEMM), the served extractor's depthwise and 1×1 convs at a
-//! batch of one, the batched HD encode (also at the served batch of one),
+//! batch of one, the whole served extractor through the fused eval pass
+//! (also checked against the layer-by-layer chain), the batched HD encode (also at the served batch of one),
 //! dense scoring against the compiled class panel, and the quantised scoring
 //! kernels (`packed_score` XNOR+popcount, `int8_score` mask-and-add
 //! GEMM) — once with one thread and once with the full worker set
@@ -31,7 +32,7 @@ use nshd_bench::Scale;
 use nshd_hdc::{
     AssociativeMemory, BipolarHv, PackedHv, PackedMemory, QuantizedMemory, RandomProjection,
 };
-use nshd_nn::{Conv2d, DepthwiseConv2d, Layer};
+use nshd_nn::{Architecture, Conv2d, DepthwiseConv2d, EvalOp, Layer};
 use nshd_obs::{clock, Json, Recorder};
 use nshd_tensor::{matmul, matmul_at, matmul_bt, par, Rng, Tensor};
 use std::hint::black_box;
@@ -147,6 +148,20 @@ fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// `layer.infer` with every container opened up, so each leaf layer
+/// runs its own `infer`: the layer-by-layer oracle of the fused pass.
+fn layerwise(layer: &dyn Layer, x: &Tensor) -> Tensor {
+    match layer.eval_op() {
+        Some(EvalOp::Sequential(seq)) => {
+            (0..seq.len()).fold(x.clone(), |y, i| layerwise(seq.layer(i), &y))
+        }
+        Some(EvalOp::Residual(body)) => {
+            (0..body.len()).fold(x.clone(), |y, i| layerwise(body.layer(i), &y)).add(x)
+        }
+        _ => layer.infer(x),
+    }
+}
+
 fn rand_tensor(shape: [usize; 2], rng: &mut Rng) -> Tensor {
     Tensor::from_fn(shape, |_| rng.uniform_in(-1.0, 1.0))
 }
@@ -213,7 +228,7 @@ fn main() {
     // depthwise 3×3 at its widest stride-1 and stride-2 shapes and a
     // deep stride-1 shape, and an expanding 1×1 conv (the N = 1 lowering
     // that skips the batch interleave).
-    for (c, hw, stride) in [(48, 32, 1), (48, 32, 2), (72, 8, 1)] {
+    for (c, hw, stride) in [(48, 32, 1), (48, 32, 2), (72, 8, 1), (114, 8, 2)] {
         let dw = DepthwiseConv2d::new(c, 3, stride, 1, &mut rng);
         let x = Tensor::from_fn([1, c, hw, hw], |i| ((i % 89) as f32 - 44.0) / 44.0);
         let flops = 2 * dw.macs(&[c, hw, hw]);
@@ -229,6 +244,26 @@ fn main() {
         cells.push(measure("conv1x1", "n1c8→48@32x32".into(), flops, reps, args.threads, || {
             conv.infer(&x)
         }));
+    }
+
+    // The whole served extractor (MobileNetV2 analog, cut 15, one
+    // image) through the fused eval pass, which must equal the explicit
+    // layer-by-layer `infer` chain bit for bit.
+    {
+        let arch = Architecture::MobileNetV2;
+        let model = arch.build(10, &mut rng);
+        let cut = arch.paper_cuts()[0];
+        let x = Tensor::from_fn([1, 3, 32, 32], |i| ((i % 79) as f32 - 39.0) / 39.0);
+        let flops = 2 * model.macs_to_cut(cut);
+        let reps = reps_for(flops, budget / 2);
+        let mut cell =
+            measure("extractor", format!("mnv2c{cut}n1"), flops, reps, args.threads, || {
+                model.infer_features_at(&x, cut)
+            });
+        let chain = (0..cut).fold(x.clone(), |y, i| layerwise(model.features.layer(i), &y));
+        cell.bit_identical &=
+            bits_equal(model.infer_features_at(&x, cut).as_slice(), chain.as_slice());
+        cells.push(cell);
     }
 
     // Batched HD encode: values · basis GEMM.

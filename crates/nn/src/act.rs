@@ -3,7 +3,7 @@
 //! The model zoo uses ReLU for VGG, ReLU6 for MobileNetV2, and SiLU for
 //! EfficientNet, matching the reference architectures.
 
-use crate::layer::{Layer, Mode};
+use crate::layer::{EvalOp, Layer, Mode};
 use crate::shape::ShapeError;
 use nshd_tensor::{Shape, Tensor};
 
@@ -60,19 +60,19 @@ impl ActKind {
     }
 }
 
-fn relu(x: f32) -> f32 {
+pub(crate) fn relu(x: f32) -> f32 {
     x.max(0.0)
 }
 
-fn relu6(x: f32) -> f32 {
+pub(crate) fn relu6(x: f32) -> f32 {
     x.clamp(0.0, 6.0)
 }
 
-fn silu(x: f32) -> f32 {
+pub(crate) fn silu(x: f32) -> f32 {
     x * sigmoid(x)
 }
 
-fn sigmoid(x: f32) -> f32 {
+pub(crate) fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
@@ -136,6 +136,10 @@ impl Layer for Activation {
             ActKind::Silu => input.map(silu),
             ActKind::Sigmoid => input.map(sigmoid),
         }
+    }
+
+    fn eval_op(&self) -> Option<EvalOp<'_>> {
+        Some(EvalOp::Activation(self.kind))
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -7,13 +7,14 @@
 //! scalar reference (the kernels share one numeric contract; see
 //! `nshd-tensor`'s `matmul` module docs).
 
+use crate::fused::{Epilogue, Map, Workspace};
 use crate::init::he_normal;
-use crate::layer::{Layer, Mode};
+use crate::layer::{EvalOp, Layer, Mode};
 use crate::param::Param;
 use crate::shape::ShapeError;
 use nshd_tensor::{
-    col2im, conv_out_dim, im2col, matmul, matmul_at, matmul_bt, par, ConvGeometry, Rng, Shape,
-    Tensor,
+    col2im, conv_out_dim, im2col, matmul, matmul_at, matmul_bt, matmul_packed_into, par,
+    ConvGeometry, Rng, Shape, Tensor,
 };
 
 /// A 2-D convolution layer (`NCHW` in, `NKH'W'` out).
@@ -98,6 +99,38 @@ impl Conv2d {
         self.out_channels
     }
 
+    /// The per-channel bias.
+    pub(crate) fn bias(&self) -> &[f32] {
+        self.bias.value.as_slice()
+    }
+
+    /// The fused eval pass's kernel: convolves one `C×H×W` image into a
+    /// workspace map **without** the bias, which the step's epilogue
+    /// adds. A stride-1, unpadded 1×1 conv's patch matrix is the image
+    /// itself, so it is packed straight into the workspace's GEMM
+    /// operand; any other geometry goes through `im2col` first. The
+    /// product is the same GEMM [`Layer::infer`] runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a channel mismatch.
+    pub(crate) fn infer_image(&self, ws: &mut Workspace, x: &[f32], chw: [usize; 3]) -> Map {
+        let [c, h, w] = chw;
+        assert_eq!(c, self.in_channels, "channel mismatch in {}", self.name());
+        let g = self.geometry(h, w);
+        let (oh, ow) = (g.out_height(), g.out_width());
+        let len = self.out_channels * oh * ow;
+        let mut buf = ws.take(len);
+        if self.kernel == 1 && self.stride == 1 && self.padding == 0 {
+            ws.packed.repack_rows(c, h * w, x);
+        } else {
+            let cols = im2col(x, &g);
+            ws.packed.repack_rows(g.patch_len(), oh * ow, cols.as_slice());
+        }
+        matmul_packed_into(&self.weight.value, &ws.packed, &mut buf[..len]);
+        Map { buf, chw: [self.out_channels, oh, ow] }
+    }
+
     /// Unfolds the whole batch into one `CRS × (N·P)` patch matrix.
     ///
     /// The per-sample `im2col` unfolds are independent, so large batches
@@ -156,11 +189,11 @@ impl Conv2d {
             // still be correct if it ever did.
             let y = matmul(&self.weight.value, &cols);
             if let Ok(mut out) = y.reshaped([1, self.out_channels, oh, ow]) {
-                for (plane, &bias_k) in out.as_mut_slice().chunks_exact_mut(p).zip(bv) {
-                    for v in plane {
-                        *v += bias_k;
-                    }
-                }
+                Epilogue { bias: Some(bv), ..Epilogue::default() }.apply(
+                    out.as_mut_slice(),
+                    p,
+                    None,
+                );
                 return (cols, out);
             }
         }
@@ -209,6 +242,10 @@ impl Layer for Conv2d {
 
     fn infer(&self, input: &Tensor) -> Tensor {
         self.compute(input).1
+    }
+
+    fn eval_op(&self) -> Option<EvalOp<'_>> {
+        Some(EvalOp::Conv(self))
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -1,11 +1,23 @@
 //! Depthwise 2-D convolution (one filter per channel), the workhorse of
 //! MobileNetV2's and EfficientNet's inverted-residual blocks.
+//!
+//! One kernel, [`depthwise_plane`], serves both [`Layer::infer`] (and so
+//! the training forward) and the fused eval pass. Each output is `bias`,
+//! then `+= x·f` for its in-bounds taps in `(ky, kx)` order — the float
+//! sequence of a per-pixel loop, so every rewrite of the loop structure
+//! is bit-identical to one. Interior columns, whose taps are all in
+//! bounds horizontally, run in 8- or 4-lane chunks held in registers
+//! across all taps (the last chunk overlaps its neighbour instead of
+//! leaving a scalar tail; recomputing an output writes the same bits).
+//! Border pixels run one at a time over their tap ranges. Stride {1, 2}
+//! × kernel {3, 5} are compiled with constant geometry.
 
+use crate::fused::{Map, Workspace};
 use crate::init::he_normal;
-use crate::layer::{Layer, Mode};
+use crate::layer::{EvalOp, Layer, Mode};
 use crate::param::Param;
 use crate::shape::ShapeError;
-use nshd_tensor::{conv_out_dim, conv_tap_range, Rng, Shape, Tensor};
+use nshd_tensor::{conv_out_dim, Rng, Shape, Tensor};
 use std::ops::Range;
 
 /// A depthwise convolution: each input channel is convolved with its own
@@ -72,6 +84,207 @@ impl DepthwiseConv2d {
             ),
         }
     }
+
+    /// Convolves the consecutive `h×w` channel planes of `x` into the
+    /// `oh×ow` planes of `out`; plane `i` is channel `i mod C`.
+    fn run_planes(&self, x: &[f32], (h, w): (usize, usize), out: &mut [f32]) {
+        let (oh, ow) = self.out_hw(h, w);
+        let k2 = self.kernel * self.kernel;
+        let wv = self.weight.value.as_slice();
+        let bv = self.bias.value.as_slice();
+        let geom = PlaneGeometry { h, w, oh, ow, k: self.kernel, s: self.stride, p: self.padding };
+        for (i, dst) in out.chunks_exact_mut(oh * ow).enumerate() {
+            let c = i % self.channels;
+            let src = &x[i * h * w..(i + 1) * h * w];
+            depthwise_plane(src, &wv[c * k2..(c + 1) * k2], bv[c], &geom, dst);
+        }
+    }
+
+    /// The fused eval pass's kernel: one `C×H×W` image into a workspace
+    /// map, bias included (the same kernel as [`Layer::infer`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a channel mismatch or a window that does not fit.
+    pub(crate) fn infer_image(&self, ws: &mut Workspace, x: &[f32], chw: [usize; 3]) -> Map {
+        let [c, h, w] = chw;
+        assert_eq!(c, self.channels, "channel mismatch in {}", self.name());
+        let (oh, ow) = self.out_hw(h, w);
+        let len = c * oh * ow;
+        let mut buf = ws.take(len);
+        self.run_planes(x, (h, w), &mut buf[..len]);
+        Map { buf, chw: [c, oh, ow] }
+    }
+}
+
+/// The geometry of one depthwise plane: input `h×w`, output `oh×ow`,
+/// square `k`-tap kernel, stride `s`, zero padding `p`.
+struct PlaneGeometry {
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    k: usize,
+    s: usize,
+    p: usize,
+}
+
+/// Convolves one channel plane: `dst[oy][ox] = bias + Σ src·filt` over
+/// the in-bounds taps in `(ky, kx)` order. The common geometries run
+/// copies compiled with constant kernel and stride whose interior
+/// columns go in register chunks; any other runs pixel by pixel.
+fn depthwise_plane(src: &[f32], filt: &[f32], bias: f32, g: &PlaneGeometry, dst: &mut [f32]) {
+    let plane = Plane { src, filt, bias, w: g.w, p: g.p };
+    match (g.k, g.s) {
+        (3, 1) => plane_fixed::<3, 1, 10, 6>(&plane, g, dst),
+        (3, 2) => plane_fixed::<3, 2, 17, 9>(&plane, g, dst),
+        (5, 1) => plane_fixed::<5, 1, 12, 8>(&plane, g, dst),
+        (5, 2) => plane_fixed::<5, 2, 19, 11>(&plane, g, dst),
+        (k, s) => plane_rows(k, s, &plane, g, dst, |taps_y, cols, drow| {
+            for ox in cols {
+                drow[ox] = plane.pixel(k, s, taps_y, ox);
+            }
+        }),
+    }
+}
+
+/// One channel's input plane, filter and bias.
+struct Plane<'a> {
+    src: &'a [f32],
+    filt: &'a [f32],
+    bias: f32,
+    w: usize,
+    p: usize,
+}
+
+/// An output row's vertical taps: its first padded input row `y0` and
+/// the in-bounds tap range `ky0..ky1`.
+#[derive(Clone, Copy)]
+struct RowTaps {
+    y0: usize,
+    ky0: usize,
+    ky1: usize,
+}
+
+impl Plane<'_> {
+    /// Input row of vertical tap `ky` (in bounds for `ky0 <= ky < ky1`).
+    #[inline(always)]
+    fn row(&self, y0: usize, ky: usize) -> &[f32] {
+        &self.src[(y0 + ky - self.p) * self.w..][..self.w]
+    }
+
+    /// One output over its in-bounds taps, for any position.
+    #[inline(always)]
+    fn pixel(&self, k: usize, s: usize, t: RowTaps, ox: usize) -> f32 {
+        let (kx0, kx1) = taps(ox * s, k, self.p, self.w);
+        let mut acc = self.bias;
+        for ky in t.ky0..t.ky1 {
+            let (r, f) = (self.row(t.y0, ky), &self.filt[ky * k..(ky + 1) * k]);
+            for kx in kx0..kx1 {
+                acc += r[ox * s + kx - self.p] * f[kx];
+            }
+        }
+        acc
+    }
+
+    /// `L` interior outputs from column `ox0`, accumulated in registers
+    /// across every tap; `W = (L − 1)·S + K` inputs of each tap row feed
+    /// them.
+    #[inline(always)]
+    fn chunk<const L: usize, const K: usize, const S: usize, const W: usize>(
+        &self,
+        t: RowTaps,
+        ox0: usize,
+    ) -> [f32; L] {
+        const { assert!(W == (L - 1) * S + K) };
+        let mut acc = [self.bias; L];
+        for ky in t.ky0..t.ky1 {
+            let start = (t.y0 + ky - self.p) * self.w + ox0 * S - self.p;
+            let Some(win) = self.src[start..].first_chunk::<W>() else {
+                panic!("interior chunk at column {ox0} overruns its input plane");
+            };
+            for (kx, &fv) in self.filt[ky * K..(ky + 1) * K].iter().enumerate() {
+                for (l, a) in acc.iter_mut().enumerate() {
+                    *a += win[kx + l * S] * fv;
+                }
+            }
+        }
+        acc
+    }
+
+    /// Interior outputs `cols` of one row in `L`-chunks; the last chunk
+    /// overlaps its neighbour instead of leaving a scalar tail (`cols`
+    /// spans at least `L`; recomputing an output writes the same bits).
+    #[inline(always)]
+    fn chunks<const L: usize, const K: usize, const S: usize, const W: usize>(
+        &self,
+        t: RowTaps,
+        cols: Range<usize>,
+        drow: &mut [f32],
+    ) {
+        let mut ox = cols.start;
+        while ox + L <= cols.end {
+            drow[ox..ox + L].copy_from_slice(&self.chunk::<L, K, S, W>(t, ox));
+            ox += L;
+        }
+        if ox < cols.end {
+            let ox = cols.end - L;
+            drow[ox..ox + L].copy_from_slice(&self.chunk::<L, K, S, W>(t, ox));
+        }
+    }
+}
+
+/// A plane with constant kernel `K` and stride `S`: interior runs in
+/// 8-lane chunks (`W8` inputs per tap row), or 4-lane (`W4`) when
+/// narrower.
+fn plane_fixed<const K: usize, const S: usize, const W8: usize, const W4: usize>(
+    plane: &Plane<'_>,
+    g: &PlaneGeometry,
+    dst: &mut [f32],
+) {
+    plane_rows(K, S, plane, g, dst, |t, cols, drow| {
+        if cols.len() >= 8 {
+            plane.chunks::<8, K, S, W8>(t, cols, drow);
+        } else if cols.len() >= 4 {
+            plane.chunks::<4, K, S, W4>(t, cols, drow);
+        } else {
+            for ox in cols {
+                drow[ox] = plane.pixel(K, S, t, ox);
+            }
+        }
+    });
+}
+
+/// `lo..hi` of the taps `t < k` whose input coordinate `at + t − p`
+/// lies in `0..extent`.
+#[inline(always)]
+fn taps(at: usize, k: usize, p: usize, extent: usize) -> (usize, usize) {
+    let hi = (extent + p).saturating_sub(at).min(k);
+    (p.saturating_sub(at).min(hi), hi)
+}
+
+/// Walks the output rows: border columns pixel by pixel, the interior
+/// columns (all `k` taps in bounds horizontally) through `interior`.
+#[inline(always)]
+fn plane_rows(
+    k: usize,
+    s: usize,
+    plane: &Plane<'_>,
+    g: &PlaneGeometry,
+    dst: &mut [f32],
+    interior: impl Fn(RowTaps, Range<usize>, &mut [f32]),
+) {
+    let (w, ow, p) = (g.w, g.ow, g.p);
+    let lo = p.div_ceil(s).min(ow);
+    let hi = if w + p >= k { ((w + p - k) / s + 1).min(ow) } else { 0 }.max(lo);
+    for (oy, drow) in dst.chunks_exact_mut(ow).take(g.oh).enumerate() {
+        let (ky0, ky1) = taps(oy * s, k, p, g.h);
+        let t = RowTaps { y0: oy * s, ky0, ky1 };
+        for ox in (0..lo).chain(hi..ow) {
+            drow[ox] = plane.pixel(k, s, t, ox);
+        }
+        interior(t, lo..hi, drow);
+    }
 }
 
 impl Layer for DepthwiseConv2d {
@@ -96,57 +309,13 @@ impl Layer for DepthwiseConv2d {
         assert_eq!(dims[1], self.channels, "channel mismatch in {}", self.name());
         let (n, h, w) = (dims[0], dims[2], dims[3]);
         let (oh, ow) = self.out_hw(h, w);
-        let (k, s, p) = (self.kernel, self.stride, self.padding);
-        // Per kernel column `kx`: the output columns whose tap lands
-        // inside the input row and the input column of the first one —
-        // computed once, shared by every row and channel.
-        let col_taps: Vec<(usize, Range<usize>, usize)> = (0..k)
-            .filter_map(|kx| {
-                let oxs = conv_tap_range(w, ow, kx, s, p)?;
-                let ix = oxs.start * s + kx - p;
-                Some((kx, oxs, ix))
-            })
-            .collect();
         let mut out = Tensor::zeros([n, self.channels, oh, ow]);
-        let x = input.as_slice();
-        let wv = self.weight.value.as_slice();
-        let bv = self.bias.value.as_slice();
-        let ov = out.as_mut_slice();
-        // Each output is `bias`, then `+= x·w` for its in-bounds taps in
-        // `(ky, kx)` order — the order a per-pixel loop would use, so the
-        // result is bit-identical to one. Walking a tap across a whole
-        // output row instead of a pixel across its taps makes the stride-1
-        // inner loop a contiguous axpy that vectorises.
-        for plane in 0..n * self.channels {
-            let c = plane % self.channels;
-            let src = &x[plane * h * w..(plane + 1) * h * w];
-            let dst = &mut ov[plane * oh * ow..(plane + 1) * oh * ow];
-            let filt = &wv[c * k * k..(c + 1) * k * k];
-            dst.fill(bv[c]);
-            for oy in 0..oh {
-                let drow = &mut dst[oy * ow..(oy + 1) * ow];
-                for ky in 0..k {
-                    let Some(iy) = (oy * s + ky).checked_sub(p).filter(|&iy| iy < h) else {
-                        continue;
-                    };
-                    let srow = &src[iy * w..(iy + 1) * w];
-                    for (kx, oxs, ix) in &col_taps {
-                        let f = filt[ky * k + kx];
-                        let d = &mut drow[oxs.clone()];
-                        if s == 1 {
-                            for (o, &v) in d.iter_mut().zip(&srow[*ix..*ix + oxs.len()]) {
-                                *o += v * f;
-                            }
-                        } else {
-                            for (o, &v) in d.iter_mut().zip(srow[*ix..].iter().step_by(s)) {
-                                *o += v * f;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        self.run_planes(input.as_slice(), (h, w), out.as_mut_slice());
         out
+    }
+
+    fn eval_op(&self) -> Option<EvalOp<'_>> {
+        Some(EvalOp::Depthwise(self))
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

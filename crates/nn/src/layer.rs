@@ -1,6 +1,11 @@
 //! The layer abstraction all network components implement.
 
+use crate::act::ActKind;
+use crate::conv::Conv2d;
+use crate::dwconv::DepthwiseConv2d;
+use crate::norm::BatchNorm2d;
 use crate::param::Param;
+use crate::sequential::Sequential;
 use crate::shape::ShapeError;
 use nshd_tensor::{Shape, Tensor};
 
@@ -15,6 +20,30 @@ pub enum Mode {
     /// Evaluation: running statistics, dropout inactive.
     #[default]
     Eval,
+}
+
+/// A borrowed view of a layer's evaluation-mode operation, returned by
+/// [`Layer::eval_op`].
+///
+/// [`Sequential::infer_to`] reads it to group each run of
+/// conv/depthwise → batch norm → activation (→ the enclosing residual's
+/// `body + skip`) into one fused step, and to recurse into nested
+/// containers. A layer without a view runs its own
+/// [`infer`](Layer::infer).
+#[derive(Debug, Clone, Copy)]
+pub enum EvalOp<'a> {
+    /// A standard convolution.
+    Conv(&'a Conv2d),
+    /// A depthwise convolution.
+    Depthwise(&'a DepthwiseConv2d),
+    /// A batch norm over its running statistics.
+    BatchNorm(&'a BatchNorm2d),
+    /// An elementwise activation.
+    Activation(ActKind),
+    /// A skip connection `body(x) + x` around this body.
+    Residual(&'a Sequential),
+    /// A nested layer stack.
+    Sequential(&'a Sequential),
 }
 
 /// A differentiable network component.
@@ -37,6 +66,15 @@ pub trait Layer: Send + Sync {
     /// path (`&self`, so `Send + Sync` layers can serve concurrent
     /// requests). Must be bit-identical to `forward(input, Mode::Eval)`.
     fn infer(&self, input: &Tensor) -> Tensor;
+
+    /// A view of this layer's evaluation-mode operation, for the fused
+    /// pass of [`Sequential::infer_to`]. `None` (the default) means the
+    /// pass runs [`infer`](Layer::infer) instead; a layer that returns a
+    /// view promises that the fused kernels reproduce its `infer` bit
+    /// for bit.
+    fn eval_op(&self) -> Option<EvalOp<'_>> {
+        None
+    }
 
     /// Propagates `grad` (∂loss/∂output) backwards, accumulating parameter
     /// gradients and returning ∂loss/∂input.
@@ -177,6 +215,7 @@ mod tests {
         // The provided `out_shape` goes through `shape_of`.
         assert_eq!(id.out_shape(&[3, 2]), vec![3, 2]);
         assert!(id.eval_ready().is_ok());
+        assert!(id.eval_op().is_none());
         id.zero_grad(); // no-op, must not panic
         let x = Tensor::ones([2, 3]);
         assert_eq!(id.forward(&x, Mode::Train), x);

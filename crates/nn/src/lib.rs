@@ -33,6 +33,7 @@ mod act;
 mod conv;
 mod dwconv;
 mod flatten;
+mod fused;
 mod init;
 mod layer;
 mod linear;
@@ -56,7 +57,7 @@ pub use conv::Conv2d;
 pub use dwconv::DepthwiseConv2d;
 pub use flatten::{Dropout, Flatten};
 pub use init::{he_normal, xavier_uniform};
-pub use layer::{Layer, Mode};
+pub use layer::{EvalOp, Layer, Mode};
 pub use linear::Linear;
 pub use loss::{accuracy, cross_entropy, distillation_loss, LossOutput};
 pub use model::Model;

@@ -1,6 +1,7 @@
 //! Batch normalisation over NCHW feature maps.
 
-use crate::layer::{Layer, Mode};
+use crate::fused::{BnAffine, Epilogue};
+use crate::layer::{EvalOp, Layer, Mode};
 use crate::param::Param;
 use crate::shape::ShapeError;
 use nshd_tensor::{Shape, Tensor};
@@ -58,6 +59,21 @@ impl BatchNorm2d {
     /// The per-channel running variance currently used in evaluation mode.
     pub fn running_var(&self) -> &[f32] {
         &self.running_var
+    }
+
+    /// Channel count.
+    pub fn channels(&self) -> usize {
+        self.channels
+    }
+
+    /// Channel `c`'s evaluation-mode normalisation and affine.
+    pub(crate) fn affine(&self, c: usize) -> BnAffine {
+        BnAffine {
+            mean: self.running_mean[c],
+            inv_std: 1.0 / (self.running_var[c] + self.eps).sqrt(),
+            gamma: self.gamma.value.as_slice()[c],
+            beta: self.beta.value.as_slice()[c],
+        }
     }
 }
 
@@ -130,25 +146,15 @@ impl Layer for BatchNorm2d {
         let dims = input.dims();
         assert_eq!(dims.len(), 4, "BatchNorm2d expects NCHW input");
         assert_eq!(dims[1], self.channels, "channel mismatch in {}", self.name());
-        let (n, h, w) = (dims[0], dims[2], dims[3]);
-        let plane = h * w;
-        let x = input.as_slice();
-        let inv_std: Vec<f32> =
-            self.running_var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let g = self.gamma.value.as_slice();
-        let bta = self.beta.value.as_slice();
-        let mut out = Tensor::zeros(input.shape().clone());
-        let o = out.as_mut_slice();
-        for b in 0..n {
-            for c in 0..self.channels {
-                let base = (b * self.channels + c) * plane;
-                for i in 0..plane {
-                    let normalised = (x[base + i] - self.running_mean[c]) * inv_std[c];
-                    o[base + i] = g[c] * normalised + bta[c];
-                }
-            }
-        }
+        // The fused eval pass's epilogue, over every plane of the batch.
+        let mut out = input.clone();
+        let epilogue = Epilogue { bn: Some(self), ..Epilogue::default() };
+        epilogue.apply(out.as_mut_slice(), dims[2] * dims[3], None);
         out
+    }
+
+    fn eval_op(&self) -> Option<EvalOp<'_>> {
+        Some(EvalOp::BatchNorm(self))
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -1,7 +1,8 @@
 //! Layer containers: the indexed [`Sequential`] graph and the
 //! [`Residual`] skip-connection wrapper.
 
-use crate::layer::{Layer, Mode};
+use crate::fused;
+use crate::layer::{EvalOp, Layer, Mode};
 use crate::param::Param;
 use crate::shape::{ShapeError, ShapeStep, ShapeTrace};
 use nshd_tensor::{Shape, Tensor};
@@ -10,7 +11,11 @@ use nshd_tensor::{Shape, Tensor};
 /// `l0.conv2d`), where `<kind>` is the layer name truncated at its first
 /// parameter bracket; `suffix` distinguishes backward passes. Returns
 /// `None` (no formatting, no allocation) when no recorder is installed.
-fn layer_span(index: usize, layer: &dyn Layer, suffix: &str) -> Option<nshd_obs::SpanGuard> {
+pub(crate) fn layer_span(
+    index: usize,
+    layer: &dyn Layer,
+    suffix: &str,
+) -> Option<nshd_obs::SpanGuard> {
     if !nshd_obs::enabled() {
         return None;
     }
@@ -123,19 +128,22 @@ impl Sequential {
     }
 
     /// Runs layers `0..end` in evaluation mode without mutating any layer —
-    /// the `&self` counterpart of [`forward_to`](Sequential::forward_to).
+    /// the `&self` counterpart of [`forward_to`](Sequential::forward_to),
+    /// bit-identical to chaining each layer's [`Layer::infer`].
+    ///
+    /// This is the fused eval pass: an `N×C×H×W` batch runs image by
+    /// image, each run of conv/depthwise → batch norm → activation (→ a
+    /// residual's `+ skip`) as one kernel plus one per-element epilogue,
+    /// in buffers reused across calls on the same thread. Layers without
+    /// an [`EvalOp`] view, and inputs of any other rank, run the layers'
+    /// own `infer`.
     ///
     /// # Panics
     ///
     /// Panics if `end > self.len()`.
     pub fn infer_to(&self, input: &Tensor, end: usize) -> Tensor {
         assert!(end <= self.layers.len(), "end {end} exceeds {} layers", self.layers.len());
-        let mut x = input.clone();
-        for (index, layer) in self.layers[..end].iter().enumerate() {
-            let _sp = layer_span(index, &**layer, "");
-            x = layer.infer(&x);
-        }
-        x
+        fused::infer_to(self, input, end)
     }
 
     /// Runs layers `start..len` in evaluation mode without mutating any
@@ -262,6 +270,10 @@ impl Layer for Sequential {
         self.infer_all(input)
     }
 
+    fn eval_op(&self) -> Option<EvalOp<'_>> {
+        Some(EvalOp::Sequential(self))
+    }
+
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         self.backward_all(grad)
     }
@@ -363,6 +375,10 @@ impl Layer for Residual {
             input.shape()
         );
         y.add(input)
+    }
+
+    fn eval_op(&self) -> Option<EvalOp<'_>> {
+        Some(EvalOp::Residual(&self.body))
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -1,7 +1,8 @@
-//! Eval-kernel conformance: the row-vectorised depthwise convolution,
+//! Eval-kernel conformance: the register-chunked depthwise convolution,
 //! the run-copy `im2col` and the activation loops must reproduce, bit
 //! for bit, the per-element scalar loops they replaced. Those loops live
-//! on here as oracles.
+//! on here as oracles. The fused eval pass of `Sequential::infer_to`
+//! must reproduce the explicit layer-by-layer `Layer::infer` chain.
 //!
 //! The grid covers kernel sizes {1, 3, 5}, strides {1, 2, 3}, paddings
 //! {0, 1, 2}, odd and unit spatial extents and batches of one and three,
@@ -9,7 +10,9 @@
 //! the output, or the serving engine's non-finite activation check
 //! stops firing. Every non-NaN output must match to the bit.
 
-use nshd_nn::{ActKind, Activation, Conv2d, DepthwiseConv2d, Layer, Mode};
+use nshd_nn::{
+    ActKind, Activation, Architecture, Conv2d, DepthwiseConv2d, EvalOp, Layer, Mode, Model,
+};
 use nshd_tensor::{conv_out_dim, im2col, ConvGeometry, Rng, Tensor};
 
 const KERNELS: [usize; 3] = [1, 3, 5];
@@ -251,5 +254,167 @@ fn activations_match_per_element_dispatch_bitwise() {
         });
         let actual = Activation::new(kind).infer(&x);
         assert_bits_eq(actual.as_slice(), expected.as_slice(), &format!("{kind:?}"));
+    }
+}
+
+/// Every depthwise geometry the kernel compiles with constant shape
+/// (kernels {3, 5} × strides {1, 2}), over planes from narrower than
+/// one 4-lane chunk to a few 8-lane chunks wide, so the interior runs
+/// pixel by pixel, in 4-lane chunks, in whole 8-lane chunks and in an
+/// overlapping last chunk. A third of the inputs are special values.
+#[test]
+fn depthwise_chunk_edges_match_scalar_oracle_bitwise() {
+    let channels = 2;
+    let mut cases = 0;
+    for k in [3, 5] {
+        for s in [1, 2] {
+            for p in 0..=k / 2 {
+                for h in [1, 2, 5] {
+                    for w in 1..=21 {
+                        if conv_out_dim(h, k, s, p).is_none() || conv_out_dim(w, k, s, p).is_none()
+                        {
+                            continue;
+                        }
+                        let case = (k * 1000 + s * 100 + p * 10 + h) * 100 + w;
+                        let mut rng = Rng::new(case as u64);
+                        let mut dw = DepthwiseConv2d::new(channels, k, s, p, &mut rng);
+                        dw.params_mut()[1].value.as_mut_slice().copy_from_slice(&[-0.0, 0.5]);
+                        let x: Vec<f32> = (0..channels * h * w)
+                            .map(|i| {
+                                if i % 3 == 1 {
+                                    SPECIALS[(i / 3) % SPECIALS.len()]
+                                } else {
+                                    rng.normal()
+                                }
+                            })
+                            .collect();
+                        let x = Tensor::from_vec(x, [1, channels, h, w]).expect("length");
+                        let expected = dwconv_oracle(
+                            x.as_slice(),
+                            dw.params()[0].value.as_slice(),
+                            dw.params()[1].value.as_slice(),
+                            (1, channels, h, w),
+                            k,
+                            s,
+                            p,
+                        );
+                        let what = format!("dwconv k{k} s{s} p{p} {h}x{w}");
+                        assert_bits_eq(dw.infer(&x).as_slice(), &expected, &what);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases > 300, "grid too small: {cases} cases");
+}
+
+#[test]
+fn depthwise_keeps_negative_zero() {
+    // `-0.0 + (-0.0)·f` stays `-0.0` for a positive filter: a kernel
+    // that starts from `+0.0` or adds padding taps as `0·f` would flip
+    // the sign of every output.
+    let mut dw = DepthwiseConv2d::new(1, 3, 1, 1, &mut Rng::new(9));
+    dw.params_mut()[0].value.as_mut_slice().fill(0.25);
+    dw.params_mut()[1].value.as_mut_slice().fill(-0.0);
+    let y = dw.infer(&Tensor::full([1, 1, 4, 19], -0.0));
+    assert!(y.as_slice().iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+}
+
+/// `layer.infer` with every container opened up: a nested stack runs
+/// its children one by one, a residual runs its body and then adds its
+/// input, and every other layer runs its own `infer`.
+fn layerwise(layer: &dyn Layer, x: &Tensor) -> Tensor {
+    match layer.eval_op() {
+        Some(EvalOp::Sequential(seq)) => {
+            (0..seq.len()).fold(x.clone(), |x, i| layerwise(seq.layer(i), &x))
+        }
+        Some(EvalOp::Residual(body)) => {
+            (0..body.len()).fold(x.clone(), |y, i| layerwise(body.layer(i), &y)).add(x)
+        }
+        _ => layer.infer(x),
+    }
+}
+
+fn layerwise_features(model: &Model, x: &Tensor, cut: usize) -> Tensor {
+    (0..cut).fold(x.clone(), |x, i| layerwise(model.features.layer(i), &x))
+}
+
+/// A seeded zoo model with non-zero biases and normalisation affines.
+fn seeded_model(arch: Architecture) -> Model {
+    let mut model = arch.build(10, &mut Rng::new(0xf05e));
+    let mut rng = Rng::new(0xb1a5);
+    for p in model.params_mut() {
+        if p.value.dims().len() == 1 {
+            for v in p.value.as_mut_slice() {
+                *v += 0.1 * rng.normal();
+            }
+        }
+    }
+    model
+}
+
+fn seeded_images(model: &Model, n: usize, seed: u64) -> Tensor {
+    let mut rng = Rng::new(seed);
+    let [c, h, w] = model.input_shape[..] else { panic!("CHW input expected") };
+    Tensor::from_fn([n, c, h, w], |_| rng.normal())
+}
+
+#[test]
+fn fused_extractor_matches_layerwise_chain_bitwise() {
+    for arch in Architecture::ALL {
+        let model = seeded_model(arch);
+        for n in [1, 3] {
+            let x = seeded_images(&model, n, 0x5ca1e + n as u64);
+            for &cut in arch.paper_cuts() {
+                let what = format!("{arch:?} cut {cut} n{n}");
+                let fused = model.infer_features_at(&x, cut);
+                let chain = layerwise_features(&model, &x, cut);
+                assert_eq!(fused.dims(), chain.dims(), "{what}");
+                assert_bits_eq(fused.as_slice(), chain.as_slice(), &what);
+                // The whole-model forward rides the same pass.
+                if cut == arch.paper_cuts()[0] {
+                    let logits = model.infer(&x);
+                    let tail = (cut..model.features.len())
+                        .fold(chain, |y, i| layerwise(model.features.layer(i), &y));
+                    let expected = layerwise(&model.classifier, &tail);
+                    assert_bits_eq(logits.as_slice(), expected.as_slice(), &what);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_extractor_propagates_non_finite_values_like_the_chain() {
+    // A NaN running mean in the first batch norm, and NaN and ±inf
+    // pixels: both paths must put NaN in the same places, and it must
+    // reach the features — the serving engine's non-finite activation
+    // check depends on it.
+    for arch in [Architecture::MobileNetV2, Architecture::EfficientNetB0] {
+        let mut poisoned_stats = seeded_model(arch);
+        let mut state = Vec::new();
+        poisoned_stats.features.collect_state(&mut state);
+        state[0][1] = f32::NAN;
+        poisoned_stats.features.restore_state(&mut state.into_iter());
+        let clean = seeded_model(arch);
+        let mut poisoned_pixels = seeded_images(&clean, 3, 77);
+        for (i, v) in poisoned_pixels.as_mut_slice().iter_mut().enumerate() {
+            if i % 997 == 3 {
+                *v = SPECIALS[2 + (i / 997) % 3];
+            }
+        }
+        for (model, x, what) in [
+            (&poisoned_stats, seeded_images(&clean, 3, 78), "NaN running mean"),
+            (&clean, poisoned_pixels, "non-finite pixels"),
+        ] {
+            for &cut in arch.paper_cuts() {
+                let what = format!("{arch:?} cut {cut}: {what}");
+                let fused = model.infer_features_at(&x, cut);
+                let chain = layerwise_features(model, &x, cut);
+                assert_bits_eq(fused.as_slice(), chain.as_slice(), &what);
+                assert!(fused.as_slice().iter().any(|v| v.is_nan()), "{what}: no NaN reached");
+            }
+        }
     }
 }

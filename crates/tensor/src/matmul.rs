@@ -283,6 +283,30 @@ pub fn matmul_packed(a: &Tensor, b: &PackedRhs) -> Tensor {
     c
 }
 
+/// Computes `C = A · B` against a pre-packed right-hand operand into a
+/// caller-provided row-major `m`×`n` slice, which is overwritten.
+///
+/// The slice form of [`matmul_packed`], bit-identical to it: a caller
+/// that keeps its activations in reused buffers (the fused conv path of
+/// `nshd-nn`) multiplies without allocating an output tensor.
+///
+/// # Panics
+///
+/// Panics if `a` is not rank-2, its width is not `b.k()`, or
+/// `out.len()` is not `m·n`.
+pub fn matmul_packed_into(a: &Tensor, b: &PackedRhs, out: &mut [f32]) {
+    let (m, k) = dims2(a, "matmul_packed_into lhs");
+    assert_eq!(k, b.k(), "matmul_packed_into inner dimensions disagree: {k} vs {}", b.k());
+    assert_eq!(
+        out.len(),
+        m * b.n(),
+        "matmul_packed_into output must hold {m}×{} elements, got {}",
+        b.n(),
+        out.len()
+    );
+    gemm_packed("matmul_packed", m, a.as_slice(), b, simd::simd_enabled(), out);
+}
+
 /// Computes `C = Aᵀ · B` without materialising the transpose.
 ///
 /// `a` is `k×m`, `b` is `k×n`, and the result is `m×n`. Used by weight
@@ -562,6 +586,22 @@ mod tests {
             assembled.write_slice(chunk * 5, out.as_slice());
         }
         assert_eq!(assembled.as_slice(), whole.as_slice());
+    }
+
+    #[test]
+    fn repacked_operand_into_slice_matches_matmul_bitwise() {
+        // One operand storage reused across shapes that grow, shrink and
+        // change panel count; stale panels and a NaN-filled output must
+        // never leak into a product.
+        let mut packed = PackedRhs::from_sign_rows(5, &[[0u64; 1]; 3]);
+        for (m, k, n) in [(4, 9, 37), (3, 70, 5), (6, 9, 16), (1, 1, 1), (5, 12, 0)] {
+            let a = rand_tensor([m, k], (m * k + n) as u64);
+            let b = rand_tensor([k, n], (k * n + 3) as u64);
+            packed.repack_rows(k, n, b.as_slice());
+            let mut out = vec![f32::NAN; m * n];
+            matmul_packed_into(&a, &packed, &mut out);
+            assert_eq!(out.as_slice(), matmul(&a, &b).as_slice(), "{m}×{k}×{n}");
+        }
     }
 
     #[test]

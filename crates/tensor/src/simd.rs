@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Rows per register micro-tile.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub(crate) const MR: usize = 4;
 
 /// Columns per register micro-tile (two 8-lane AVX vectors).
@@ -153,15 +154,34 @@ impl PackedRhs {
     /// Panics if `b.len() != k * n`.
     #[must_use]
     pub fn from_rows(k: usize, n: usize, b: &[f32]) -> Self {
-        assert_eq!(b.len(), k * n, "PackedRhs::from_rows expects a {k}×{n} matrix");
-        Self::pack_f32(k, n, |p, j0, out| {
+        let mut packed = PackedRhs { k: 0, n: 0, panels: Panels::F32(Vec::new()) };
+        packed.repack_rows(k, n, b);
+        packed
+    }
+
+    /// Repacks `self` from the row-major `k`×`n` matrix `b`, reusing
+    /// its panel storage: the in-place form of
+    /// [`from_rows`](PackedRhs::from_rows) for a caller that packs a
+    /// fresh operand of similar size on every call (a conv activation)
+    /// and wants no allocation once the storage has grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k * n`.
+    pub fn repack_rows(&mut self, k: usize, n: usize, b: &[f32]) {
+        assert_eq!(b.len(), k * n, "PackedRhs::repack_rows expects a {k}×{n} matrix");
+        let rows = match &mut self.panels {
+            Panels::F32(rows) => std::mem::take(rows),
+            Panels::Sign(_) => Vec::new(),
+        };
+        *self = Self::pack_f32(rows, k, n, |p, j0, out| {
             let src = &b[p * n + j0..];
             match out.first_chunk_mut::<NR>() {
                 // Fixed-size copy for full panels: no `memcpy` call.
                 Some(full) => full.copy_from_slice(&src[..NR]),
                 None => out.copy_from_slice(&src[..out.len()]),
             }
-        })
+        });
     }
 
     /// Packs `B` from its transpose: `bt` is row-major `n`×`k`, row `j`
@@ -174,23 +194,32 @@ impl PackedRhs {
     #[must_use]
     pub fn from_columns(k: usize, n: usize, bt: &[f32]) -> Self {
         assert_eq!(bt.len(), n * k, "PackedRhs::from_columns expects an {n}×{k} matrix");
-        Self::pack_f32(k, n, |p, j0, out| {
+        Self::pack_f32(Vec::new(), k, n, |p, j0, out| {
             for (jj, v) in out.iter_mut().enumerate() {
                 *v = bt[(j0 + jj) * k + p];
             }
         })
     }
 
-    /// Builds the f32 form: `fill(p, j0, out)` writes `B[p][j0..]` into
-    /// the `out.len()` valid columns of one panel row.
-    fn pack_f32(k: usize, n: usize, fill: impl Fn(usize, usize, &mut [f32])) -> Self {
+    /// Builds the f32 form in `rows`' storage: `fill(p, j0, out)` writes
+    /// `B[p][j0..]` into the `out.len()` valid columns of one panel row.
+    /// Every element is written (pad columns as zero), so stale contents
+    /// of reused storage never reach a product.
+    fn pack_f32(
+        mut rows: Vec<[[f32; 8]; 2]>,
+        k: usize,
+        n: usize,
+        fill: impl Fn(usize, usize, &mut [f32]),
+    ) -> Self {
         let np = n.div_ceil(NR);
-        let mut rows = vec![[[0.0f32; 8]; 2]; np * k];
+        rows.resize(np * k, [[0.0f32; 8]; 2]);
         for (pj, panel) in rows.chunks_exact_mut(k.max(1)).take(np).enumerate() {
             let j0 = pj * NR;
             let width = NR.min(n - j0);
             for (p, row) in panel.iter_mut().enumerate() {
-                fill(p, j0, &mut row.as_flattened_mut()[..width]);
+                let (valid, pad) = row.as_flattened_mut().split_at_mut(width);
+                fill(p, j0, valid);
+                pad.fill(0.0);
             }
         }
         PackedRhs { k, n, panels: Panels::F32(rows) }

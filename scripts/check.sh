@@ -52,8 +52,10 @@ NSHD_SIMD=0 cargo test -q -p nshd-hdc
 echo "==> nshd-tensor --no-default-features (scalar fallback)"
 # The pure-scalar build (no `simd` feature compiled in at all) must
 # build and pass the full tensor suite, including the micro-kernel
-# conformance tests (which degrade to scalar-vs-scalar identity).
-cargo build --release -q -p nshd-tensor --no-default-features
+# conformance tests (which degrade to scalar-vs-scalar identity). The
+# build denies warnings: items only the AVX2 path reads must be gated
+# with it.
+RUSTFLAGS="-D warnings" cargo build --release -q -p nshd-tensor --no-default-features
 cargo test -q -p nshd-tensor --no-default-features
 
 echo "==> cargo fmt --check"
