@@ -140,9 +140,12 @@ fn depthwise_plane(src: &[f32], filt: &[f32], bias: f32, g: &PlaneGeometry, dst:
         (3, 2) => plane_fixed::<3, 2, 17, 9>(&plane, g, dst),
         (5, 1) => plane_fixed::<5, 1, 12, 8>(&plane, g, dst),
         (5, 2) => plane_fixed::<5, 2, 19, 11>(&plane, g, dst),
-        (k, s) => plane_rows(k, s, &plane, g, dst, |taps_y, cols, drow| {
-            for ox in cols {
-                drow[ox] = plane.pixel(k, s, taps_y, ox);
+        (k, s) => plane_rows(k, s, &plane, g, dst, |t, _, cols, drows| {
+            for (r, drow) in drows.chunks_exact_mut(g.ow).enumerate() {
+                let t = RowTaps { y0: t.y0 + r * s, ..t };
+                for ox in cols.clone() {
+                    drow[ox] = plane.pixel(k, s, t, ox);
+                }
             }
         }),
     }
@@ -232,24 +235,89 @@ impl Plane<'_> {
             drow[ox..ox + L].copy_from_slice(&self.chunk::<L, K, S, W>(t, ox));
         }
     }
+
+    /// Two stride-1 rows' `L` interior outputs from column `ox0`: the
+    /// row at `t` and the one below it, both with every vertical tap in
+    /// bounds. Input row `j` is tap `j` of the first and tap `j − 1` of
+    /// the second, so each output still sums its taps in `(ky, kx)`
+    /// order while each input window is loaded once for both.
+    #[inline(always)]
+    fn chunk_pair<const L: usize, const K: usize, const W: usize>(
+        &self,
+        t: RowTaps,
+        ox0: usize,
+    ) -> [[f32; L]; 2] {
+        const { assert!(W >= L - 1 + K) };
+        let mut acc = [[self.bias; L]; 2];
+        for j in 0..=K {
+            let start = (t.y0 + j - self.p) * self.w + ox0 - self.p;
+            let Some(win) = self.src[start..].first_chunk::<W>() else {
+                panic!("interior chunk at column {ox0} overruns its input plane");
+            };
+            for (row, ky) in [(0, j), (1, j.wrapping_sub(1))] {
+                if ky >= K {
+                    continue;
+                }
+                for (kx, &fv) in self.filt[ky * K..(ky + 1) * K].iter().enumerate() {
+                    for (l, a) in acc[row].iter_mut().enumerate() {
+                        *a += win[kx + l] * fv;
+                    }
+                }
+            }
+        }
+        acc
+    }
+
+    /// [`chunks`](Plane::chunks) for a [`chunk_pair`](Plane::chunk_pair)
+    /// of rows; `drows` holds both output rows.
+    #[inline(always)]
+    fn chunk_pairs<const L: usize, const K: usize, const W: usize>(
+        &self,
+        t: RowTaps,
+        cols: Range<usize>,
+        drows: &mut [f32],
+    ) {
+        let ow = drows.len() / 2;
+        let mut store = |ox: usize| {
+            let [a0, a1] = self.chunk_pair::<L, K, W>(t, ox);
+            drows[ox..ox + L].copy_from_slice(&a0);
+            drows[ow + ox..ow + ox + L].copy_from_slice(&a1);
+        };
+        let mut ox = cols.start;
+        while ox + L <= cols.end {
+            store(ox);
+            ox += L;
+        }
+        if ox < cols.end {
+            store(cols.end - L);
+        }
+    }
 }
 
 /// A plane with constant kernel `K` and stride `S`: interior runs in
 /// 8-lane chunks (`W8` inputs per tap row), or 4-lane (`W4`) when
-/// narrower.
+/// narrower. At stride 1, pairs of rows with all vertical taps in
+/// bounds share each input row's loads between their two outputs.
 fn plane_fixed<const K: usize, const S: usize, const W8: usize, const W4: usize>(
     plane: &Plane<'_>,
     g: &PlaneGeometry,
     dst: &mut [f32],
 ) {
-    plane_rows(K, S, plane, g, dst, |t, cols, drow| {
-        if cols.len() >= 8 {
-            plane.chunks::<8, K, S, W8>(t, cols, drow);
-        } else if cols.len() >= 4 {
-            plane.chunks::<4, K, S, W4>(t, cols, drow);
-        } else {
-            for ox in cols {
-                drow[ox] = plane.pixel(K, S, t, ox);
+    plane_rows(K, S, plane, g, dst, |t, rows, cols, drows| {
+        if rows == 2 && cols.len() >= 8 {
+            plane.chunk_pairs::<8, K, W8>(t, cols, drows);
+            return;
+        }
+        for (r, drow) in drows.chunks_exact_mut(g.ow).enumerate() {
+            let t = RowTaps { y0: t.y0 + r * S, ..t };
+            if cols.len() >= 8 {
+                plane.chunks::<8, K, S, W8>(t, cols.clone(), drow);
+            } else if cols.len() >= 4 {
+                plane.chunks::<4, K, S, W4>(t, cols.clone(), drow);
+            } else {
+                for ox in cols.clone() {
+                    drow[ox] = plane.pixel(K, S, t, ox);
+                }
             }
         }
     });
@@ -264,7 +332,12 @@ fn taps(at: usize, k: usize, p: usize, extent: usize) -> (usize, usize) {
 }
 
 /// Walks the output rows: border columns pixel by pixel, the interior
-/// columns (all `k` taps in bounds horizontally) through `interior`.
+/// columns (all `k` taps in bounds horizontally) through
+/// `interior(taps, rows, cols, drows)`. At stride 1, two consecutive
+/// rows whose vertical taps are all in bounds go to `interior`
+/// together (`rows == 2`, `drows` spanning both; the second row's taps
+/// are the first's moved down one input row); every other row goes
+/// alone.
 #[inline(always)]
 fn plane_rows(
     k: usize,
@@ -272,18 +345,29 @@ fn plane_rows(
     plane: &Plane<'_>,
     g: &PlaneGeometry,
     dst: &mut [f32],
-    interior: impl Fn(RowTaps, Range<usize>, &mut [f32]),
+    interior: impl Fn(RowTaps, usize, Range<usize>, &mut [f32]),
 ) {
     let (w, ow, p) = (g.w, g.ow, g.p);
     let lo = p.div_ceil(s).min(ow);
     let hi = if w + p >= k { ((w + p - k) / s + 1).min(ow) } else { 0 }.max(lo);
-    for (oy, drow) in dst.chunks_exact_mut(ow).take(g.oh).enumerate() {
+    let row_taps = |oy: usize| {
         let (ky0, ky1) = taps(oy * s, k, p, g.h);
-        let t = RowTaps { y0: oy * s, ky0, ky1 };
-        for ox in (0..lo).chain(hi..ow) {
-            drow[ox] = plane.pixel(k, s, t, ox);
+        RowTaps { y0: oy * s, ky0, ky1 }
+    };
+    let full = |t: RowTaps| (t.ky0, t.ky1) == (0, k);
+    let mut oy = 0;
+    while oy < g.oh {
+        let t = row_taps(oy);
+        let rows = if s == 1 && oy + 1 < g.oh && full(t) && full(row_taps(oy + 1)) { 2 } else { 1 };
+        let drows = &mut dst[oy * ow..(oy + rows) * ow];
+        for (r, drow) in drows.chunks_exact_mut(ow).enumerate() {
+            let t = row_taps(oy + r);
+            for ox in (0..lo).chain(hi..ow) {
+                drow[ox] = plane.pixel(k, s, t, ox);
+            }
         }
-        interior(t, lo..hi, drow);
+        interior(t, rows, lo..hi, drows);
+        oy += rows;
     }
 }
 

@@ -269,7 +269,7 @@ fn depthwise_chunk_edges_match_scalar_oracle_bitwise() {
     for k in [3, 5] {
         for s in [1, 2] {
             for p in 0..=k / 2 {
-                for h in [1, 2, 5] {
+                for h in [1, 2, 5, 8] {
                     for w in 1..=21 {
                         if conv_out_dim(h, k, s, p).is_none() || conv_out_dim(w, k, s, p).is_none()
                         {
