@@ -245,7 +245,7 @@ pub(crate) fn infer_to(seq: &Sequential, input: &Tensor, end: usize) -> Tensor {
 }
 
 /// The unfused chain: each layer's own `infer` on the whole batch.
-pub(crate) fn infer_layerwise(seq: &Sequential, input: &Tensor, end: usize) -> Tensor {
+fn infer_layerwise(seq: &Sequential, input: &Tensor, end: usize) -> Tensor {
     let mut x = input.clone();
     for index in 0..end {
         let layer = seq.layer(index);
@@ -337,11 +337,9 @@ fn run_seq(
     if let Some(skip) = skip_pending {
         match &mut out {
             Act::Map(map) => finish(map, Epilogue::default(), Some(skip)),
-            Act::Tensor(t) => panic!(
-                "residual body must preserve shape ({} vs {:?})",
-                t.shape(),
-                [1, skip.1[0], skip.1[1], skip.1[2]]
-            ),
+            Act::Tensor(t) => {
+                panic!("residual body must preserve shape ({} vs {:?})", t.shape(), skip.1)
+            }
         }
     }
     out
