@@ -1,4 +1,5 @@
-//! The fused evaluation pass behind [`Sequential::infer_to`].
+//! The fused evaluation pass behind [`Sequential::infer_to`] (and so
+//! every evaluation-mode forward of a layer stack).
 //!
 //! The pass walks the layer stack through [`Layer::eval_op`] and groups
 //! each run of conv/depthwise → batch norm → activation, plus the
@@ -27,6 +28,7 @@ use crate::norm::BatchNorm2d;
 use crate::sequential::{layer_span, Sequential};
 use nshd_tensor::{PackedRhs, Tensor};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Buffers a [`Workspace`] keeps for reuse; a pass holds at most four
 /// maps at once (a residual's input, the current map, the next one, and
@@ -229,25 +231,25 @@ fn from_tensor(t: Tensor) -> Act {
     }
 }
 
-/// Runs layers `0..end` of `seq` over a batch through the fused pass.
+/// Runs layers `layers` of `seq` over a batch through the fused pass.
 /// Inputs other than `N×C×H×W` run the layers' own `infer` on the whole
 /// batch.
-pub(crate) fn infer_to(seq: &Sequential, input: &Tensor, end: usize) -> Tensor {
+pub(crate) fn infer_range(seq: &Sequential, input: &Tensor, layers: Range<usize>) -> Tensor {
     let &[n, c, h, w] = input.dims() else {
-        return infer_layerwise(seq, input, end);
+        return infer_layerwise(seq, input, layers);
     };
     WORKSPACE.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut ws) => infer_batch(&mut ws, seq, input, (n, [c, h, w]), end),
+        Ok(mut ws) => infer_batch(&mut ws, seq, input, (n, [c, h, w]), layers),
         // An uncovered layer's own `infer` re-entered the pass on this
         // thread: that inner pass gets a workspace of its own.
-        Err(_) => infer_batch(&mut Workspace::new(), seq, input, (n, [c, h, w]), end),
+        Err(_) => infer_batch(&mut Workspace::new(), seq, input, (n, [c, h, w]), layers),
     })
 }
 
 /// The unfused chain: each layer's own `infer` on the whole batch.
-fn infer_layerwise(seq: &Sequential, input: &Tensor, end: usize) -> Tensor {
+fn infer_layerwise(seq: &Sequential, input: &Tensor, layers: Range<usize>) -> Tensor {
     let mut x = input.clone();
-    for index in 0..end {
+    for index in layers {
         let layer = seq.layer(index);
         let _sp = layer_span(index, layer, "");
         x = layer.infer(&x);
@@ -260,12 +262,12 @@ fn infer_batch(
     seq: &Sequential,
     input: &Tensor,
     (n, chw): (usize, [usize; 3]),
-    end: usize,
+    layers: Range<usize>,
 ) -> Tensor {
     let len: usize = chw.iter().product();
     let mut out: Option<Tensor> = None;
     for (b, image) in input.as_slice().chunks_exact(len.max(1)).take(n).enumerate() {
-        let y = run_seq(ws, seq, View::Map(image, chw), end, None);
+        let y = run_seq(ws, seq, View::Map(image, chw), layers.clone(), None);
         let y_data = match y.view() {
             View::Map(data, _) => data,
             View::Tensor(t) => t.as_slice(),
@@ -283,23 +285,23 @@ fn infer_batch(
     }
     // An empty batch, or one of empty images: nothing ran, so report
     // the shapes the layers would have produced.
-    out.unwrap_or_else(|| infer_layerwise(seq, input, end))
+    out.unwrap_or_else(|| infer_layerwise(seq, input, layers))
 }
 
-/// Runs layers `0..end` of `seq` on one image, then adds `skip` (the
+/// Runs layers `layers` of `seq` on one image, then adds `skip` (the
 /// enclosing residual's input) — fused into the last step's epilogue
 /// when that step is a fused one.
 fn run_seq(
     ws: &mut Workspace,
     seq: &Sequential,
     x: View<'_>,
-    end: usize,
+    layers: Range<usize>,
     skip: Option<(&[f32], [usize; 3])>,
 ) -> Act {
     // `None` while the input is still the caller's borrowed value.
     let mut cur: Option<Act> = None;
     let mut skip_pending = skip;
-    let mut i = 0;
+    let (mut i, end) = (layers.start, layers.end);
     while i < end {
         let layer = seq.layer(i);
         let _sp = layer_span(i, layer, "");
@@ -318,10 +320,10 @@ fn run_seq(
                 fuse(seq, i, end, map, None, &mut skip_pending)
             }
             (Some(EvalOp::Sequential(inner)), _) => {
-                (run_seq(ws, inner, input, inner.len(), None), i + 1)
+                (run_seq(ws, inner, input, 0..inner.len(), None), i + 1)
             }
             (Some(EvalOp::Residual(body)), View::Map(data, chw)) => {
-                (run_seq(ws, body, input, body.len(), Some((data, chw))), i + 1)
+                (run_seq(ws, body, input, 0..body.len(), Some((data, chw))), i + 1)
             }
             _ => (from_tensor(layer.infer(&input.to_tensor())), i + 1),
         };

@@ -62,7 +62,7 @@ impl BatchNorm2d {
     }
 
     /// Channel count.
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.channels
     }
 

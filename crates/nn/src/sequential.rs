@@ -89,13 +89,18 @@ impl Sequential {
 
     /// Runs layers `0..end` and returns the activation after layer
     /// `end - 1` (the paper's "features at layer *end-1*"). `end == 0`
-    /// returns the input unchanged.
+    /// returns the input unchanged. [`Mode::Eval`] touches no layer
+    /// state, so it runs the fused pass of
+    /// [`infer_to`](Sequential::infer_to).
     ///
     /// # Panics
     ///
     /// Panics if `end > self.len()`.
     pub fn forward_to(&mut self, input: &Tensor, end: usize, mode: Mode) -> Tensor {
         assert!(end <= self.layers.len(), "end {end} exceeds {} layers", self.layers.len());
+        if mode == Mode::Eval {
+            return self.infer_to(input, end);
+        }
         let mut x = input.clone();
         for (index, layer) in self.layers[..end].iter_mut().enumerate() {
             let _sp = layer_span(index, &**layer, "");
@@ -106,12 +111,17 @@ impl Sequential {
 
     /// Runs layers `start..len` — the "remaining layers" used as the
     /// distillation teacher's tail after truncating at `start`.
+    /// [`Mode::Eval`] runs the fused pass of
+    /// [`infer_from`](Sequential::infer_from).
     ///
     /// # Panics
     ///
     /// Panics if `start > self.len()`.
     pub fn forward_from(&mut self, input: &Tensor, start: usize, mode: Mode) -> Tensor {
-        assert!(start <= self.layers.len());
+        assert!(start <= self.layers.len(), "start {start} exceeds {} layers", self.layers.len());
+        if mode == Mode::Eval {
+            return self.infer_from(input, start);
+        }
         let mut x = input.clone();
         for (offset, layer) in self.layers[start..].iter_mut().enumerate() {
             let _sp = layer_span(start + offset, &**layer, "");
@@ -143,7 +153,7 @@ impl Sequential {
     /// Panics if `end > self.len()`.
     pub fn infer_to(&self, input: &Tensor, end: usize) -> Tensor {
         assert!(end <= self.layers.len(), "end {end} exceeds {} layers", self.layers.len());
-        fused::infer_to(self, input, end)
+        fused::infer_range(self, input, 0..end)
     }
 
     /// Runs layers `start..len` in evaluation mode without mutating any
@@ -154,13 +164,8 @@ impl Sequential {
     ///
     /// Panics if `start > self.len()`.
     pub fn infer_from(&self, input: &Tensor, start: usize) -> Tensor {
-        assert!(start <= self.layers.len());
-        let mut x = input.clone();
-        for (offset, layer) in self.layers[start..].iter().enumerate() {
-            let _sp = layer_span(start + offset, &**layer, "");
-            x = layer.infer(&x);
-        }
-        x
+        assert!(start <= self.layers.len(), "start {start} exceeds {} layers", self.layers.len());
+        fused::infer_range(self, input, start..self.layers.len())
     }
 
     /// Backwards through the full stack (training-mode forward required).
