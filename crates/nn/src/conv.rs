@@ -13,7 +13,7 @@ use crate::layer::{EvalOp, Layer, Mode};
 use crate::param::Param;
 use crate::shape::ShapeError;
 use nshd_tensor::{
-    col2im, conv_out_dim, im2col, matmul, matmul_at, matmul_bt, matmul_packed_into, par,
+    col2im, conv_out_dim, im2col, matmul, matmul_at, matmul_bt, matmul_slice_into, par,
     ConvGeometry, Rng, Shape, Tensor,
 };
 
@@ -107,9 +107,10 @@ impl Conv2d {
     /// The fused eval pass's kernel: convolves one `C×H×W` image into a
     /// workspace map **without** the bias, which the step's epilogue
     /// adds. A stride-1, unpadded 1×1 conv's patch matrix is the image
-    /// itself, so it is packed straight into the workspace's GEMM
-    /// operand; any other geometry goes through `im2col` first. The
-    /// product is the same GEMM [`Layer::infer`] runs.
+    /// itself, so it goes to the GEMM as it is (packed into the
+    /// workspace's reused operand when the micro-kernels run); any other
+    /// geometry goes through `im2col` first. The product is the same
+    /// GEMM [`Layer::infer`] runs.
     ///
     /// # Panics
     ///
@@ -121,13 +122,13 @@ impl Conv2d {
         let (oh, ow) = (g.out_height(), g.out_width());
         let len = self.out_channels * oh * ow;
         let mut buf = ws.take(len);
+        let out = &mut buf[..len];
         if self.kernel == 1 && self.stride == 1 && self.padding == 0 {
-            ws.packed.repack_rows(c, h * w, x);
+            matmul_slice_into(&self.weight.value, x, h * w, &mut ws.packed, out);
         } else {
             let cols = im2col(x, &g);
-            ws.packed.repack_rows(g.patch_len(), oh * ow, cols.as_slice());
+            matmul_slice_into(&self.weight.value, cols.as_slice(), oh * ow, &mut ws.packed, out);
         }
-        matmul_packed_into(&self.weight.value, &ws.packed, &mut buf[..len]);
         Map { buf, chw: [self.out_channels, oh, ow] }
     }
 

@@ -215,9 +215,7 @@ impl Plane<'_> {
         acc
     }
 
-    /// Interior outputs `cols` of one row in `L`-chunks; the last chunk
-    /// overlaps its neighbour instead of leaving a scalar tail (`cols`
-    /// spans at least `L`; recomputing an output writes the same bits).
+    /// Interior outputs `cols` of one row in `L`-chunks.
     #[inline(always)]
     fn chunks<const L: usize, const K: usize, const S: usize, const W: usize>(
         &self,
@@ -225,15 +223,9 @@ impl Plane<'_> {
         cols: Range<usize>,
         drow: &mut [f32],
     ) {
-        let mut ox = cols.start;
-        while ox + L <= cols.end {
+        chunk_starts::<L>(cols, |ox| {
             drow[ox..ox + L].copy_from_slice(&self.chunk::<L, K, S, W>(t, ox));
-            ox += L;
-        }
-        if ox < cols.end {
-            let ox = cols.end - L;
-            drow[ox..ox + L].copy_from_slice(&self.chunk::<L, K, S, W>(t, ox));
-        }
+        });
     }
 
     /// Two stride-1 rows' `L` interior outputs from column `ox0`: the
@@ -278,19 +270,27 @@ impl Plane<'_> {
         drows: &mut [f32],
     ) {
         let ow = drows.len() / 2;
-        let mut store = |ox: usize| {
+        chunk_starts::<L>(cols, |ox| {
             let [a0, a1] = self.chunk_pair::<L, K, W>(t, ox);
             drows[ox..ox + L].copy_from_slice(&a0);
             drows[ow + ox..ow + ox + L].copy_from_slice(&a1);
-        };
-        let mut ox = cols.start;
-        while ox + L <= cols.end {
-            store(ox);
-            ox += L;
-        }
-        if ox < cols.end {
-            store(cols.end - L);
-        }
+        });
+    }
+}
+
+/// Calls `f` with the first column of each `L`-wide chunk covering
+/// `cols` (which spans at least `L`). The last chunk overlaps its
+/// neighbour instead of leaving a scalar tail; recomputing an output
+/// writes the same bits.
+#[inline(always)]
+fn chunk_starts<const L: usize>(cols: Range<usize>, mut f: impl FnMut(usize)) {
+    let mut ox = cols.start;
+    while ox + L <= cols.end {
+        f(ox);
+        ox += L;
+    }
+    if ox < cols.end {
+        f(cols.end - L);
     }
 }
 

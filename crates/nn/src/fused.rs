@@ -122,13 +122,13 @@ fn plane_loop(dst: &mut [f32], skip: Option<&[f32]>, f: impl Fn(f32) -> f32) {
 pub(crate) struct Workspace {
     /// Map buffers not in use; each only ever grows.
     free: Vec<Vec<f32>>,
-    /// The right-hand GEMM operand of the current convolution step.
+    /// Panel storage the convolution steps pack their GEMM operand into.
     pub(crate) packed: PackedRhs,
 }
 
 impl Workspace {
     fn new() -> Self {
-        Workspace { free: Vec::new(), packed: PackedRhs::from_rows(0, 0, &[]) }
+        Workspace { free: Vec::new(), packed: PackedRhs::empty() }
     }
 
     /// A buffer of at least `len` elements, with unspecified contents.

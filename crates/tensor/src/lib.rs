@@ -54,7 +54,7 @@ mod tensor;
 pub use error::TensorError;
 pub use im2col::{col2im, im2col, ConvGeometry};
 pub use matmul::{
-    matmul, matmul_at, matmul_bt, matmul_bt_into, matmul_into, matmul_packed, matmul_packed_into,
+    matmul, matmul_at, matmul_bt, matmul_bt_into, matmul_into, matmul_packed, matmul_slice_into,
     matvec, vecmat,
 };
 pub use ops::dot;

@@ -111,12 +111,23 @@ fn gemm_packed(name: &str, m: usize, av: &[f32], b: &PackedRhs, use_simd: bool, 
 }
 
 /// `C = A · B` over raw slices (`bv` row-major `k`×`n`): with the
-/// micro-kernels on, packs `B` once (a pure copy) and runs
-/// [`gemm_packed`]; otherwise runs the blocked scalar reference on `B`
-/// as it is.
-fn gemm_rowwise(name: &str, m: usize, k: usize, n: usize, av: &[f32], bv: &[f32], c: &mut [f32]) {
+/// micro-kernels on, packs `B` into `pack` (a pure copy, reusing its
+/// storage) and runs [`gemm_packed`]; otherwise runs the blocked scalar
+/// reference on `B` as it is.
+#[allow(clippy::too_many_arguments)]
+fn gemm_rowwise(
+    name: &str,
+    m: usize,
+    k: usize,
+    n: usize,
+    av: &[f32],
+    bv: &[f32],
+    pack: &mut PackedRhs,
+    c: &mut [f32],
+) {
     if simd::simd_enabled() {
-        gemm_packed(name, m, av, &PackedRhs::from_rows(k, n, bv), true, c);
+        pack.repack_rows(k, n, bv);
+        gemm_packed(name, m, av, pack, true, c);
     } else {
         gemm_scalar(name, m, k, n, av, bv, c);
     }
@@ -194,7 +205,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = dims2(b, "matmul rhs");
     assert_eq!(k, k2, "matmul inner dimensions disagree: {k} vs {k2}");
     let mut c = Tensor::zeros([m, n]);
-    gemm_rowwise("matmul", m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice());
+    let (av, bv) = (a.as_slice(), b.as_slice());
+    gemm_rowwise("matmul", m, k, n, av, bv, &mut PackedRhs::empty(), c.as_mut_slice());
     c
 }
 
@@ -217,7 +229,8 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     assert_eq!(k, k2, "matmul_into inner dimensions disagree: {k} vs {k2}");
     let (mo, no) = dims2(out, "matmul_into out");
     assert_eq!((mo, no), (m, n), "matmul_into output must be {m}×{n}, got {mo}×{no}");
-    gemm_rowwise("matmul", m, k, n, a.as_slice(), b.as_slice(), out.as_mut_slice());
+    let (av, bv) = (a.as_slice(), b.as_slice());
+    gemm_rowwise("matmul", m, k, n, av, bv, &mut PackedRhs::empty(), out.as_mut_slice());
 }
 
 /// Computes `C = A · Bᵀ` for row-major matrices.
@@ -283,28 +296,30 @@ pub fn matmul_packed(a: &Tensor, b: &PackedRhs) -> Tensor {
     c
 }
 
-/// Computes `C = A · B` against a pre-packed right-hand operand into a
-/// caller-provided row-major `m`×`n` slice, which is overwritten.
+/// Computes `C = A · B` for a row-major `k`×`n` slice `b` into the
+/// row-major `m`×`n` slice `out`, which is overwritten.
 ///
-/// The slice form of [`matmul_packed`], bit-identical to it: a caller
-/// that keeps its activations in reused buffers (the fused conv path of
-/// `nshd-nn`) multiplies without allocating an output tensor.
+/// The slice form of [`matmul_into`], bit-identical to [`matmul`] and
+/// recorded under the same `matmul` span: with the micro-kernels on, `b`
+/// is packed into `pack`, whose storage is reused across calls, so a
+/// caller that keeps its operands in reused buffers (the fused conv path
+/// of `nshd-nn`) multiplies without allocating; the scalar reference
+/// reads `b` as it is.
 ///
 /// # Panics
 ///
-/// Panics if `a` is not rank-2, its width is not `b.k()`, or
-/// `out.len()` is not `m·n`.
-pub fn matmul_packed_into(a: &Tensor, b: &PackedRhs, out: &mut [f32]) {
-    let (m, k) = dims2(a, "matmul_packed_into lhs");
-    assert_eq!(k, b.k(), "matmul_packed_into inner dimensions disagree: {k} vs {}", b.k());
+/// Panics if `a` is not rank-2, `b.len()` is not `k·n` or `out.len()`
+/// is not `m·n`.
+pub fn matmul_slice_into(a: &Tensor, b: &[f32], n: usize, pack: &mut PackedRhs, out: &mut [f32]) {
+    let (m, k) = dims2(a, "matmul_slice_into lhs");
+    assert_eq!(b.len(), k * n, "matmul_slice_into rhs must hold {k}×{n} elements, got {}", b.len());
     assert_eq!(
         out.len(),
-        m * b.n(),
-        "matmul_packed_into output must hold {m}×{} elements, got {}",
-        b.n(),
+        m * n,
+        "matmul_slice_into output must hold {m}×{n} elements, got {}",
         out.len()
     );
-    gemm_packed("matmul_packed", m, a.as_slice(), b, simd::simd_enabled(), out);
+    gemm_rowwise("matmul", m, k, n, a.as_slice(), b, pack, out);
 }
 
 /// Computes `C = Aᵀ · B` without materialising the transpose.
@@ -589,17 +604,16 @@ mod tests {
     }
 
     #[test]
-    fn repacked_operand_into_slice_matches_matmul_bitwise() {
-        // One operand storage reused across shapes that grow, shrink and
-        // change panel count; stale panels and a NaN-filled output must
-        // never leak into a product.
-        let mut packed = PackedRhs::from_sign_rows(5, &[[0u64; 1]; 3]);
+    fn slice_product_with_reused_pack_matches_matmul_bitwise() {
+        // One pack reused across shapes that grow, shrink and change
+        // panel count, starting from the sign form; stale panels and a
+        // NaN-filled output must never leak into a product.
+        let mut pack = PackedRhs::from_sign_rows(5, &[[0u64; 1]; 3]);
         for (m, k, n) in [(4, 9, 37), (3, 70, 5), (6, 9, 16), (1, 1, 1), (5, 12, 0)] {
             let a = rand_tensor([m, k], (m * k + n) as u64);
             let b = rand_tensor([k, n], (k * n + 3) as u64);
-            packed.repack_rows(k, n, b.as_slice());
             let mut out = vec![f32::NAN; m * n];
-            matmul_packed_into(&a, &packed, &mut out);
+            matmul_slice_into(&a, b.as_slice(), n, &mut pack, &mut out);
             assert_eq!(out.as_slice(), matmul(&a, &b).as_slice(), "{m}×{k}×{n}");
         }
     }

@@ -154,21 +154,27 @@ impl PackedRhs {
     /// Panics if `b.len() != k * n`.
     #[must_use]
     pub fn from_rows(k: usize, n: usize, b: &[f32]) -> Self {
-        let mut packed = PackedRhs { k: 0, n: 0, panels: Panels::F32(Vec::new()) };
+        let mut packed = PackedRhs::empty();
         packed.repack_rows(k, n, b);
         packed
     }
 
+    /// A 0×0 operand holding no storage: the starting point of a pack
+    /// that [`repack_rows`](PackedRhs::repack_rows) refills.
+    #[must_use]
+    pub fn empty() -> Self {
+        PackedRhs { k: 0, n: 0, panels: Panels::F32(Vec::new()) }
+    }
+
     /// Repacks `self` from the row-major `k`×`n` matrix `b`, reusing
     /// its panel storage: the in-place form of
-    /// [`from_rows`](PackedRhs::from_rows) for a caller that packs a
-    /// fresh operand of similar size on every call (a conv activation)
-    /// and wants no allocation once the storage has grown.
+    /// [`from_rows`](PackedRhs::from_rows), which allocates nothing once
+    /// the storage has grown to the operand's size.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != k * n`.
-    pub fn repack_rows(&mut self, k: usize, n: usize, b: &[f32]) {
+    pub(crate) fn repack_rows(&mut self, k: usize, n: usize, b: &[f32]) {
         assert_eq!(b.len(), k * n, "PackedRhs::repack_rows expects a {k}×{n} matrix");
         let rows = match &mut self.panels {
             Panels::F32(rows) => std::mem::take(rows),
