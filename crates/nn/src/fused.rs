@@ -30,9 +30,9 @@ use nshd_tensor::{PackedRhs, Tensor};
 use std::cell::RefCell;
 use std::ops::Range;
 
-/// Buffers a [`Workspace`] keeps for reuse; a pass holds at most four
-/// maps at once (a residual's input, the current map, the next one, and
-/// a nested container's result), so more would only pin memory.
+/// Buffers a [`Workspace`] keeps for reuse. A pass holds only a few maps
+/// at once (each open residual's input, the current map and the next
+/// one), so keeping more would only pin memory.
 const MAX_FREE: usize = 6;
 
 /// One batch-norm channel in evaluation mode.

@@ -160,7 +160,8 @@ impl PackedRhs {
     }
 
     /// A 0×0 operand holding no storage: the starting point of a pack
-    /// that [`repack_rows`](PackedRhs::repack_rows) refills.
+    /// that [`matmul_slice_into`](crate::matmul_slice_into) refills and
+    /// reuses.
     #[must_use]
     pub fn empty() -> Self {
         PackedRhs { k: 0, n: 0, panels: Panels::F32(Vec::new()) }
