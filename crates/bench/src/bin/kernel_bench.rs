@@ -225,10 +225,20 @@ fn main() {
     }
 
     // The served MobileNetV2 analog's eval layers at a batch of one:
-    // depthwise 3×3 at its widest stride-1 and stride-2 shapes and a
-    // deep stride-1 shape, and an expanding 1×1 conv (the N = 1 lowering
-    // that skips the batch interleave).
-    for (c, hw, stride) in [(48, 32, 1), (48, 32, 2), (72, 8, 1), (114, 8, 2)] {
+    // depthwise 3×3 at every shape the served extractor (cut 15) runs,
+    // and an expanding 1×1 conv (the N = 1 lowering that skips the batch
+    // interleave).
+    let served_depthwise = [
+        (8, 32, 1),
+        (48, 32, 1),
+        (48, 32, 2),
+        (48, 16, 1),
+        (48, 16, 2),
+        (72, 8, 1),
+        (114, 8, 1),
+        (114, 8, 2),
+    ];
+    for (c, hw, stride) in served_depthwise {
         let dw = DepthwiseConv2d::new(c, 3, stride, 1, &mut rng);
         let x = Tensor::from_fn([1, c, hw, hw], |i| ((i % 89) as f32 - 44.0) / 44.0);
         let flops = 2 * dw.macs(&[c, hw, hw]);

@@ -13,8 +13,8 @@ use crate::layer::{EvalOp, Layer, Mode};
 use crate::param::Param;
 use crate::shape::ShapeError;
 use nshd_tensor::{
-    col2im, conv_out_dim, im2col, matmul, matmul_at, matmul_bt, matmul_slice_into, par,
-    ConvGeometry, Rng, Shape, Tensor,
+    col2im, conv_out_dim, im2col, matmul, matmul_at, matmul_bt, matmul_packed_into,
+    matmul_slice_into, par, ConvGeometry, Rng, Shape, Tensor,
 };
 
 /// A 2-D convolution layer (`NCHW` in, `NKH'W'` out).
@@ -104,6 +104,17 @@ impl Conv2d {
         self.bias.value.as_slice()
     }
 
+    /// Input channel count.
+    pub(crate) fn in_channels(&self) -> usize {
+        self.in_channels
+    }
+
+    /// Whether this is a stride-1, unpadded 1×1 conv, whose patch matrix
+    /// is its input image.
+    pub(crate) fn is_pointwise(&self) -> bool {
+        self.kernel == 1 && self.stride == 1 && self.padding == 0
+    }
+
     /// The fused eval pass's kernel: convolves one `C×H×W` image into a
     /// workspace map **without** the bias, which the step's epilogue
     /// adds. A stride-1, unpadded 1×1 conv's patch matrix is the image
@@ -123,13 +134,31 @@ impl Conv2d {
         let len = self.out_channels * oh * ow;
         let mut buf = ws.take(len);
         let out = &mut buf[..len];
-        if self.kernel == 1 && self.stride == 1 && self.padding == 0 {
+        if self.is_pointwise() {
             matmul_slice_into(&self.weight.value, x, h * w, &mut ws.packed, out);
         } else {
             let cols = im2col(x, &g);
             matmul_slice_into(&self.weight.value, cols.as_slice(), oh * ow, &mut ws.packed, out);
         }
         Map { buf, chw: [self.out_channels, oh, ow] }
+    }
+
+    /// [`infer_image`](Self::infer_image) for a pointwise conv whose
+    /// `C×H×W` input the previous step stored straight into the
+    /// workspace's packed operand (`C`×`H·W`): the GEMM multiplies by
+    /// those panels as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a channel mismatch, or if the packed operand is not the
+    /// `C`×`H·W` input.
+    pub(crate) fn infer_packed(&self, ws: &mut Workspace, [c, h, w]: [usize; 3]) -> Map {
+        assert_eq!(c, self.in_channels, "channel mismatch in {}", self.name());
+        assert!(self.is_pointwise(), "{} does not read its input as patches", self.name());
+        let len = self.out_channels * h * w;
+        let mut buf = ws.take(len);
+        matmul_packed_into(&self.weight.value, &ws.packed, &mut buf[..len]);
+        Map { buf, chw: [self.out_channels, h, w] }
     }
 
     /// Unfolds the whole batch into one `CRS × (N·P)` patch matrix.

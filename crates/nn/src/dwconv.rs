@@ -1,24 +1,39 @@
 //! Depthwise 2-D convolution (one filter per channel), the workhorse of
 //! MobileNetV2's and EfficientNet's inverted-residual blocks.
 //!
-//! One kernel, [`depthwise_plane`], serves both [`Layer::infer`] (and so
-//! the training forward) and the fused eval pass. Each output is `bias`,
-//! then `+= x·f` for its in-bounds taps in `(ky, kx)` order — the float
-//! sequence of a per-pixel loop, so every rewrite of the loop structure
-//! is bit-identical to one. Interior columns, whose taps are all in
-//! bounds horizontally, run in 8- or 4-lane chunks held in registers
-//! across all taps (the last chunk overlaps its neighbour instead of
-//! leaving a scalar tail; recomputing an output writes the same bits).
-//! Border pixels run one at a time over their tap ranges. Stride {1, 2}
-//! × kernel {3, 5} are compiled with constant geometry.
+//! One kernel serves both [`Layer::infer`] (and so the training forward)
+//! and the fused eval pass. Each output is `bias`, then `+= x·f` for its
+//! in-bounds taps in `(ky, kx)` order — the float sequence of a per-pixel
+//! loop, so every rewrite of the loop structure is bit-identical to one.
+//!
+//! Kernels {3, 5} × strides {1, 2} run over a copy of the plane padded
+//! with `+0.0` — `p` zero columns on either side of each row and a zero
+//! row for every row above or below — so every output, borders included,
+//! takes all `k²` taps and each output row is one loop over its columns
+//! that the compiler vectorises (at stride 2 the padded rows are stored
+//! deinterleaved, so each tap still reads consecutive values). At stride
+//! 1 two output rows run together and share each loaded input row.
+//!
+//! A padded tap adds `+0.0·f`, which is `±0.0` when `f` is finite, and
+//! `a + (±0.0)` is `a` to the bit for every `a` except `-0.0`. In
+//! round-to-nearest a sum is `-0.0` only when both addends are, so the
+//! accumulator can be `-0.0` only if it started from a `-0.0` bias. A
+//! channel whose taps are all finite and whose bias is not `-0.0`
+//! therefore gets the per-pixel loop's bits from the padded kernel; any
+//! other channel, and any other geometry, runs pixel by pixel over its
+//! in-bounds taps.
+//!
+//! The fused pass's batch norm and activation are applied to each
+//! output plane as soon as the kernel has written it, while it is in L1,
+//! and the plane goes to a `C×H×W` map or, when a 1×1 conv follows,
+//! straight into that conv's packed GEMM operand ([`PanelWriter`]).
 
-use crate::fused::{Map, Workspace};
+use crate::fused::{ChannelEpilogue, Epilogue, Map, Workspace};
 use crate::init::he_normal;
 use crate::layer::{EvalOp, Layer, Mode};
 use crate::param::Param;
 use crate::shape::ShapeError;
-use nshd_tensor::{conv_out_dim, Rng, Shape, Tensor};
-use std::ops::Range;
+use nshd_tensor::{conv_out_dim, PanelWriter, Rng, Shape, Tensor};
 
 /// A depthwise convolution: each input channel is convolved with its own
 /// `R×S` kernel; channel count is preserved.
@@ -85,40 +100,140 @@ impl DepthwiseConv2d {
         }
     }
 
-    /// Convolves the consecutive `h×w` channel planes of `x` into the
-    /// `oh×ow` planes of `out`; plane `i` is channel `i mod C`.
-    fn run_planes(&self, x: &[f32], (h, w): (usize, usize), out: &mut [f32]) {
+    /// The output shape of one `C×H×W` image.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a channel mismatch or a window that does not fit.
+    pub(crate) fn image_out(&self, [c, h, w]: [usize; 3]) -> [usize; 3] {
+        assert_eq!(c, self.channels, "channel mismatch in {}", self.name());
+        let (oh, ow) = self.out_hw(h, w);
+        [c, oh, ow]
+    }
+
+    /// Convolves the `planes` consecutive `h×w` channel planes of `x`
+    /// (plane `i` is channel `i mod C`) into `target`, applying
+    /// `epilogue` to each output before it is stored.
+    fn run_planes(
+        &self,
+        x: &[f32],
+        (planes, h, w): (usize, usize, usize),
+        epilogue: &Epilogue<'_>,
+        mut target: Target<'_, '_>,
+        pad: &mut PadScratch,
+    ) {
         let (oh, ow) = self.out_hw(h, w);
         let k2 = self.kernel * self.kernel;
         let wv = self.weight.value.as_slice();
         let bv = self.bias.value.as_slice();
         let geom = PlaneGeometry { h, w, oh, ow, k: self.kernel, s: self.stride, p: self.padding };
-        for (i, dst) in out.chunks_exact_mut(oh * ow).enumerate() {
+        for i in 0..planes {
             let c = i % self.channels;
-            let src = &x[i * h * w..(i + 1) * h * w];
-            depthwise_plane(src, &wv[c * k2..(c + 1) * k2], bv[c], &geom, dst);
+            let plane = Plane {
+                src: &x[i * h * w..(i + 1) * h * w],
+                filt: &wv[c * k2..(c + 1) * k2],
+                bias: bv[c],
+                w,
+                p: self.padding,
+            };
+            let mut dest = match &mut target {
+                Target::Planes(out) => Dest::Plane(&mut out[i * oh * ow..(i + 1) * oh * ow]),
+                Target::Panels(panels) => Dest::Panels(panels, i),
+            };
+            depthwise_plane(&plane, &geom, epilogue.channel(c), &mut dest, pad);
         }
     }
 
-    /// The fused eval pass's kernel: one `C×H×W` image into a workspace
-    /// map, bias included (the same kernel as [`Layer::infer`]).
+    /// The fused eval pass's depthwise step: one `C×H×W` image into a
+    /// workspace map, bias included and `epilogue` (the batch norm and
+    /// activation that follow) applied to each plane as it is computed.
     ///
     /// # Panics
     ///
     /// Panics on a channel mismatch or a window that does not fit.
-    pub(crate) fn infer_image(&self, ws: &mut Workspace, x: &[f32], chw: [usize; 3]) -> Map {
-        let [c, h, w] = chw;
-        assert_eq!(c, self.channels, "channel mismatch in {}", self.name());
-        let (oh, ow) = self.out_hw(h, w);
-        let len = c * oh * ow;
+    pub(crate) fn infer_image(
+        &self,
+        ws: &mut Workspace,
+        x: &[f32],
+        chw: [usize; 3],
+        epilogue: &Epilogue<'_>,
+    ) -> Map {
+        let out = self.image_out(chw);
+        let len = out.iter().product();
         let mut buf = ws.take(len);
-        self.run_planes(x, (h, w), &mut buf[..len]);
-        Map { buf, chw: [c, oh, ow] }
+        let planes = (chw[0], chw[1], chw[2]);
+        self.run_planes(x, planes, epilogue, Target::Planes(&mut buf[..len]), &mut ws.pad);
+        Map { buf, chw: out }
+    }
+
+    /// [`infer_image`](Self::infer_image), storing the outputs straight
+    /// into the workspace's packed operand as the `C`×`OH·OW` right-hand
+    /// side of the 1×1 conv that follows, instead of into a map. Returns
+    /// the output shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a channel mismatch or a window that does not fit.
+    pub(crate) fn infer_panels(
+        &self,
+        ws: &mut Workspace,
+        x: &[f32],
+        chw: [usize; 3],
+        epilogue: &Epilogue<'_>,
+    ) -> [usize; 3] {
+        let out @ [c, oh, ow] = self.image_out(chw);
+        let mut panels = ws.packed.panel_writer(c, oh * ow);
+        let planes = (c, chw[1], chw[2]);
+        self.run_planes(x, planes, epilogue, Target::Panels(&mut panels), &mut ws.pad);
+        out
+    }
+}
+
+/// Where [`DepthwiseConv2d::run_planes`] stores its outputs.
+enum Target<'a, 'w> {
+    /// Consecutive row-major output planes.
+    Planes(&'a mut [f32]),
+    /// The packed `C`×`OH·OW` operand of a GEMM, one row per channel.
+    Panels(&'a mut PanelWriter<'w>),
+}
+
+/// Where one plane's outputs go: output `(oy, ox)` is element
+/// `oy·ow + ox` of a row-major plane, or column `oy·ow + ox` of row `c`
+/// of a packed operand.
+enum Dest<'a, 'w> {
+    Plane(&'a mut [f32]),
+    Panels(&'a mut PanelWriter<'w>, usize),
+}
+
+impl Dest<'_, '_> {
+    /// Has `compute` fill the `oh×ow` output plane — in place, or in
+    /// `scratch` on its way into panels — then applies `epi` to it while
+    /// it is in L1 and stores it.
+    #[inline(always)]
+    fn plane(
+        &mut self,
+        (oh, ow): (usize, usize),
+        scratch: &mut Vec<f32>,
+        epi: ChannelEpilogue,
+        compute: impl FnOnce(&mut [f32]),
+    ) {
+        let (out, panels) = match self {
+            Dest::Plane(plane) => (&mut **plane, None),
+            Dest::Panels(panels, c) => (grown(scratch, oh * ow), Some((panels, *c))),
+        };
+        compute(out);
+        epi.apply(out, None);
+        if let Some((panels, c)) = panels {
+            for (oy, row) in out.chunks_exact(ow).enumerate() {
+                panels.write(c, oy * ow, row);
+            }
+        }
     }
 }
 
 /// The geometry of one depthwise plane: input `h×w`, output `oh×ow`,
 /// square `k`-tap kernel, stride `s`, zero padding `p`.
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct PlaneGeometry {
     h: usize,
     w: usize,
@@ -129,25 +244,186 @@ struct PlaneGeometry {
     p: usize,
 }
 
-/// Convolves one channel plane: `dst[oy][ox] = bias + Σ src·filt` over
-/// the in-bounds taps in `(ky, kx)` order. The common geometries run
-/// copies compiled with constant kernel and stride whose interior
-/// columns go in register chunks; any other runs pixel by pixel.
-fn depthwise_plane(src: &[f32], filt: &[f32], bias: f32, g: &PlaneGeometry, dst: &mut [f32]) {
-    let plane = Plane { src, filt, bias, w: g.w, p: g.p };
+/// Convolves one channel plane into `dest`: `bias + Σ src·filt` over the
+/// in-bounds taps in `(ky, kx)` order, then `epi`. The padded kernel
+/// runs the common geometries whenever it is exact for the channel
+/// (module docs); anything else runs pixel by pixel.
+fn depthwise_plane(
+    plane: &Plane<'_>,
+    g: &PlaneGeometry,
+    epi: ChannelEpilogue,
+    dest: &mut Dest<'_, '_>,
+    pad: &mut PadScratch,
+) {
+    let padding_exact = plane.filt.iter().all(|f| f.is_finite())
+        && plane.bias.to_bits() != (-0.0f32).to_bits()
+        && g.w > 0;
     match (g.k, g.s) {
-        (3, 1) => plane_fixed::<3, 1, 10, 6>(&plane, g, dst),
-        (3, 2) => plane_fixed::<3, 2, 17, 9>(&plane, g, dst),
-        (5, 1) => plane_fixed::<5, 1, 12, 8>(&plane, g, dst),
-        (5, 2) => plane_fixed::<5, 2, 19, 11>(&plane, g, dst),
-        (k, s) => plane_rows(k, s, &plane, g, dst, |t, _, cols, drows| {
-            for (r, drow) in drows.chunks_exact_mut(g.ow).enumerate() {
-                let t = RowTaps { y0: t.y0 + r * s, ..t };
-                for ox in cols.clone() {
-                    drow[ox] = plane.pixel(k, s, t, ox);
+        (3, 1) if padding_exact => padded_plane::<3, 1>(plane, g, epi, dest, pad),
+        (3, 2) if padding_exact => padded_plane::<3, 2>(plane, g, epi, dest, pad),
+        (5, 1) if padding_exact => padded_plane::<5, 1>(plane, g, epi, dest, pad),
+        (5, 2) if padding_exact => padded_plane::<5, 2>(plane, g, epi, dest, pad),
+        _ => dest.plane((g.oh, g.ow), &mut pad.out, epi, |out| {
+            for (oy, row) in out.chunks_exact_mut(g.ow).enumerate() {
+                let (ky0, ky1) = taps(oy * g.s, g.k, g.p, g.h);
+                let t = RowTaps { y0: oy * g.s, ky0, ky1 };
+                for (ox, v) in row.iter_mut().enumerate() {
+                    *v = plane.pixel(g.k, g.s, t, ox);
                 }
             }
         }),
+    }
+}
+
+/// The first `len` elements of `buf`, grown to hold them.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// A plane with constant kernel `K` and stride `S` over its padded rows,
+/// two output rows at a time at stride 1 (sharing each loaded input row)
+/// and one otherwise.
+fn padded_plane<const K: usize, const S: usize>(
+    plane: &Plane<'_>,
+    g: &PlaneGeometry,
+    epi: ChannelEpilogue,
+    dest: &mut Dest<'_, '_>,
+    pad: &mut PadScratch,
+) {
+    let PadScratch { out: scratch, rows, zeroed } = pad;
+    let padded = pad_plane::<S>(plane.src, g, rows, zeroed);
+    let filt: [[f32; K]; K] =
+        std::array::from_fn(|ky| std::array::from_fn(|kx| plane.filt[ky * K + kx]));
+    dest.plane((g.oh, g.ow), scratch, epi, |out| {
+        let mut rest = out;
+        let mut oy = 0;
+        while oy < g.oh {
+            let pair = S == 1 && oy + 1 < g.oh;
+            let (block, tail) = rest.split_at_mut(if pair { 2 * g.ow } else { g.ow });
+            let (out0, out1) = block.split_at_mut(g.ow);
+            if pair {
+                padded.rows::<K, S, 2>(oy, &filt, plane.bias, out0, out1);
+                oy += 2;
+            } else {
+                padded.rows::<K, S, 1>(oy, &filt, plane.bias, out0, out1);
+                oy += 1;
+            }
+            rest = tail;
+        }
+    });
+}
+
+/// A plane's rows padded with `+0.0`: `p` zero columns on either side,
+/// and a zero row standing in for every row above or below the plane.
+/// At stride 2 each padded row is stored deinterleaved — its even
+/// columns, then its odd ones — so every tap reads consecutive values.
+struct Padded<'a> {
+    /// The zero row, then the `h` padded rows, each `w + 2p` long.
+    rows: &'a [f32],
+    g: &'a PlaneGeometry,
+}
+
+/// The depthwise kernel's scratch: an output plane on its way into
+/// panels, and the padded copy of the plane being convolved. The zeros
+/// of the padded copy are written once per plane geometry; each plane
+/// then overwrites only the values it copies in.
+#[derive(Default)]
+pub(crate) struct PadScratch {
+    out: Vec<f32>,
+    rows: Vec<f32>,
+    /// The geometry whose zeros `rows` holds.
+    zeroed: Option<PlaneGeometry>,
+}
+
+/// The padded copy of `src` in `rows`, whose zeros are current when
+/// `zeroed` is `g`.
+fn pad_plane<'a, const S: usize>(
+    src: &[f32],
+    g: &'a PlaneGeometry,
+    rows: &'a mut Vec<f32>,
+    zeroed: &mut Option<PlaneGeometry>,
+) -> Padded<'a> {
+    let wp = g.w + 2 * g.p;
+    let rows = grown(rows, (g.h + 1) * wp);
+    if zeroed.replace(*g) != Some(*g) {
+        rows.fill(0.0);
+    }
+    for (dst, row) in rows[wp..].chunks_exact_mut(wp).zip(src.chunks_exact(g.w)) {
+        if S == 1 {
+            dst[g.p..g.p + g.w].copy_from_slice(row);
+            continue;
+        }
+        // Column `x + p` of the padded row goes to `even[(x + p) / 2]`
+        // or `odd[(x + p) / 2]`; take the row's columns in pairs.
+        let (even, odd) = dst.split_at_mut(wp.div_ceil(2));
+        let (first, second) = if g.p.is_multiple_of(2) {
+            (&mut even[g.p / 2..], &mut odd[g.p / 2..])
+        } else {
+            (&mut odd[g.p / 2..], &mut even[g.p / 2 + 1..])
+        };
+        for ((a, b), pair) in first.iter_mut().zip(second.iter_mut()).zip(row.chunks_exact(2)) {
+            *a = pair[0];
+            *b = pair[1];
+        }
+        if g.w % 2 == 1 {
+            first[g.w / 2] = row[g.w - 1];
+        }
+    }
+    Padded { rows, g }
+}
+
+impl Padded<'_> {
+    /// Output rows `oy..oy + R` of a plane with constant kernel `K` and
+    /// stride `S`. Input row `j` of the block is tap `j − r` of output
+    /// row `r`, so each output sums its taps in `(ky, kx)` order while
+    /// each input row is read once for all `R` output rows. The loop over
+    /// output columns vectorises; each column is one accumulator, so the
+    /// float sequence is the per-pixel one.
+    #[inline(always)]
+    fn rows<const K: usize, const S: usize, const R: usize>(
+        &self,
+        oy: usize,
+        filt: &[[f32; K]; K],
+        bias: f32,
+        out0: &mut [f32],
+        out1: &mut [f32],
+    ) {
+        let g = self.g;
+        let (wp, ow) = (g.w + 2 * g.p, g.ow);
+        // `inputs[j][kx][ox]` is tap `kx` of output column `ox` in input
+        // row `j` of the block.
+        let mut inputs: [[&[f32]; K]; 6] = [[&[]; K]; 6];
+        for (j, row_taps) in inputs.iter_mut().enumerate().take(K + R - 1) {
+            let y = (oy * S + j).wrapping_sub(g.p);
+            let row = &self.rows[if y < g.h { (y + 1) * wp } else { 0 }..][..wp];
+            for (kx, tap) in row_taps.iter_mut().enumerate() {
+                let start = if S == 1 { kx } else { (kx % 2) * wp.div_ceil(2) + kx / 2 };
+                *tap = &row[start..start + ow];
+            }
+        }
+        // Two separate `&mut` outputs: the compiler knows no input aliases
+        // them, so the loop needs no overlap checks.
+        let out1 = &mut out1[..if R == 2 { ow } else { 0 }];
+        for (ox, o0) in out0[..ow].iter_mut().enumerate() {
+            let mut acc = [bias; R];
+            for (j, row_taps) in inputs.iter().enumerate().take(K + R - 1) {
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let ky = j.wrapping_sub(r);
+                    if ky < K {
+                        for (tap, &f) in row_taps.iter().zip(&filt[ky]) {
+                            *a += tap[ox] * f;
+                        }
+                    }
+                }
+            }
+            *o0 = acc[0];
+            if R == 2 {
+                out1[ox] = acc[R - 1];
+            }
+        }
     }
 }
 
@@ -189,138 +465,6 @@ impl Plane<'_> {
         }
         acc
     }
-
-    /// `L` interior outputs from column `ox0`, accumulated in registers
-    /// across every tap; `W = (L − 1)·S + K` inputs of each tap row feed
-    /// them.
-    #[inline(always)]
-    fn chunk<const L: usize, const K: usize, const S: usize, const W: usize>(
-        &self,
-        t: RowTaps,
-        ox0: usize,
-    ) -> [f32; L] {
-        const { assert!(W == (L - 1) * S + K) };
-        let mut acc = [self.bias; L];
-        for ky in t.ky0..t.ky1 {
-            let start = (t.y0 + ky - self.p) * self.w + ox0 * S - self.p;
-            let Some(win) = self.src[start..].first_chunk::<W>() else {
-                panic!("interior chunk at column {ox0} overruns its input plane");
-            };
-            for (kx, &fv) in self.filt[ky * K..(ky + 1) * K].iter().enumerate() {
-                for (l, a) in acc.iter_mut().enumerate() {
-                    *a += win[kx + l * S] * fv;
-                }
-            }
-        }
-        acc
-    }
-
-    /// Interior outputs `cols` of one row in `L`-chunks.
-    #[inline(always)]
-    fn chunks<const L: usize, const K: usize, const S: usize, const W: usize>(
-        &self,
-        t: RowTaps,
-        cols: Range<usize>,
-        drow: &mut [f32],
-    ) {
-        chunk_starts::<L>(cols, |ox| {
-            drow[ox..ox + L].copy_from_slice(&self.chunk::<L, K, S, W>(t, ox));
-        });
-    }
-
-    /// Two stride-1 rows' `L` interior outputs from column `ox0`: the
-    /// row at `t` and the one below it, both with every vertical tap in
-    /// bounds. Input row `j` is tap `j` of the first and tap `j − 1` of
-    /// the second, so each output still sums its taps in `(ky, kx)`
-    /// order while each input window is loaded once for both.
-    #[inline(always)]
-    fn chunk_pair<const L: usize, const K: usize, const W: usize>(
-        &self,
-        t: RowTaps,
-        ox0: usize,
-    ) -> [[f32; L]; 2] {
-        const { assert!(W >= L - 1 + K) };
-        let mut acc = [[self.bias; L]; 2];
-        for j in 0..=K {
-            let start = (t.y0 + j - self.p) * self.w + ox0 - self.p;
-            let Some(win) = self.src[start..].first_chunk::<W>() else {
-                panic!("interior chunk at column {ox0} overruns its input plane");
-            };
-            for (row, ky) in [(0, j), (1, j.wrapping_sub(1))] {
-                if ky >= K {
-                    continue;
-                }
-                for (kx, &fv) in self.filt[ky * K..(ky + 1) * K].iter().enumerate() {
-                    for (l, a) in acc[row].iter_mut().enumerate() {
-                        *a += win[kx + l] * fv;
-                    }
-                }
-            }
-        }
-        acc
-    }
-
-    /// [`chunks`](Plane::chunks) for a [`chunk_pair`](Plane::chunk_pair)
-    /// of rows; `drows` holds both output rows.
-    #[inline(always)]
-    fn chunk_pairs<const L: usize, const K: usize, const W: usize>(
-        &self,
-        t: RowTaps,
-        cols: Range<usize>,
-        drows: &mut [f32],
-    ) {
-        let ow = drows.len() / 2;
-        chunk_starts::<L>(cols, |ox| {
-            let [a0, a1] = self.chunk_pair::<L, K, W>(t, ox);
-            drows[ox..ox + L].copy_from_slice(&a0);
-            drows[ow + ox..ow + ox + L].copy_from_slice(&a1);
-        });
-    }
-}
-
-/// Calls `f` with the first column of each `L`-wide chunk covering
-/// `cols` (which spans at least `L`). The last chunk overlaps its
-/// neighbour instead of leaving a scalar tail; recomputing an output
-/// writes the same bits.
-#[inline(always)]
-fn chunk_starts<const L: usize>(cols: Range<usize>, mut f: impl FnMut(usize)) {
-    let mut ox = cols.start;
-    while ox + L <= cols.end {
-        f(ox);
-        ox += L;
-    }
-    if ox < cols.end {
-        f(cols.end - L);
-    }
-}
-
-/// A plane with constant kernel `K` and stride `S`: interior runs in
-/// 8-lane chunks (`W8` inputs per tap row), or 4-lane (`W4`) when
-/// narrower. At stride 1, pairs of rows with all vertical taps in
-/// bounds share each input row's loads between their two outputs.
-fn plane_fixed<const K: usize, const S: usize, const W8: usize, const W4: usize>(
-    plane: &Plane<'_>,
-    g: &PlaneGeometry,
-    dst: &mut [f32],
-) {
-    plane_rows(K, S, plane, g, dst, |t, rows, cols, drows| {
-        if rows == 2 && cols.len() >= 8 {
-            plane.chunk_pairs::<8, K, W8>(t, cols, drows);
-            return;
-        }
-        for (r, drow) in drows.chunks_exact_mut(g.ow).enumerate() {
-            let t = RowTaps { y0: t.y0 + r * S, ..t };
-            if cols.len() >= 8 {
-                plane.chunks::<8, K, S, W8>(t, cols.clone(), drow);
-            } else if cols.len() >= 4 {
-                plane.chunks::<4, K, S, W4>(t, cols.clone(), drow);
-            } else {
-                for ox in cols.clone() {
-                    drow[ox] = plane.pixel(K, S, t, ox);
-                }
-            }
-        }
-    });
 }
 
 /// `lo..hi` of the taps `t < k` whose input coordinate `at + t − p`
@@ -329,46 +473,6 @@ fn plane_fixed<const K: usize, const S: usize, const W8: usize, const W4: usize>
 fn taps(at: usize, k: usize, p: usize, extent: usize) -> (usize, usize) {
     let hi = (extent + p).saturating_sub(at).min(k);
     (p.saturating_sub(at).min(hi), hi)
-}
-
-/// Walks the output rows: border columns pixel by pixel, the interior
-/// columns (all `k` taps in bounds horizontally) through
-/// `interior(taps, rows, cols, drows)`. At stride 1, two consecutive
-/// rows whose vertical taps are all in bounds go to `interior`
-/// together (`rows == 2`, `drows` spanning both; the second row's taps
-/// are the first's moved down one input row); every other row goes
-/// alone.
-#[inline(always)]
-fn plane_rows(
-    k: usize,
-    s: usize,
-    plane: &Plane<'_>,
-    g: &PlaneGeometry,
-    dst: &mut [f32],
-    interior: impl Fn(RowTaps, usize, Range<usize>, &mut [f32]),
-) {
-    let (w, ow, p) = (g.w, g.ow, g.p);
-    let lo = p.div_ceil(s).min(ow);
-    let hi = if w + p >= k { ((w + p - k) / s + 1).min(ow) } else { 0 }.max(lo);
-    let row_taps = |oy: usize| {
-        let (ky0, ky1) = taps(oy * s, k, p, g.h);
-        RowTaps { y0: oy * s, ky0, ky1 }
-    };
-    let full = |t: RowTaps| (t.ky0, t.ky1) == (0, k);
-    let mut oy = 0;
-    while oy < g.oh {
-        let t = row_taps(oy);
-        let rows = if s == 1 && oy + 1 < g.oh && full(t) && full(row_taps(oy + 1)) { 2 } else { 1 };
-        let drows = &mut dst[oy * ow..(oy + rows) * ow];
-        for (r, drow) in drows.chunks_exact_mut(ow).enumerate() {
-            let t = row_taps(oy + r);
-            for ox in (0..lo).chain(hi..ow) {
-                drow[ox] = plane.pixel(k, s, t, ox);
-            }
-        }
-        interior(t, rows, lo..hi, drows);
-        oy += rows;
-    }
 }
 
 impl Layer for DepthwiseConv2d {
@@ -394,7 +498,10 @@ impl Layer for DepthwiseConv2d {
         let (n, h, w) = (dims[0], dims[2], dims[3]);
         let (oh, ow) = self.out_hw(h, w);
         let mut out = Tensor::zeros([n, self.channels, oh, ow]);
-        self.run_planes(input.as_slice(), (h, w), out.as_mut_slice());
+        let planes = (n * self.channels, h, w);
+        let target = Target::Planes(out.as_mut_slice());
+        let pad = &mut PadScratch::default();
+        self.run_planes(input.as_slice(), planes, &Epilogue::default(), target, pad);
         out
     }
 

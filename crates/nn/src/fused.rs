@@ -4,29 +4,39 @@
 //! The pass walks the layer stack through [`Layer::eval_op`] and groups
 //! each run of conv/depthwise → batch norm → activation, plus the
 //! enclosing residual's `body + skip` when the run ends the body, into
-//! one *step*: the step's kernel (the convolution's GEMM or the
-//! depthwise kernel) writes the output map, then one [`Epilogue`] pass
-//! finishes every element while it is in cache. The epilogue performs
-//! the layer-by-layer float operations in the layer-by-layer order — the
-//! conv's `+ bias`, the norm's `(y − mean)·inv_std` then `γ·n + β`, the
-//! activation, then `+ skip` — never folding the norm into the weights
-//! and never contracting a multiply-add, so the fused result is
-//! bit-identical to chaining [`Layer::infer`]. Layers without a view
-//! (pools, squeeze-excite, linear, flatten) run their own `infer`.
+//! one *step*. A conv step's GEMM writes the output map, then one
+//! [`Epilogue`] pass finishes every element while it is in cache; the
+//! depthwise kernel applies the epilogue itself, to each output plane
+//! while it is in L1. The epilogue performs the layer-by-layer
+//! float operations in the layer-by-layer order — the conv's `+ bias`,
+//! the norm's `(y − mean)·inv_std` then `γ·n + β`, the activation, then
+//! `+ skip` — never folding the norm into the weights and never
+//! contracting a multiply-add, so the fused result is bit-identical to
+//! chaining [`Layer::infer`]. Layers without a view (pools,
+//! squeeze-excite, linear, flatten) run their own `infer`.
 //!
-//! A batch runs image by image: eval-mode layers are batch-size
-//! independent, so this changes no bit, and it bounds the activations a
-//! call holds to a few single-image maps. Those live in a per-thread
-//! [`Workspace`] whose buffers grow to the largest map on first use and
-//! are reused by every later call on the thread. The grouping itself is
-//! recomputed per call (a few microseconds), so nothing compiled goes
-//! stale when training mutates the weights.
+//! When a depthwise step is followed by a stride-1, unpadded 1×1 conv
+//! (a projection) and the micro-kernels are on, the depthwise kernel
+//! stores its rows straight into the workspace's packed GEMM operand and
+//! the conv multiplies by it: the map between them never exists.
+//!
+//! A batch runs image by image, each image's GEMMs on one thread:
+//! eval-mode layers are batch-size independent, so this changes no bit,
+//! and it bounds the activations a call holds to a few single-image
+//! maps. A batch of at least as many images as [`par`] workers is split
+//! across them by image. The maps live in a per-thread [`Workspace`]
+//! whose buffers grow to the largest map on first use and are reused by
+//! every later call on the thread. The grouping itself is recomputed per
+//! call (a few microseconds), so nothing compiled goes stale when
+//! training mutates the weights.
 
 use crate::act::{relu, relu6, sigmoid, silu, ActKind};
+use crate::conv::Conv2d;
+use crate::dwconv::PadScratch;
 use crate::layer::{EvalOp, Layer};
 use crate::norm::BatchNorm2d;
 use crate::sequential::{layer_span, Sequential};
-use nshd_tensor::{PackedRhs, Tensor};
+use nshd_tensor::{par, simd_enabled, PackedRhs, Tensor};
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -67,6 +77,15 @@ pub(crate) struct Epilogue<'a> {
 }
 
 impl Epilogue<'_> {
+    /// Channel `c`'s share of the epilogue.
+    pub(crate) fn channel(&self, c: usize) -> ChannelEpilogue {
+        ChannelEpilogue {
+            bias: self.bias.map(|b| b[c]),
+            bn: self.bn.map(|bn| bn.affine(c)),
+            act: self.act,
+        }
+    }
+
     /// Applies the epilogue to `maps`, consecutive `plane`-element
     /// channel planes (plane `i` is channel `i mod C` for the bias and
     /// norm), then adds `skip` elementwise as `body + skip`.
@@ -74,30 +93,46 @@ impl Epilogue<'_> {
         if maps.is_empty() || plane == 0 {
             return;
         }
+        let channels =
+            self.bias.map_or(1, <[f32]>::len).max(self.bn.map_or(1, BatchNorm2d::channels));
+        for (i, dst) in maps.chunks_mut(plane).enumerate() {
+            let skip = skip.map(|s| &s[i * plane..i * plane + dst.len()]);
+            self.channel(i % channels).apply(dst, skip);
+        }
+    }
+}
+
+/// One channel's [`Epilogue`]: `+ bias`, the batch norm, the activation,
+/// then `+ skip`, with absent parts skipped.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChannelEpilogue {
+    bias: Option<f32>,
+    bn: Option<BnAffine>,
+    act: Option<ActKind>,
+}
+
+impl ChannelEpilogue {
+    /// Applies the epilogue to `dst` in place, then adds `skip`
+    /// elementwise as `body + skip`.
+    pub(crate) fn apply(self, dst: &mut [f32], skip: Option<&[f32]>) {
         // Dispatch the activation once, outside the element loops.
         match self.act {
-            None => self.run(maps, plane, skip, |v| v),
-            Some(ActKind::Relu) => self.run(maps, plane, skip, relu),
-            Some(ActKind::Relu6) => self.run(maps, plane, skip, relu6),
-            Some(ActKind::Silu) => self.run(maps, plane, skip, silu),
-            Some(ActKind::Sigmoid) => self.run(maps, plane, skip, sigmoid),
+            None => self.run(dst, skip, |v| v),
+            Some(ActKind::Relu) => self.run(dst, skip, relu),
+            Some(ActKind::Relu6) => self.run(dst, skip, relu6),
+            Some(ActKind::Silu) => self.run(dst, skip, silu),
+            Some(ActKind::Sigmoid) => self.run(dst, skip, sigmoid),
         }
     }
 
     #[inline(always)]
-    fn run(&self, maps: &mut [f32], plane: usize, skip: Option<&[f32]>, act: impl Fn(f32) -> f32) {
-        let channels =
-            self.bias.map_or(1, <[f32]>::len).max(self.bn.map_or(1, BatchNorm2d::channels));
-        for (i, dst) in maps.chunks_mut(plane).enumerate() {
-            let c = i % channels;
-            let skip = skip.map(|s| &s[i * plane..i * plane + dst.len()]);
-            // One loop per combination, so no per-element branch is left.
-            match (self.bias.map(|b| b[c]), self.bn.map(|bn| bn.affine(c))) {
-                (Some(b), Some(a)) => plane_loop(dst, skip, |v| act(a.apply(v + b))),
-                (Some(b), None) => plane_loop(dst, skip, |v| act(v + b)),
-                (None, Some(a)) => plane_loop(dst, skip, |v| act(a.apply(v))),
-                (None, None) => plane_loop(dst, skip, &act),
-            }
+    fn run(self, dst: &mut [f32], skip: Option<&[f32]>, act: impl Fn(f32) -> f32) {
+        // One loop per combination, so no per-element branch is left.
+        match (self.bias, self.bn) {
+            (Some(b), Some(a)) => plane_loop(dst, skip, |v| act(a.apply(v + b))),
+            (Some(b), None) => plane_loop(dst, skip, |v| act(v + b)),
+            (None, Some(a)) => plane_loop(dst, skip, |v| act(a.apply(v))),
+            (None, None) => plane_loop(dst, skip, &act),
         }
     }
 }
@@ -122,13 +157,16 @@ fn plane_loop(dst: &mut [f32], skip: Option<&[f32]>, f: impl Fn(f32) -> f32) {
 pub(crate) struct Workspace {
     /// Map buffers not in use; each only ever grows.
     free: Vec<Vec<f32>>,
-    /// Panel storage the convolution steps pack their GEMM operand into.
+    /// Panel storage the convolution steps pack their GEMM operand into,
+    /// or a depthwise step stores its output into for the 1×1 conv after.
     pub(crate) packed: PackedRhs,
+    /// The depthwise kernel's padded plane and output scratch.
+    pub(crate) pad: PadScratch,
 }
 
 impl Workspace {
     fn new() -> Self {
-        Workspace { free: Vec::new(), packed: PackedRhs::empty() }
+        Workspace { free: Vec::new(), packed: PackedRhs::empty(), pad: PadScratch::default() }
     }
 
     /// A buffer of at least `len` elements, with unspecified contents.
@@ -234,16 +272,58 @@ fn from_tensor(t: Tensor) -> Act {
 /// Runs layers `layers` of `seq` over a batch through the fused pass.
 /// Inputs other than `N×C×H×W` run the layers' own `infer` on the whole
 /// batch.
+///
+/// Each image runs serially (its GEMMs are too small to gain from
+/// threads). A batch with at least as many images as [`par`] workers is
+/// split across them by image instead; every image runs the same serial
+/// code either way, so the result is bit-identical at any thread count.
 pub(crate) fn infer_range(seq: &Sequential, input: &Tensor, layers: Range<usize>) -> Tensor {
     let &[n, c, h, w] = input.dims() else {
         return infer_layerwise(seq, input, layers);
     };
+    let len = c * h * w;
+    let workers = par::threads();
+    let batch = if workers > 1 && n >= workers && len > 0 {
+        let parts: Vec<Range<usize>> =
+            (0..workers).map(|i| i * n / workers..(i + 1) * n / workers).collect();
+        let outs = par::par_map(&parts, |images| {
+            let data = &input.as_slice()[images.start * len..images.end * len];
+            with_workspace(|ws| infer_batch(ws, seq, data, (images.len(), [c, h, w]), &layers))
+        });
+        concat(outs)
+    } else {
+        par::with_threads(1, || {
+            with_workspace(|ws| infer_batch(ws, seq, input.as_slice(), (n, [c, h, w]), &layers))
+        })
+    };
+    // An empty batch, or one of empty images: nothing ran, so report
+    // the shapes the layers would have produced.
+    batch.unwrap_or_else(|| infer_layerwise(seq, input, layers))
+}
+
+/// Runs `f` with this thread's workspace.
+fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
     WORKSPACE.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut ws) => infer_batch(&mut ws, seq, input, (n, [c, h, w]), layers),
+        Ok(mut ws) => f(&mut ws),
         // An uncovered layer's own `infer` re-entered the pass on this
         // thread: that inner pass gets a workspace of its own.
-        Err(_) => infer_batch(&mut Workspace::new(), seq, input, (n, [c, h, w]), layers),
+        Err(_) => f(&mut Workspace::new()),
     })
+}
+
+/// Joins the outputs of consecutive sub-batches along the batch axis.
+fn concat(parts: Vec<Option<Tensor>>) -> Option<Tensor> {
+    let parts: Vec<Tensor> = parts.into_iter().collect::<Option<_>>()?;
+    let first = parts.first()?;
+    let mut dims = first.dims().to_vec();
+    dims[0] = parts.iter().map(|t| t.dims()[0]).sum();
+    let mut out = Tensor::zeros(dims);
+    let mut at = 0;
+    for part in &parts {
+        out.write_slice(at, part.as_slice());
+        at += part.len();
+    }
+    Some(out)
 }
 
 /// The unfused chain: each layer's own `infer` on the whole batch.
@@ -257,16 +337,18 @@ fn infer_layerwise(seq: &Sequential, input: &Tensor, layers: Range<usize>) -> Te
     x
 }
 
+/// The `n` images of `images` through the pass one by one, or `None`
+/// when nothing ran (no images, or empty ones).
 fn infer_batch(
     ws: &mut Workspace,
     seq: &Sequential,
-    input: &Tensor,
+    images: &[f32],
     (n, chw): (usize, [usize; 3]),
-    layers: Range<usize>,
-) -> Tensor {
+    layers: &Range<usize>,
+) -> Option<Tensor> {
     let len: usize = chw.iter().product();
     let mut out: Option<Tensor> = None;
-    for (b, image) in input.as_slice().chunks_exact(len.max(1)).take(n).enumerate() {
+    for (b, image) in images.chunks_exact(len.max(1)).take(n).enumerate() {
         let y = run_seq(ws, seq, View::Map(image, chw), layers.clone(), None);
         let y_data = match y.view() {
             View::Map(data, _) => data,
@@ -283,9 +365,7 @@ fn infer_batch(
         out.write_slice(b * y_data.len(), y_data);
         ws.recycle(y);
     }
-    // An empty batch, or one of empty images: nothing ran, so report
-    // the shapes the layers would have produced.
-    out.unwrap_or_else(|| infer_layerwise(seq, input, layers))
+    out
 }
 
 /// Runs layers `layers` of `seq` on one image, then adds `skip` (the
@@ -312,8 +392,28 @@ fn run_seq(
                 fuse(seq, i + 1, end, map, Some(conv.bias()), &mut skip_pending)
             }
             (Some(EvalOp::Depthwise(dw)), View::Map(data, chw)) => {
-                let map = dw.infer_image(ws, data, chw);
-                fuse(seq, i + 1, end, map, None, &mut skip_pending)
+                let (epilogue, j) = epilogue_at(seq, i + 1, end, None);
+                let c = dw.image_out(chw)[0];
+                check_norm(&epilogue, c);
+                match pointwise_at(seq, j, end, c) {
+                    Some(conv) => {
+                        // The depthwise output goes straight into the
+                        // conv's GEMM operand; the conv is its own span.
+                        let out = dw.infer_panels(ws, data, chw, &epilogue);
+                        drop(_sp);
+                        let _sp = layer_span(j, seq.layer(j), "");
+                        let map = conv.infer_packed(ws, out);
+                        fuse(seq, j + 1, end, map, Some(conv.bias()), &mut skip_pending)
+                    }
+                    None => {
+                        let mut map = dw.infer_image(ws, data, chw, &epilogue);
+                        if let Some(skip) = skip_pending.filter(|_| j == end) {
+                            finish(&mut map, Epilogue::default(), Some(skip));
+                            skip_pending = None;
+                        }
+                        (Act::Map(map), j)
+                    }
+                }
             }
             (Some(EvalOp::BatchNorm(_) | EvalOp::Activation(_)), View::Map(data, chw)) => {
                 let map = copy_map(ws, data, chw);
@@ -347,18 +447,14 @@ fn run_seq(
     out
 }
 
-/// Finishes a step whose kernel produced `map`: the batch norm and
-/// activation layers directly at `start` (within `..end`) join `bias`
-/// in its epilogue, and so does the pending residual `skip` when the
-/// step ends the body. Returns the map and the index after the step.
-fn fuse(
-    seq: &Sequential,
+/// The batch norm and activation layers directly at `start` (within
+/// `..end`) as an epilogue after `bias`, and the index after them.
+fn epilogue_at<'a>(
+    seq: &'a Sequential,
     start: usize,
     end: usize,
-    mut map: Map,
-    bias: Option<&[f32]>,
-    skip: &mut Option<(&[f32], [usize; 3])>,
-) -> (Act, usize) {
+    bias: Option<&'a [f32]>,
+) -> (Epilogue<'a>, usize) {
     let mut epilogue = Epilogue { bias, ..Epilogue::default() };
     let mut j = start;
     if j < end {
@@ -373,8 +469,44 @@ fn fuse(
             j += 1;
         }
     }
+    (epilogue, j)
+}
+
+/// The conv at `j` (within `..end`) that a depthwise step with `c`
+/// output channels stores its output for straight into GEMM panels: a
+/// stride-1, unpadded 1×1 conv over those channels, with the
+/// micro-kernels on (the scalar reference multiplies the map as it is).
+fn pointwise_at(seq: &Sequential, j: usize, end: usize, c: usize) -> Option<&Conv2d> {
+    if j >= end || !simd_enabled() {
+        return None;
+    }
+    let Some(EvalOp::Conv(conv)) = seq.layer(j).eval_op() else { return None };
+    (conv.is_pointwise() && conv.in_channels() == c).then_some(conv)
+}
+
+/// Finishes a step whose kernel produced `map`: the batch norm and
+/// activation layers directly at `start` (within `..end`) join `bias`
+/// in its epilogue, and so does the pending residual `skip` when the
+/// step ends the body. Returns the map and the index after the step.
+fn fuse(
+    seq: &Sequential,
+    start: usize,
+    end: usize,
+    mut map: Map,
+    bias: Option<&[f32]>,
+    skip: &mut Option<(&[f32], [usize; 3])>,
+) -> (Act, usize) {
+    let (epilogue, j) = epilogue_at(seq, start, end, bias);
     finish(&mut map, epilogue, if j == end { skip.take() } else { None });
     (Act::Map(map), j)
+}
+
+/// Panics, naming the norm, if an epilogue's norm is not over `c`
+/// channels.
+fn check_norm(epilogue: &Epilogue<'_>, c: usize) {
+    if let Some(bn) = epilogue.bn {
+        assert_eq!(c, bn.channels(), "channel mismatch in {}", bn.name());
+    }
 }
 
 /// Applies `epilogue` and the optional residual `skip` to `map` in place.
@@ -392,9 +524,7 @@ fn finish(map: &mut Map, epilogue: Epilogue<'_>, skip: Option<(&[f32], [usize; 3
             map.chw, skip_chw
         );
     }
-    if let Some(bn) = epilogue.bn {
-        assert_eq!(c, bn.channels(), "channel mismatch in {}", bn.name());
-    }
+    check_norm(&epilogue, c);
     let len = c * h * w;
     epilogue.apply(&mut map.buf[..len], h * w, skip.map(|(data, _)| data));
 }

@@ -1,8 +1,9 @@
-//! Eval-kernel conformance: the register-chunked depthwise convolution,
-//! the run-copy `im2col` and the activation loops must reproduce, bit
-//! for bit, the per-element scalar loops they replaced. Those loops live
-//! on here as oracles. The fused eval pass of `Sequential::infer_to`
-//! must reproduce the explicit layer-by-layer `Layer::infer` chain.
+//! Eval-kernel conformance: the padded, vectorised depthwise
+//! convolution, the run-copy `im2col` and the activation loops must
+//! reproduce, bit for bit, the per-element scalar loops they replaced.
+//! Those loops live on here as oracles. The fused eval pass of
+//! `Sequential::infer_to` must reproduce the explicit layer-by-layer
+//! `Layer::infer` chain.
 //!
 //! The grid covers kernel sizes {1, 3, 5}, strides {1, 2, 3}, paddings
 //! {0, 1, 2}, odd and unit spatial extents and batches of one and three,
@@ -11,9 +12,12 @@
 //! stops firing. Every non-NaN output must match to the bit.
 
 use nshd_nn::{
-    ActKind, Activation, Architecture, Conv2d, DepthwiseConv2d, EvalOp, Layer, Mode, Model,
+    ActKind, Activation, Architecture, BatchNorm2d, Conv2d, DepthwiseConv2d, EvalOp, Layer, Mode,
+    Model, Residual, Sequential,
 };
-use nshd_tensor::{conv_out_dim, im2col, ConvGeometry, Rng, Tensor};
+use nshd_tensor::{
+    conv_out_dim, im2col, par, set_simd_enabled, simd_enabled, ConvGeometry, Rng, Tensor,
+};
 
 const KERNELS: [usize; 3] = [1, 3, 5];
 const STRIDES: [usize; 3] = [1, 2, 3];
@@ -258,13 +262,18 @@ fn activations_match_per_element_dispatch_bitwise() {
 }
 
 /// Every depthwise geometry the kernel compiles with constant shape
-/// (kernels {3, 5} × strides {1, 2}), over planes from narrower than
-/// one 4-lane chunk to a few 8-lane chunks wide, so the interior runs
-/// pixel by pixel, in 4-lane chunks, in whole 8-lane chunks and in an
-/// overlapping last chunk. A third of the inputs are special values.
+/// (kernels {3, 5} × strides {1, 2}, every padding up to `k / 2`), over
+/// planes from narrower than one vector to a few vectors wide, so the
+/// vectorised column loop runs not at all, whole, and with a scalar
+/// remainder. A third of the inputs are special values. The channels
+/// exercise both halves of the padded kernel's exactness guard: a
+/// `-0.0` bias, a plain channel, filters with a `+inf`, a `-inf` and a
+/// NaN tap, which a padded `+0.0` input would turn into NaN, and a
+/// `-0.0` bias with positive taps over a plane of `-0.0`, whose every
+/// output is `-0.0` only if no padded tap is added.
 #[test]
 fn depthwise_chunk_edges_match_scalar_oracle_bitwise() {
-    let channels = 2;
+    let channels = 6;
     let mut cases = 0;
     for k in [3, 5] {
         for s in [1, 2] {
@@ -278,10 +287,21 @@ fn depthwise_chunk_edges_match_scalar_oracle_bitwise() {
                         let case = (k * 1000 + s * 100 + p * 10 + h) * 100 + w;
                         let mut rng = Rng::new(case as u64);
                         let mut dw = DepthwiseConv2d::new(channels, k, s, p, &mut rng);
-                        dw.params_mut()[1].value.as_mut_slice().copy_from_slice(&[-0.0, 0.5]);
+                        let biases = [-0.0, 0.5, 0.5, 0.5, 0.5, -0.0];
+                        dw.params_mut()[1].value.as_mut_slice().copy_from_slice(&biases);
+                        let specials = [(2, f32::INFINITY), (3, f32::NEG_INFINITY), (4, f32::NAN)];
+                        for (c, special) in specials {
+                            let tap = c * k * k + case % (k * k);
+                            dw.params_mut()[0].value.as_mut_slice()[tap] = special;
+                        }
+                        for v in &mut dw.params_mut()[0].value.as_mut_slice()[5 * k * k..] {
+                            *v = v.abs();
+                        }
                         let x: Vec<f32> = (0..channels * h * w)
                             .map(|i| {
-                                if i % 3 == 1 {
+                                if i >= 5 * h * w {
+                                    -0.0
+                                } else if i % 3 == 1 {
                                     SPECIALS[(i / 3) % SPECIALS.len()]
                                 } else {
                                     rng.normal()
@@ -362,13 +382,19 @@ fn seeded_images(model: &Model, n: usize, seed: u64) -> Tensor {
 
 #[test]
 fn fused_extractor_matches_layerwise_chain_bitwise() {
+    // n = 5 also runs at 1 and 4 workers: a batch of at least as many
+    // images as workers is split across them by image.
+    let runs = [(1, None), (3, None), (5, Some(1)), (5, Some(4))];
     for arch in Architecture::ALL {
         let model = seeded_model(arch);
-        for n in [1, 3] {
+        for (n, threads) in runs {
             let x = seeded_images(&model, n, 0x5ca1e + n as u64);
             for &cut in arch.paper_cuts() {
-                let what = format!("{arch:?} cut {cut} n{n}");
-                let fused = model.infer_features_at(&x, cut);
+                let what = format!("{arch:?} cut {cut} n{n} threads {threads:?}");
+                let fused = match threads {
+                    Some(t) => par::with_threads(t, || model.infer_features_at(&x, cut)),
+                    None => model.infer_features_at(&x, cut),
+                };
                 let chain = layerwise_features(&model, &x, cut);
                 assert_eq!(fused.dims(), chain.dims(), "{what}");
                 assert_bits_eq(fused.as_slice(), chain.as_slice(), &what);
@@ -383,6 +409,59 @@ fn fused_extractor_matches_layerwise_chain_bitwise() {
             }
         }
     }
+}
+
+/// A depthwise → BN → ReLU6 stack over `c` channels, followed by a
+/// 1×1 conv → BN projection (the MobileNetV2 block body) or wrapped in
+/// a residual, with seeded biases, affines and running statistics.
+fn depthwise_block(c: usize, stride: usize, seed: u64, project: bool) -> Sequential {
+    let mut rng = Rng::new(seed);
+    let body = Sequential::new()
+        .with(DepthwiseConv2d::new(c, 3, stride, 1, &mut rng))
+        .with(BatchNorm2d::new(c))
+        .with(Activation::new(ActKind::Relu6));
+    let mut seq = if project {
+        body.with(Conv2d::new(c, 6, 1, 1, 0, &mut rng)).with(BatchNorm2d::new(6))
+    } else {
+        Sequential::new().with(Residual::new(body))
+    };
+    for p in seq.params_mut() {
+        if p.value.dims().len() == 1 {
+            for v in p.value.as_mut_slice() {
+                *v += 0.3 * rng.normal();
+            }
+        }
+    }
+    // One training-mode forward moves the running statistics.
+    seq.forward(&Tensor::from_fn([2, c, 9, 9], |_| rng.normal()), Mode::Train);
+    seq
+}
+
+#[test]
+fn depthwise_hands_off_to_pointwise_conv_bitwise() {
+    // With the micro-kernels on, the depthwise step stores its rows
+    // straight into the 1×1 conv's packed operand; run both backends.
+    // Output widths cover whole panels (16, 32), half panels (8), a
+    // quarter (4) and rows that straddle panel halves (7); odd heights
+    // leave a last row without a partner at stride 1. At stride 1 the
+    // depthwise step also ends a residual body, and adds its skip.
+    let was_enabled = simd_enabled();
+    for simd in [false, true] {
+        set_simd_enabled(simd);
+        for (case, ow) in [4, 7, 8, 16, 32].into_iter().enumerate() {
+            for (stride, oh, project) in [(1, 5, true), (2, 3, true), (1, 5, false)] {
+                let c = 3 + case;
+                let seq = depthwise_block(c, stride, 40 + case as u64, project);
+                let (h, w) = (oh * stride, ow * stride);
+                let x = Tensor::from_vec(seeded(2 * c * h * w, case as u64), [2, c, h, w])
+                    .expect("length");
+                let chain = (0..seq.len()).fold(x.clone(), |y, i| layerwise(seq.layer(i), &y));
+                let what = format!("SIMD {simd}, {ow}x{oh} output, stride {stride}, {project}");
+                assert_bits_eq(seq.infer_to(&x, seq.len()).as_slice(), chain.as_slice(), &what);
+            }
+        }
+    }
+    set_simd_enabled(was_enabled);
 }
 
 #[test]

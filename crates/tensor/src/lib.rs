@@ -54,11 +54,11 @@ mod tensor;
 pub use error::TensorError;
 pub use im2col::{col2im, im2col, ConvGeometry};
 pub use matmul::{
-    matmul, matmul_at, matmul_bt, matmul_bt_into, matmul_into, matmul_packed, matmul_slice_into,
-    matvec, vecmat,
+    matmul, matmul_at, matmul_bt, matmul_bt_into, matmul_into, matmul_packed, matmul_packed_into,
+    matmul_slice_into, matvec, vecmat,
 };
 pub use ops::dot;
 pub use rng::Rng;
 pub use shape::{conv_out_dim, conv_tap_range, pool_out_dim, Shape};
-pub use simd::{set_simd_enabled, simd_available, simd_enabled, PackedRhs};
+pub use simd::{set_simd_enabled, simd_available, simd_enabled, PackedRhs, PanelWriter};
 pub use tensor::Tensor;

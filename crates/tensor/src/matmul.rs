@@ -296,6 +296,32 @@ pub fn matmul_packed(a: &Tensor, b: &PackedRhs) -> Tensor {
     c
 }
 
+/// Computes `C = A · B` against a pre-packed right-hand operand into the
+/// row-major `m`×`n` slice `out`, which is overwritten.
+///
+/// The slice form of [`matmul_packed`], bit-identical to it and to
+/// [`matmul`] on the matrix `b` holds, and recorded under the `matmul`
+/// span: it is how a producer that wrote its output straight into
+/// panels ([`PackedRhs::panel_writer`]) multiplies by it without an
+/// unpacked copy ever existing.
+///
+/// # Panics
+///
+/// Panics if `a` is not rank-2, its width is not `b.k()`, or `out.len()`
+/// is not `m·b.n()`.
+pub fn matmul_packed_into(a: &Tensor, b: &PackedRhs, out: &mut [f32]) {
+    let (m, k) = dims2(a, "matmul_packed_into lhs");
+    assert_eq!(k, b.k(), "matmul_packed_into inner dimensions disagree: {k} vs {}", b.k());
+    let n = b.n();
+    assert_eq!(
+        out.len(),
+        m * n,
+        "matmul_packed_into output must hold {m}×{n} elements, got {}",
+        out.len()
+    );
+    gemm_packed("matmul", m, a.as_slice(), b, simd::simd_enabled(), out);
+}
+
 /// Computes `C = A · B` for a row-major `k`×`n` slice `b` into the
 /// row-major `m`×`n` slice `out`, which is overwritten.
 ///
@@ -614,6 +640,30 @@ mod tests {
             let b = rand_tensor([k, n], (k * n + 3) as u64);
             let mut out = vec![f32::NAN; m * n];
             matmul_slice_into(&a, b.as_slice(), n, &mut pack, &mut out);
+            assert_eq!(out.as_slice(), matmul(&a, &b).as_slice(), "{m}×{k}×{n}");
+        }
+    }
+
+    #[test]
+    fn panels_written_in_place_multiply_like_matmul() {
+        // Runs of every length from every column, including ones that
+        // straddle panel halves and whole panels, into a reused operand
+        // that starts in the sign form; the product must equal `matmul`.
+        let mut pack = PackedRhs::from_sign_rows(5, &[[0u64; 1]; 3]);
+        for (m, k, n) in [(4, 9, 37), (3, 5, 16), (6, 2, 7), (5, 12, 0)] {
+            let a = rand_tensor([m, k], (m * k + n) as u64);
+            let b = rand_tensor([k, n], (k * n + 5) as u64);
+            let mut writer = pack.panel_writer(k, n);
+            for (p, row) in b.as_slice().chunks_exact(n.max(1)).take(k).enumerate() {
+                let (mut j, mut len) = (0, 1);
+                while j < n {
+                    let take = len.min(n - j);
+                    writer.write(p, j, &row[j..j + take]);
+                    (j, len) = (j + take, len % 11 + 1);
+                }
+            }
+            let mut out = vec![f32::NAN; m * n];
+            matmul_packed_into(&a, &pack, &mut out);
             assert_eq!(out.as_slice(), matmul(&a, &b).as_slice(), "{m}×{k}×{n}");
         }
     }

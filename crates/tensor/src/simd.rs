@@ -26,7 +26,8 @@
 //! operand. A panel row is either 16 f32 values or 16 sign bits that
 //! expand to two ±1.0 vectors through a 256×8 table; the kernels are
 //! generic over which ([`PanelRow`]). The `A` tile is repacked p-major
-//! per row block inside [`gemm_avx2`]. Row remainders use a 1×16
+//! per row block inside [`gemm_avx2`], into a per-thread scratch that
+//! every later call on the thread reuses. Row remainders use a 1×16
 //! kernel; the last panel is padded to `NR` columns and accumulated
 //! through a scratch tile whose pad columns are dropped.
 //!
@@ -39,6 +40,8 @@
 //! matmul call, before any packing, so a mid-call toggle cannot mix
 //! backends within one output.
 
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -191,6 +194,31 @@ impl PackedRhs {
         });
     }
 
+    /// Makes `self` an f32 `k`×`n` operand, reusing its panel storage,
+    /// and returns a writer that fills it in place, so a producer can
+    /// store a GEMM operand straight into panel layout instead of
+    /// writing a row-major matrix to be packed. The pad columns of the
+    /// last panel are zeroed; every valid element keeps stale contents
+    /// until the writer stores it, so the caller must store all `k·n`.
+    pub fn panel_writer(&mut self, k: usize, n: usize) -> PanelWriter<'_> {
+        let mut rows = match &mut self.panels {
+            Panels::F32(rows) => std::mem::take(rows),
+            Panels::Sign(_) => Vec::new(),
+        };
+        let np = n.div_ceil(NR);
+        rows.resize(np * k, [[0.0f32; 8]; 2]);
+        if !n.is_multiple_of(NR) {
+            for row in &mut rows[(np - 1) * k..] {
+                row.as_flattened_mut()[n % NR..].fill(0.0);
+            }
+        }
+        *self = PackedRhs { k, n, panels: Panels::F32(rows) };
+        match &mut self.panels {
+            Panels::F32(rows) => PanelWriter { k, rows },
+            Panels::Sign(_) => unreachable!("the operand was just made f32"),
+        }
+    }
+
     /// Packs `B` from its transpose: `bt` is row-major `n`×`k`, row `j`
     /// holding column `j` of `B` — the layout of `A · Bᵀ` operands such
     /// as a class memory scored against query rows.
@@ -279,6 +307,37 @@ impl PackedRhs {
 
     pub(crate) fn panels(&self) -> &Panels {
         &self.panels
+    }
+}
+
+/// Stores elements of an f32 [`PackedRhs`] in place (see
+/// [`PackedRhs::panel_writer`]).
+pub struct PanelWriter<'a> {
+    k: usize,
+    rows: &'a mut [[[f32; 8]; 2]],
+}
+
+impl PanelWriter<'_> {
+    /// Stores `values` as `B[p][j..j + values.len()]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run lies outside the operand.
+    #[inline]
+    pub fn write(&mut self, p: usize, mut j: usize, mut values: &[f32]) {
+        // A panel row is two 8-lane halves: store the run half by half.
+        while !values.is_empty() {
+            let (lane, take) = (j % 8, (8 - j % 8).min(values.len()));
+            let half = &mut self.rows[(j / NR) * self.k + p][(j % NR) / 8];
+            let (head, rest) = values.split_at(take);
+            match head.first_chunk::<8>() {
+                // A whole half as one fixed-size copy: no `memcpy` call.
+                Some(whole) => *half = *whole,
+                None => half[lane..lane + take].copy_from_slice(head),
+            }
+            j += take;
+            values = rest;
+        }
     }
 }
 
@@ -384,7 +443,32 @@ pub(crate) fn gemm_avx2<R: PanelRow>(
         // No terms: `c` is already the sum.
         return;
     }
-    let mut apanel = vec![0.0f32; k * MR];
+    thread_local! {
+        /// The A-tile scratch, reused by every call on the thread.
+        static APANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    }
+    APANEL.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => gemm_tiles(m, k, n, a, b, &mut scratch, c),
+        Err(_) => gemm_tiles(m, k, n, a, b, &mut Vec::new(), c),
+    });
+}
+
+/// [`gemm_avx2`]'s body, with `scratch` grown to hold the A tile.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+fn gemm_tiles<R: PanelRow>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[R],
+    scratch: &mut Vec<f32>,
+    c: &mut [f32],
+) {
+    if scratch.len() < k * MR {
+        scratch.resize(k * MR, 0.0);
+    }
+    // Every element is written before the kernel reads it.
+    let apanel = &mut scratch[..k * MR];
     let mut tile = [0.0f32; MR * NR];
     let full_rows = m - m % MR;
     let mut i0 = 0;
@@ -411,7 +495,7 @@ pub(crate) fn gemm_avx2<R: PanelRow>(
             // `(MR - 1) * stride + NR` elements (a full panel of `MR`
             // rows of `c`, or the `MR`×`NR` scratch tile) — the kernel's
             // documented preconditions.
-            unsafe { kernel_4x16(stride, &apanel, bpanel, ctile) }
+            unsafe { kernel_4x16(stride, apanel, bpanel, ctile) }
             if padded {
                 store_tile(&tile, MR, j0, width, n, crows);
             }
