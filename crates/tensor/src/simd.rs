@@ -180,11 +180,7 @@ impl PackedRhs {
     /// Panics if `b.len() != k * n`.
     pub(crate) fn repack_rows(&mut self, k: usize, n: usize, b: &[f32]) {
         assert_eq!(b.len(), k * n, "PackedRhs::repack_rows expects a {k}×{n} matrix");
-        let rows = match &mut self.panels {
-            Panels::F32(rows) => std::mem::take(rows),
-            Panels::Sign(_) => Vec::new(),
-        };
-        *self = Self::pack_f32(rows, k, n, |p, j0, out| {
+        *self = Self::pack_f32(self.take_f32_storage(), k, n, |p, j0, out| {
             let src = &b[p * n + j0..];
             match out.first_chunk_mut::<NR>() {
                 // Fixed-size copy for full panels: no `memcpy` call.
@@ -201,10 +197,7 @@ impl PackedRhs {
     /// last panel are zeroed; every valid element keeps stale contents
     /// until the writer stores it, so the caller must store all `k·n`.
     pub fn panel_writer(&mut self, k: usize, n: usize) -> PanelWriter<'_> {
-        let mut rows = match &mut self.panels {
-            Panels::F32(rows) => std::mem::take(rows),
-            Panels::Sign(_) => Vec::new(),
-        };
+        let mut rows = self.take_f32_storage();
         let np = n.div_ceil(NR);
         rows.resize(np * k, [[0.0f32; 8]; 2]);
         if !n.is_multiple_of(NR) {
@@ -216,6 +209,14 @@ impl PackedRhs {
         match &mut self.panels {
             Panels::F32(rows) => PanelWriter { k, rows },
             Panels::Sign(_) => unreachable!("the operand was just made f32"),
+        }
+    }
+
+    /// The f32 panel storage, taken for reuse (empty for the sign form).
+    fn take_f32_storage(&mut self) -> Vec<[[f32; 8]; 2]> {
+        match &mut self.panels {
+            Panels::F32(rows) => std::mem::take(rows),
+            Panels::Sign(_) => Vec::new(),
         }
     }
 
