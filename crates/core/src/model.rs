@@ -78,10 +78,6 @@ impl NshdModel {
     pub(crate) fn teacher_mut_internal(&mut self) -> &mut Model {
         &mut self.teacher
     }
-
-    pub(crate) fn scaler(&self) -> &FeatureScaler {
-        &self.scaler
-    }
 }
 
 impl NshdModel {
@@ -122,6 +118,11 @@ impl NshdModel {
     /// manipulate deployed state directly.
     pub fn memory_mut(&mut self) -> &mut AssociativeMemory {
         &mut self.memory
+    }
+
+    /// The per-feature standardisation fitted on the training set.
+    pub fn scaler(&self) -> &FeatureScaler {
+        &self.scaler
     }
 
     /// The projection encoder.

@@ -27,6 +27,8 @@
 mod engine;
 mod ensemble;
 mod head;
+#[cfg(test)]
+mod parity;
 
 pub use engine::{GlueEngine, GlueState};
 pub use ensemble::{GlueConfig, GlueEnsemble, HeadReport};
