@@ -29,7 +29,7 @@
 //! `NSHD_SCALE`), `--smoke`.
 
 use nshd_bench::Scale;
-use nshd_core::{NshdConfig, NshdEngine, NshdModel, PipelineError};
+use nshd_core::{Engine, NshdConfig, NshdModel, PipelineError};
 use nshd_data::{normalize_pair, SynthSpec};
 use nshd_hdc::{FaultPlan, FaultScenario};
 use nshd_nn::{
@@ -139,14 +139,14 @@ struct RunOutcome {
 /// scenario's JSON row plus the counters the smoke gate checks.
 fn run_scenario(
     spec: &RunSpec<'_>,
-    engine: &NshdEngine,
+    engine: &Engine<Tensor>,
     images: &[Tensor],
     expected: &[usize],
 ) -> RunOutcome {
     assert!(spec.replicas >= 1 && spec.clients >= 1);
     let victim = spec.replicas - 1;
     let mut switch = None;
-    let mut replicas: Vec<Arc<ChaosEngine<NshdEngine>>> = Vec::with_capacity(spec.replicas);
+    let mut replicas: Vec<Arc<ChaosEngine<Engine<Tensor>>>> = Vec::with_capacity(spec.replicas);
     for index in 0..spec.replicas {
         let snapshot = if index == victim {
             match &spec.fault {
@@ -326,7 +326,7 @@ fn main() {
         .with_retrain_epochs(1)
         .with_seed(13);
     let model = NshdModel::train(teacher, &train, cfg);
-    let engine = NshdEngine::new(&model).expect("trained model must pass verification");
+    let engine = Engine::try_from(&model).expect("trained model must pass verification");
 
     let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
     // The fault-free baseline every surviving replica is held to.

@@ -10,7 +10,7 @@
 //!    every teacher's own CNN test accuracy and standalone symbolic
 //!    bundle accuracy;
 //! 2. **Swap latency** — serves the full fusion through a
-//!    [`GlueEngine`] behind an [`InferenceRuntime`] and times
+//!    serving [`Engine`] behind an [`InferenceRuntime`] and times
 //!    `swap_memory` / `swap_head` calls issued while a batch is in
 //!    flight, plus replica-level `ReplicaSet::hot_swap`
 //!    (drain + readmit) on a two-replica glue cluster.
@@ -24,9 +24,9 @@
 //! Flags: `--swaps N` (default by `NSHD_SCALE`), `--smoke`.
 
 use nshd_bench::Scale;
-use nshd_core::{Classifier, CnnClassifier, EmbeddingClassifier};
+use nshd_core::{Classifier, CnnClassifier, EmbeddingClassifier, Engine};
 use nshd_data::{normalize_pair, SynthSpec};
-use nshd_glue::{GlueConfig, GlueEngine, GlueEnsemble};
+use nshd_glue::{GlueConfig, GlueEnsemble};
 use nshd_hdc::AssociativeMemory;
 use nshd_nn::{
     fit, ActKind, Activation, Adam, Conv2d, Flatten, Linear, MaxPool2d, Model, Sequential,
@@ -149,6 +149,11 @@ fn lat_row(kind: &str, lat: &[f64]) -> Json {
     ])
 }
 
+/// A serving engine over the ensemble's heads and consensus memory.
+fn serve(ensemble: &GlueEnsemble) -> Engine<Tensor> {
+    Engine::new(ensemble.state().clone()).expect("a fused ensemble verifies")
+}
+
 fn main() {
     let scale = Scale::from_env();
     let args = parse_args(scale);
@@ -233,7 +238,7 @@ fn main() {
     // Swap latency under live traffic: a batch is submitted, the swap
     // is timed while it is in flight, and every reply must resolve.
     let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
-    let glue = Arc::new(GlueEngine::new(full.clone()));
+    let glue = Arc::new(serve(&full));
     let runtime = InferenceRuntime::new(
         glue.clone(),
         RuntimeConfig { max_batch: 16, ..RuntimeConfig::default() },
@@ -282,17 +287,14 @@ fn main() {
         breaker: BreakerConfig { failure_threshold: 2, cooldown: Duration::from_millis(50) },
         max_inflight: 0,
     };
-    let set = ReplicaSet::new(
-        vec![Arc::new(GlueEngine::new(full.clone())), Arc::new(GlueEngine::new(full.clone()))],
-        cluster,
-    )
-    .expect("fused engines must form a cluster");
+    let set = ReplicaSet::new(vec![Arc::new(serve(&full)), Arc::new(serve(&full))], cluster)
+        .expect("fused engines must form a cluster");
     let mut replica_lat = Vec::with_capacity(args.swaps);
     for s in 0..args.swaps {
         for img in images.iter().take(4) {
             set.predict(img.clone()).expect("cluster serves between swaps");
         }
-        let fresh = Arc::new(GlueEngine::new(full.clone()));
+        let fresh = Arc::new(serve(&full));
         let started = clock::now();
         let drained = set.hot_swap(s % 2, fresh).expect("hot swap succeeds");
         replica_lat.push(started.elapsed().as_secs_f64() * 1e6);

@@ -18,7 +18,9 @@
 //! the full `nshd-obs/v1` trace report, and writes the same document to
 //! `BENCH_kernels.json` at the repository root.
 //!
-//! `--smoke` runs a down-sized grid and exits non-zero if any parallel
+//! `--smoke` runs a down-sized grid, writes its report to
+//! `target/BENCH_kernels.json` so the committed root report is left
+//! alone, and exits non-zero if any parallel
 //! output differs from serial, the report is malformed, or — on a
 //! machine with more than one core — no GEMM speedup above 1.0× is
 //! measured. On a single-core machine the speedup gate is skipped and
@@ -422,11 +424,14 @@ fn main() {
     let json = doc.to_string();
     println!("{json}");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR"))
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .expect("bench crate lives two levels under the repo root")
-        .join("BENCH_kernels.json");
+        .expect("bench crate lives two levels under the repo root");
+    // The down-sized smoke grid must not overwrite the committed report.
+    let dir = if args.smoke { root.join("target") } else { root.to_path_buf() };
+    std::fs::create_dir_all(&dir).expect("create the report directory");
+    let out = dir.join("BENCH_kernels.json");
     std::fs::write(&out, format!("{json}\n")).expect("write BENCH_kernels.json");
     eprintln!("[kernel_bench] wrote {}", out.display());
 

@@ -37,7 +37,7 @@
 //! `NSHD_SCALE`), `--smoke`.
 
 use nshd_bench::Scale;
-use nshd_core::{NshdConfig, NshdEngine, NshdModel};
+use nshd_core::{Engine, NshdConfig, NshdModel};
 use nshd_data::{normalize_pair, SynthSpec};
 use nshd_net::{
     ClientError, ErrorCode, NetClient, NetServer, NetServerConfig, ReplyBody, RequestBody,
@@ -181,11 +181,11 @@ struct RunOutcome {
 /// outcome is collected — reply, typed error frame, or transport
 /// fault. Returns the scenario's JSON row plus the counters the smoke
 /// gate checks.
-fn run_scenario(spec: &NetSpec<'_>, engine: &NshdEngine, cases: &[Case]) -> RunOutcome {
+fn run_scenario(spec: &NetSpec<'_>, engine: &Engine<Tensor>, cases: &[Case]) -> RunOutcome {
     assert!(spec.replicas >= 1 && spec.clients >= 1);
     let victim = spec.replicas - 1;
     let mut switch: Option<ChaosSwitch> = None;
-    let mut replicas: Vec<Arc<ChaosEngine<NshdEngine>>> = Vec::with_capacity(spec.replicas);
+    let mut replicas: Vec<Arc<ChaosEngine<Engine<Tensor>>>> = Vec::with_capacity(spec.replicas);
     for index in 0..spec.replicas {
         let replica = if index == victim && !matches!(spec.fault, Fault::None) {
             let (chaos, s) = ChaosEngine::new(Arc::new(engine.clone()));
@@ -423,7 +423,7 @@ fn main() {
         .with_retrain_epochs(1)
         .with_seed(13);
     let model = NshdModel::train(teacher, &train, cfg);
-    let engine = NshdEngine::new(&model).expect("trained model must pass verification");
+    let engine = Engine::try_from(&model).expect("trained model must pass verification");
 
     let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
     // Every image in all three payload kinds, with per-payload wire
@@ -488,7 +488,7 @@ fn main() {
 
     // Malformed-frame probes against a live healthy server.
     eprintln!("[net_bench] malformed-frame probes");
-    let probe_replicas: Vec<Arc<ChaosEngine<NshdEngine>>> =
+    let probe_replicas: Vec<Arc<ChaosEngine<Engine<Tensor>>>> =
         vec![Arc::new(ChaosEngine::passthrough(Arc::new(engine.clone())))];
     let probe_set = Arc::new(
         ReplicaSet::new(

@@ -24,7 +24,7 @@
 //! `NSHD_SCALE`), `--smoke`. The kernels run at `NSHD_THREADS` threads.
 
 use nshd_bench::Scale;
-use nshd_core::{NshdConfig, NshdEngine, NshdModel};
+use nshd_core::{Engine, NshdConfig, NshdModel};
 use nshd_data::{normalize_pair, SynthSpec};
 use nshd_nn::{
     fit, ActKind, Activation, Adam, Conv2d, Flatten, Linear, MaxPool2d, Model, Sequential,
@@ -163,7 +163,7 @@ fn main() {
     eprintln!("[serve_bench] batched: max_batch={}", args.max_batch);
     let recorder = Recorder::new();
     let previous = nshd_obs::install(recorder.clone());
-    let engine = Arc::new(NshdEngine::new(&model).expect("trained model must pass verification"));
+    let engine = Arc::new(Engine::try_from(&model).expect("trained model must pass verification"));
     let runtime = InferenceRuntime::new(
         engine,
         RuntimeConfig { max_batch: args.max_batch, ..RuntimeConfig::default() },

@@ -8,7 +8,8 @@
 //! 1. **Symbolisation** `H = Φ_P(Ψ(conv(x)))`: a trained CNN truncated at
 //!    a configurable layer, the manifold learner Ψ (max-pool + FC
 //!    regressor to `F̂` features), and binary random-projection encoding
-//!    — built once as the [`Symbolizer`] every batched path shares.
+//!    — built once as the [`Symbolizer`] every batched path shares, and
+//!    served as a weighted [`Head`] of the one serving [`Engine`].
 //! 2. **Knowledge-distillation retraining** (Algorithm 1): MASS updates
 //!    blended with soft targets from the *uncut* teacher, so the knowledge
 //!    in the removed layers still reaches the HD model.
@@ -43,6 +44,7 @@ mod baselines;
 mod config;
 mod cost;
 mod engine;
+mod head;
 mod manifold;
 mod model;
 mod robust;
@@ -60,7 +62,8 @@ pub use cost::{
     nshd_macs, nshd_macs_from_stats, nshd_size, nshd_size_from_stats, nshd_workload,
     nshd_workload_from_stats, MacBreakdown, SizeBreakdown,
 };
-pub use engine::NshdEngine;
+pub use engine::{AsEngine, Engine, EngineInput, EngineState, NshdEngine};
+pub use head::{vote, Head};
 pub use manifold::ManifoldLearner;
 pub use model::{NshdModel, NshdTrainer, RetrainEpoch};
 pub use robust::{DivergenceGuard, GuardVerdict, PipelineError, RollbackReason};
@@ -68,7 +71,4 @@ pub use scaler::FeatureScaler;
 pub use serialize::load_pipeline;
 pub use serve::HdDeployEngine;
 pub use symbolizer::Symbolizer;
-pub use verify::{
-    verify_ensemble, verify_model, verify_quantized, verify_teacher, AnalysisReport, EnsembleDims,
-    Stage,
-};
+pub use verify::{verify_model, verify_quantized, verify_teacher, AnalysisReport, Stage};

@@ -1,74 +1,27 @@
-//! Direct HD serving: scoring pre-encoded quantised queries with no CNN
-//! stage.
+//! Serving pre-encoded queries: the zero-head [`Engine`].
 //!
-//! [`HdDeployEngine`] is the serving-side counterpart of the paper's
-//! §VI-B deployments for clients that ship *already encoded*
-//! hypervectors over the wire (`nshd-wire/v1` INT8 and packed payload
-//! kinds): a query arrives as an [`HdQuery`], its sign pattern is
-//! extracted **in its native representation** ([`HdQuery::sign_hv`] —
-//! no dequantize-to-f32 step), and the batch is scored by an
-//! [`HdScorer`]'s popcount/INT8 GEMM. `nshd-runtime` exposes it
-//! as a [`BatchEngine`] so the whole replicated serving tier (replica
-//! sets, chaos testing, the TCP front end) works over quantised
-//! queries unchanged.
-//!
-//! [`BatchEngine`]: ../../nshd_runtime/trait.BatchEngine.html
+//! Clients that ship *already encoded* hypervectors over the wire
+//! (`nshd-wire/v1` dense, INT8 and packed payload kinds) are served by an
+//! `Engine<HdQuery>`: a query's sign pattern is extracted **in its native
+//! representation** ([`HdQuery::sign_hv`], no dequantize-to-f32 step) and
+//! the batch is scored by the state's popcount/INT8/dense GEMM. It is the
+//! same engine, publish path and runtime implementation as image
+//! serving, with no heads in front of the scorer.
 
+use crate::engine::{AsEngine, Engine, EngineInput, EngineState};
 use crate::robust::PipelineError;
-use nshd_hdc::{AssociativeMemory, HdQuery, HdScorer, QueryHv, ScoringMode};
+use nshd_hdc::{AssociativeMemory, HdQuery, QueryHv, ScoringMode};
 use nshd_tensor::TensorError;
 use std::sync::Arc;
 
-/// A deployed class memory serving pre-encoded [`HdQuery`] batches: an
-/// [`HdScorer`] plus sign extraction and typed errors.
-#[derive(Debug, Clone)]
-pub struct HdDeployEngine {
-    scorer: HdScorer,
-}
+/// Pre-encoded queries: per-query sign extraction in the native
+/// representation, after checking each query's width against the
+/// memory.
+impl EngineInput for HdQuery {
+    const HEADED: bool = false;
 
-// Replica sets share the engine across worker threads.
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<HdDeployEngine>();
-};
-
-impl HdDeployEngine {
-    /// Compiles `memory` for `mode`.
-    #[must_use]
-    pub fn new(memory: AssociativeMemory, mode: ScoringMode) -> Self {
-        HdDeployEngine { scorer: HdScorer::new(Arc::new(memory), mode) }
-    }
-
-    /// The scoring mode this deployment serves with.
-    pub fn scoring_mode(&self) -> ScoringMode {
-        self.scorer.mode()
-    }
-
-    /// The dense memory the deployment was compiled from.
-    pub fn memory(&self) -> &AssociativeMemory {
-        self.scorer.memory()
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.memory().num_classes()
-    }
-
-    /// Hypervector dimensionality queries must match.
-    pub fn dim(&self) -> usize {
-        self.memory().dim()
-    }
-
-    /// Stage 1 — per-query sign extraction in the query's native
-    /// representation (the data-parallel half: no shared state).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Tensor`] naming the expected and actual
-    /// widths when a query's dimensionality disagrees with the memory.
-    #[must_use = "sign extraction can fail on malformed queries"]
-    pub fn try_sign(&self, queries: &[HdQuery]) -> Result<Vec<QueryHv>, PipelineError> {
-        let dim = self.dim();
+    fn queries(state: &EngineState, queries: &[HdQuery]) -> Result<Vec<QueryHv>, PipelineError> {
+        let dim = state.memory().dim();
         queries
             .iter()
             .map(|q| {
@@ -83,40 +36,76 @@ impl HdDeployEngine {
             })
             .collect()
     }
+}
 
-    /// Stage 2 — one batch scoring GEMM over the sign queries.
+/// Benchmark name (see `engine.rs`) for an `Engine<HdQuery>` over one
+/// memory. It also keeps the memory it was compiled from, which
+/// [`memory`](HdDeployEngine::memory) lends out.
+pub struct HdDeployEngine {
+    engine: Engine<HdQuery>,
+    memory: Arc<AssociativeMemory>,
+}
+
+impl HdDeployEngine {
+    /// [`Engine::new`] over `memory` scored with `mode`.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`PipelineError::EmptyBatch`] if the deployment has no
-    /// classes to score against (a misconfigured memory).
-    #[must_use = "scoring can fail on a class-less deployment"]
-    pub fn try_score(&self, queries: Vec<QueryHv>) -> Result<Vec<usize>, PipelineError> {
-        if self.num_classes() == 0 {
-            return Err(PipelineError::EmptyBatch);
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _sp = nshd_obs::span("score");
-        Ok(self.scorer.predict(queries))
+    /// Panics with the verification report when the memory holds
+    /// non-finite values.
+    #[must_use]
+    pub fn new(memory: AssociativeMemory, mode: ScoringMode) -> Self {
+        let memory = Arc::new(memory);
+        let state = EngineState::new(Vec::new(), Arc::clone(&memory), mode);
+        let engine = Engine::new(state).unwrap_or_else(|report| panic!("{report}"));
+        HdDeployEngine { engine, memory }
     }
 
-    /// Batch predictions for wire-shaped queries: sign extraction then
-    /// one scoring GEMM.
+    /// The memory the deployment was compiled from.
+    pub fn memory(&self) -> &AssociativeMemory {
+        &self.memory
+    }
+
+    /// The state's [`EngineInput::queries`].
     ///
     /// # Errors
     ///
-    /// Propagates [`Self::try_sign`] / [`Self::try_score`] errors.
-    #[must_use = "prediction can fail on malformed queries"]
+    /// Returns [`PipelineError::Tensor`] for a query of the wrong width.
+    pub fn try_sign(&self, queries: &[HdQuery]) -> Result<Vec<QueryHv>, PipelineError> {
+        HdQuery::queries(&self.engine.state(), queries)
+    }
+
+    /// The state's [`EngineState::score`].
+    ///
+    /// # Errors
+    ///
+    /// Never fails; the signature is the benchmark's.
+    pub fn try_score(&self, queries: Vec<QueryHv>) -> Result<Vec<usize>, PipelineError> {
+        Ok(self.engine.state().score(queries))
+    }
+
+    /// The state's [`EngineState::predict_batch`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PipelineError::Tensor`] for a query of the wrong width.
     pub fn try_predict_batch(&self, queries: &[HdQuery]) -> Result<Vec<usize>, PipelineError> {
-        self.try_score(self.try_sign(queries)?)
+        self.engine.state().predict_batch(queries)
+    }
+}
+
+impl AsEngine for HdDeployEngine {
+    type Input = HdQuery;
+
+    fn engine(&self) -> &Engine<HdQuery> {
+        &self.engine
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::Stage;
     use nshd_hdc::{BipolarHv, Int8Vec};
 
     fn bipolar_row(dim: usize, seed: u64) -> Vec<f32> {
@@ -125,16 +114,20 @@ mod tests {
             .collect()
     }
 
-    fn deployment(mode: ScoringMode) -> HdDeployEngine {
-        let rows: Vec<Vec<f32>> = (0..5).map(|c| bipolar_row(256, c as u64 + 3)).collect();
-        HdDeployEngine::new(AssociativeMemory::from_classes(rows), mode)
+    fn memory() -> AssociativeMemory {
+        AssociativeMemory::from_classes((0..5).map(|c| bipolar_row(256, c as u64 + 3)).collect())
+    }
+
+    fn deployment(mode: ScoringMode) -> Engine<HdQuery> {
+        Engine::new(EngineState::new(Vec::new(), Arc::new(memory()), mode)).expect("verifies")
     }
 
     #[test]
     fn all_payload_kinds_score_identically_to_dense_signs() {
         for mode in [ScoringMode::Dense, ScoringMode::Int8, ScoringMode::Packed] {
             let engine = deployment(mode);
-            assert_eq!(engine.scoring_mode(), mode);
+            let state = engine.state();
+            assert_eq!(state.scoring_mode(), mode);
             let raw: Vec<Vec<f32>> = (0..8)
                 .map(|s| {
                     bipolar_row(256, s + 101).iter().map(|v| v * (0.3 + s as f32 * 0.1)).collect()
@@ -147,22 +140,40 @@ mod tests {
             let packed: Vec<HdQuery> =
                 raw.iter().map(|v| HdQuery::Packed(nshd_hdc::pack_signs(v))).collect();
             let want: Vec<usize> =
-                raw.iter().map(|v| engine.memory().predict(&BipolarHv::from_signs(v))).collect();
-            assert_eq!(engine.try_predict_batch(&dense).unwrap(), want, "{}", mode.name());
-            assert_eq!(engine.try_predict_batch(&int8).unwrap(), want, "{}", mode.name());
-            assert_eq!(engine.try_predict_batch(&packed).unwrap(), want, "{}", mode.name());
+                raw.iter().map(|v| state.memory().predict(&BipolarHv::from_signs(v))).collect();
+            assert_eq!(state.predict_batch(&dense).unwrap(), want, "{}", mode.name());
+            assert_eq!(state.predict_batch(&int8).unwrap(), want, "{}", mode.name());
+            assert_eq!(state.predict_batch(&packed).unwrap(), want, "{}", mode.name());
         }
     }
 
     #[test]
     fn malformed_queries_are_reported() {
-        let engine = deployment(ScoringMode::Packed);
-        let err = engine.try_predict_batch(&[HdQuery::Dense(vec![1.0; 17])]).unwrap_err();
+        let state = deployment(ScoringMode::Packed).state();
+        let err = state.predict_batch(&[HdQuery::Dense(vec![1.0; 17])]).unwrap_err();
         assert!(matches!(err, PipelineError::Tensor(_)), "{err:?}");
-        let err = engine
-            .try_predict_batch(&[HdQuery::Packed(BipolarHv::from_signs(&[1.0; 64]).to_packed())])
+        let err = state
+            .predict_batch(&[HdQuery::Packed(BipolarHv::from_signs(&[1.0; 64]).to_packed())])
             .unwrap_err();
         assert!(matches!(err, PipelineError::Tensor(_)), "{err:?}");
-        assert!(engine.try_predict_batch(&[]).unwrap().is_empty());
+        assert!(state.predict_batch::<HdQuery>(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn zero_head_engines_verify_their_memory() {
+        // A class memory holding a NaN is rejected at construction and at
+        // publish, exactly as an image engine's is.
+        let mut poisoned = memory();
+        poisoned.class_mut(2)[7] = f32::NAN;
+        let state = EngineState::new(Vec::new(), Arc::new(poisoned.clone()), ScoringMode::Int8);
+        let report = Engine::<HdQuery>::new(state).unwrap_err();
+        assert_eq!(report.stage, Stage::Memory);
+        assert!(report.to_string().contains("non-finite"), "{report}");
+
+        let engine = deployment(ScoringMode::Int8);
+        let err = engine.swap_memory(poisoned).unwrap_err();
+        assert!(matches!(err, PipelineError::Analysis(_)), "{err}");
+        assert!(engine.state().memory().is_finite(), "a rejected swap must not publish");
+        engine.verify().expect("the served state still verifies");
     }
 }

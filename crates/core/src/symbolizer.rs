@@ -6,9 +6,9 @@
 //! truncated CNN extractor, the per-feature [`FeatureScaler`], the
 //! optional manifold learner Ψ, and the random-projection encoder Φ_P
 //! in its batched GEMM form (the basis as a bit-packed sign operand).
-//! [`NshdEngine`](crate::NshdEngine) serves through one, each
-//! `nshd-glue` head wraps one, and
-//! [`BaselineHd`](crate::BaselineHd) classifies through one.
+//! Every [`Head`](crate::Head) of the serving [`Engine`](crate::Engine)
+//! wraps one, and [`BaselineHd`](crate::BaselineHd) classifies through
+//! one.
 //!
 //! **Determinism.** Its hypervectors are bit-identical to the
 //! per-sample oracle [`NshdModel::symbolize`](crate::NshdModel::symbolize):

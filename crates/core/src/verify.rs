@@ -12,22 +12,25 @@
 //! the expected/actual dimensions.
 //!
 //! The checks run at every construction boundary: [`Symbolizer::new`]
-//! (and so every `nshd-glue` head), [`NshdEngine::new`],
-//! [`NshdTrainer::try_prepare`] (and `prepare`, which panics with the
-//! report), and `nshd-runtime`'s `InferenceRuntime`, so a misconfigured
-//! model is rejected before any thread is spawned.
+//! (and so every engine head), [`NshdTrainer::try_prepare`] (and
+//! `prepare`, which panics with the report), building an [`Engine`]
+//! and every state it publishes, and `nshd-runtime`'s
+//! `InferenceRuntime`, so a misconfigured model is rejected before any
+//! thread is spawned.
 //!
 //! [`Layer::shape_of`]: nshd_nn::Layer::shape_of
 //! [`Symbolizer::new`]: crate::Symbolizer::new
-//! [`NshdEngine::new`]: crate::NshdEngine::new
+//! [`Engine`]: crate::Engine
 //! [`NshdTrainer::try_prepare`]: crate::NshdTrainer::try_prepare
 
 use crate::config::NshdConfig;
+use crate::head::Head;
 use crate::manifold::ManifoldLearner;
 use crate::model::NshdModel;
 use nshd_hdc::{AssociativeMemory, QuantizedMemory};
 use nshd_nn::{Layer, Model};
 use std::fmt;
+use std::sync::Arc;
 
 /// The pipeline stage at which a static check failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +50,8 @@ pub enum Stage {
     Memory,
     /// A quantised deployment of the class memory.
     Quantizer,
-    /// A multi-teacher HD-Glue ensemble (per-head projection widths
-    /// versus the shared consensus memory).
+    /// The heads in front of an engine's memory (per-head widths
+    /// versus the memory, weights).
     Ensemble,
 }
 
@@ -87,7 +90,7 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
-    fn new(stage: Stage, detail: impl Into<String>) -> Self {
+    pub(crate) fn new(stage: Stage, detail: impl Into<String>) -> Self {
         AnalysisReport {
             stage,
             layer: None,
@@ -227,7 +230,8 @@ pub(crate) fn verify_head_stages(
 }
 
 /// Checks the class memory against the symbolizer feeding it: HD
-/// dimension versus memory width, class count, and memory health.
+/// dimension versus memory width, class count, and memory health
+/// ([`verify_memory_health`]).
 pub(crate) fn verify_memory(
     memory: &AssociativeMemory,
     encode_dim: usize,
@@ -243,10 +247,7 @@ pub(crate) fn verify_memory(
         )
         .dims(&[encode_dim], &[memory.dim()]));
     }
-    if memory.num_classes() == 0 {
-        return Err(AnalysisReport::new(Stage::Memory, "memory holds no classes"));
-    }
-    if memory.num_classes() != num_classes {
+    if memory.num_classes() != 0 && memory.num_classes() != num_classes {
         return Err(AnalysisReport::new(
             Stage::Memory,
             format!(
@@ -255,6 +256,15 @@ pub(crate) fn verify_memory(
             ),
         )
         .dims(&[num_classes], &[memory.num_classes()]));
+    }
+    verify_memory_health(memory)
+}
+
+/// Checks a class memory can be served at all: at least one class and
+/// finite accumulators.
+fn verify_memory_health(memory: &AssociativeMemory) -> Result<(), AnalysisReport> {
+    if memory.num_classes() == 0 {
+        return Err(AnalysisReport::new(Stage::Memory, "memory holds no classes"));
     }
     if !memory.is_finite() {
         return Err(AnalysisReport::new(Stage::Memory, "class memory contains non-finite values"));
@@ -308,93 +318,43 @@ pub fn verify_model(model: &NshdModel) -> Result<(), AnalysisReport> {
     )
 }
 
-/// One ensemble head's dimension summary, as checked by
-/// [`verify_ensemble`]: the teacher's embedding width, the width the
-/// head's projection actually reads, the HD dimension it emits, and the
-/// weight it contributes with.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnsembleDims {
-    /// Flattened penultimate-layer embedding length of the teacher.
-    pub embedding: usize,
-    /// Feature width the head's random projection reads.
-    pub features: usize,
-    /// HD dimension the head's projection emits.
-    pub dim: usize,
-    /// The head's contribution weight in the fused bundle.
-    pub weight: f32,
-}
-
-/// Statically checks a multi-teacher HD-Glue ensemble against its
-/// shared consensus memory: at least one head; every head's projection
-/// reading exactly its teacher's embedding width and emitting the
-/// memory's HD dimension; finite non-negative weights with at least one
-/// strictly positive; and a healthy memory (classes present, finite
-/// accumulators). The failing head's index is reported through
-/// [`AnalysisReport::layer`].
+/// Checks an engine state: every head's [`Symbolizer`] re-verifies,
+/// reads a non-empty feature width, emits the memory's HD dimension and
+/// carries a finite, non-negative weight, with at least one weight
+/// positive; the memory is servable ([`verify_memory_health`]). The
+/// failing head's index is reported through [`AnalysisReport::layer`].
 ///
-/// # Errors
-///
-/// Returns a [`Stage::Ensemble`] (or [`Stage::Memory`]) report naming
-/// the first violated invariant.
-pub fn verify_ensemble(
-    heads: &[EnsembleDims],
+/// [`Symbolizer`]: crate::Symbolizer
+pub(crate) fn verify_engine(
+    heads: &[Arc<Head>],
     memory: &AssociativeMemory,
 ) -> Result<(), AnalysisReport> {
-    if heads.is_empty() {
-        return Err(AnalysisReport::new(Stage::Ensemble, "ensemble has no teacher heads"));
-    }
     for (index, head) in heads.iter().enumerate() {
-        if head.embedding == 0 {
-            return Err(AnalysisReport::new(
-                Stage::Ensemble,
-                format!("head {index} has a zero-width embedding"),
-            )
-            .at_layer(Some(index)));
+        head.symbolizer().verify()?;
+        let report =
+            |detail: String| AnalysisReport::new(Stage::Ensemble, detail).at_layer(Some(index));
+        if head.symbolizer().encoder().features() == 0 {
+            return Err(report(format!("head {index} reads a zero-width embedding")));
         }
-        if head.features != head.embedding {
-            return Err(AnalysisReport::new(
-                Stage::Ensemble,
-                format!(
-                    "head {index}'s projection reads {} features but its teacher embeds {}",
-                    head.features, head.embedding
-                ),
-            )
-            .dims(&[head.embedding], &[head.features])
-            .at_layer(Some(index)));
+        if head.hv_dim() != memory.dim() {
+            return Err(report(format!(
+                "head {index} encodes D = {} but the memory is {} wide",
+                head.hv_dim(),
+                memory.dim()
+            ))
+            .dims(&[memory.dim()], &[head.hv_dim()]));
         }
-        if head.dim != memory.dim() {
-            return Err(AnalysisReport::new(
-                Stage::Ensemble,
-                format!(
-                    "head {index} encodes D = {} but the consensus memory is {} wide",
-                    head.dim,
-                    memory.dim()
-                ),
-            )
-            .dims(&[memory.dim()], &[head.dim])
-            .at_layer(Some(index)));
-        }
-        if !head.weight.is_finite() || head.weight < 0.0 {
-            return Err(AnalysisReport::new(
-                Stage::Ensemble,
-                format!("head {index} has invalid contribution weight {}", head.weight),
-            )
-            .at_layer(Some(index)));
+        if !head.weight().is_finite() || head.weight() < 0.0 {
+            return Err(report(format!("head {index} has invalid weight {}", head.weight())));
         }
     }
-    if !heads.iter().any(|h| h.weight > 0.0) {
+    if !heads.is_empty() && !heads.iter().any(|h| h.weight() > 0.0) {
         return Err(AnalysisReport::new(
             Stage::Ensemble,
-            "every head has zero weight; the fused bundle would be empty",
+            "every head has zero weight; the vote would be empty",
         ));
     }
-    if memory.num_classes() == 0 {
-        return Err(AnalysisReport::new(Stage::Memory, "memory holds no classes"));
-    }
-    if !memory.is_finite() {
-        return Err(AnalysisReport::new(Stage::Memory, "class memory contains non-finite values"));
-    }
-    Ok(())
+    verify_memory_health(memory)
 }
 
 /// Checks a quantised deployment against the full-precision memory it
@@ -444,6 +404,7 @@ pub fn verify_quantized(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FeatureScaler, Symbolizer};
     use nshd_hdc::BipolarHv;
 
     #[test]
@@ -524,40 +485,52 @@ mod tests {
         assert!(report.to_string().contains("non-finite"));
     }
 
+    /// A one-conv head reading a 4×4×4 feature map into `dim` components.
+    fn head(dim: usize, weight: f32) -> Arc<Head> {
+        use nshd_nn::{Conv2d, Flatten, Linear, Sequential};
+        let mut rng = nshd_tensor::Rng::new(3);
+        let teacher = Model {
+            name: "h".into(),
+            features: Sequential::new().with(Conv2d::new(3, 4, 3, 1, 1, &mut rng)),
+            classifier: Sequential::new().with(Flatten::new()).with(Linear::new(64, 4, &mut rng)),
+            input_shape: vec![3, 4, 4],
+            num_classes: 4,
+        };
+        let scaler = FeatureScaler::from_raw(vec![0.0; 64], vec![1.0; 64]).expect("consistent");
+        let projection = nshd_hdc::RandomProjection::new(64, dim, 1);
+        let symbolizer =
+            Symbolizer::new(teacher, 1, scaler, None, &projection).expect("head verifies");
+        Arc::new(Head::new("h", symbolizer, weight))
+    }
+
     #[test]
     fn ensemble_checks_cover_heads_weights_and_memory() {
         let memory = AssociativeMemory::new(4, 512);
-        let good = EnsembleDims { embedding: 32, features: 32, dim: 512, weight: 1.0 };
-        assert!(verify_ensemble(&[good, good], &memory).is_ok());
+        let good = head(512, 1.0);
+        assert!(verify_engine(&[good.clone(), good.clone()], &memory).is_ok());
+        // Zero heads is the pre-encoded query engine: only the memory.
+        assert!(verify_engine(&[], &memory).is_ok());
 
-        // No heads at all.
-        let report = verify_ensemble(&[], &memory).unwrap_err();
-        assert_eq!(report.stage, Stage::Ensemble);
-
-        // Projection width disagreeing with the teacher's embedding.
-        let bad = EnsembleDims { features: 30, ..good };
-        let report = verify_ensemble(&[good, bad], &memory).unwrap_err();
+        // Head HD dimension disagreeing with the memory.
+        let report = verify_engine(&[good.clone(), head(256, 1.0)], &memory).unwrap_err();
         assert_eq!(report.stage, Stage::Ensemble);
         assert_eq!(report.layer, Some(1));
-        assert_eq!((report.expected.as_slice(), report.actual.as_slice()), (&[32][..], &[30][..]));
-
-        // Head HD dimension disagreeing with the consensus memory.
-        let bad = EnsembleDims { dim: 256, ..good };
-        let report = verify_ensemble(&[bad], &memory).unwrap_err();
-        assert_eq!(report.stage, Stage::Ensemble);
-        assert!(report.to_string().contains("256"), "{report}");
+        assert_eq!(
+            (report.expected.as_slice(), report.actual.as_slice()),
+            (&[512][..], &[256][..])
+        );
 
         // Negative and all-zero weights.
-        let bad = EnsembleDims { weight: -0.5, ..good };
-        assert_eq!(verify_ensemble(&[bad], &memory).unwrap_err().stage, Stage::Ensemble);
-        let zero = EnsembleDims { weight: 0.0, ..good };
-        let report = verify_ensemble(&[zero, zero], &memory).unwrap_err();
+        let bad = Arc::new(good.with_weight(-0.5));
+        assert_eq!(verify_engine(&[bad], &memory).unwrap_err().stage, Stage::Ensemble);
+        let zero = Arc::new(good.with_weight(0.0));
+        let report = verify_engine(&[zero.clone(), zero], &memory).unwrap_err();
         assert!(report.to_string().contains("zero weight"), "{report}");
 
         // Non-finite consensus memory.
         let mut sick = AssociativeMemory::new(4, 512);
         sick.class_mut(0)[0] = f32::INFINITY;
-        let report = verify_ensemble(&[good], &sick).unwrap_err();
+        let report = verify_engine(std::slice::from_ref(&good), &sick).unwrap_err();
         assert_eq!(report.stage, Stage::Memory);
     }
 

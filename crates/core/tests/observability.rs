@@ -2,7 +2,7 @@
 //! pipeline: recording spans must stay cheap relative to the work they
 //! wrap, and the disabled path must be effectively free.
 
-use nshd_core::{NshdConfig, NshdEngine, NshdModel};
+use nshd_core::{Engine, NshdConfig, NshdModel};
 use nshd_data::{normalize_pair, SynthSpec};
 use nshd_nn::{
     fit, ActKind, Activation, Adam, Conv2d, Flatten, Linear, MaxPool2d, Model, Sequential,
@@ -16,7 +16,7 @@ use std::time::Duration;
 /// Serialises tests that install the process-global recorder.
 static GLOBAL_RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
-fn tiny_engine() -> (NshdEngine, Vec<Tensor>) {
+fn tiny_engine() -> (Engine<Tensor>, Vec<Tensor>) {
     let (mut train, mut test) = SynthSpec::synth10(33).with_sizes(40, 16).generate();
     normalize_pair(&mut train, &mut test);
     let mut rng = Rng::new(3);
@@ -47,7 +47,7 @@ fn tiny_engine() -> (NshdEngine, Vec<Tensor>) {
         .with_seed(11);
     let model = NshdModel::train(teacher, &train, cfg);
     let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
-    let engine = NshdEngine::new(&model).expect("tiny model passes verification");
+    let engine = Engine::try_from(&model).expect("tiny model passes verification");
     (engine, images)
 }
 
@@ -70,13 +70,13 @@ fn overhead_stays_within_budget(threads: usize) {
     const ROUNDS: usize = 8;
 
     // Warm up allocators and caches on the disabled path.
-    let warm = engine.predict_batch(&images);
+    let warm = engine.state().predict_batch(&images).unwrap();
     assert_eq!(warm.len(), images.len());
 
     // Disabled: no recorder installed anywhere.
     let t0 = clock::now();
     for _ in 0..ROUNDS {
-        std::hint::black_box(engine.predict_batch(&images));
+        std::hint::black_box(engine.state().predict_batch(&images).unwrap());
     }
     let disabled = t0.elapsed();
 
@@ -85,7 +85,7 @@ fn overhead_stays_within_budget(threads: usize) {
     let previous = nshd_obs::install(recorder.clone());
     let t1 = clock::now();
     for _ in 0..ROUNDS {
-        std::hint::black_box(engine.predict_batch(&images));
+        std::hint::black_box(engine.state().predict_batch(&images).unwrap());
     }
     let enabled = t1.elapsed();
     nshd_obs::install(previous);

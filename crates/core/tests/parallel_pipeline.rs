@@ -6,9 +6,9 @@
 //! accumulation order) is proven in `crates/tensor/tests/determinism.rs`;
 //! this suite proves it composes through the layers that ride on those
 //! kernels: conv2d forward *and* backward, the batched HD encoder, the
-//! micro-batched trainer reduction, and `NshdEngine::predict_batch`.
+//! micro-batched trainer reduction, and `EngineState::predict_batch`.
 
-use nshd_core::{NshdConfig, NshdEngine, NshdModel};
+use nshd_core::{Engine, NshdConfig, NshdModel};
 use nshd_data::{normalize_pair, SynthSpec};
 use nshd_hdc::RandomProjection;
 use nshd_nn::{
@@ -152,13 +152,13 @@ fn engine_predict_batch_is_thread_invariant() {
         .with_retrain_epochs(1)
         .with_seed(11);
     let model = NshdModel::train(teacher, &train, cfg);
-    let engine = NshdEngine::new(&model).expect("tiny model passes verification");
+    let engine = Engine::try_from(&model).expect("tiny model passes verification");
     let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
 
-    let baseline = par::with_threads(1, || engine.predict_batch(&images));
+    let baseline = par::with_threads(1, || engine.state().predict_batch(&images).unwrap());
     assert_eq!(baseline.len(), images.len());
     for t in THREADS {
-        let parallel = par::with_threads(t, || engine.predict_batch(&images));
+        let parallel = par::with_threads(t, || engine.state().predict_batch(&images).unwrap());
         assert_eq!(baseline, parallel, "predict_batch diverged at {t} workers");
     }
 }

@@ -14,13 +14,13 @@
 //!    ([`OnlineTrainer`]) re-bundles every misclassified example until
 //!    the counts converge (or the epoch budget runs out).
 
-use crate::engine::GlueState;
-use crate::head::GlueHead;
-use nshd_core::{EmbeddingClassifier, FeatureScaler, PipelineError};
+use nshd_core::{
+    vote, EmbeddingClassifier, EngineState, FeatureScaler, Head, PipelineError, Symbolizer,
+};
 use nshd_data::ImageDataset;
 use nshd_hdc::{
-    bundle_init, sign_with_tiebreak, AssociativeMemory, BipolarHv, EpochReport, OnlineTrainer,
-    RandomProjection, ScoringMode,
+    bundle_init, AssociativeMemory, BipolarHv, EpochReport, OnlineTrainer, RandomProjection,
+    ScoringMode,
 };
 use nshd_tensor::Tensor;
 use std::fmt;
@@ -98,64 +98,17 @@ pub struct HeadReport {
     pub weight: f32,
 }
 
-/// Weighted consensus vote: sample `i`'s fused hypervector accumulates
-/// `±weight` per component over every head's `per_head[h][i]`, in head
-/// order, and re-binarises with deterministic position-keyed
-/// tie-breaking.
-fn vote(heads: &[Arc<GlueHead>], per_head: &[Vec<BipolarHv>]) -> Vec<BipolarHv> {
-    let samples = per_head.first().map_or(0, Vec::len);
-    let dim = heads.first().map_or(0, |h| h.hv_dim());
-    (0..samples)
-        .map(|i| {
-            let mut acc = vec![0.0f32; dim];
-            for (head, hvs) in heads.iter().zip(per_head) {
-                let weight = head.weight();
-                for (a, &c) in acc.iter_mut().zip(hvs[i].components()) {
-                    // Multiplication-free weighted bundling by sign.
-                    if c > 0 {
-                        *a += weight;
-                    } else {
-                        *a -= weight;
-                    }
-                }
-            }
-            sign_with_tiebreak(&acc)
-        })
-        .collect()
-}
-
-/// Weighted fused encode: every head encodes the batch, then the heads
-/// [`vote`].
-pub(crate) fn fuse_encode(
-    heads: &[Arc<GlueHead>],
-    images: &[Tensor],
-) -> Result<Vec<BipolarHv>, PipelineError> {
-    if heads.is_empty() {
-        return Err(PipelineError::Runtime {
-            stage: "glue",
-            detail: "ensemble has no teacher heads".into(),
-        });
-    }
-    if images.is_empty() {
-        return Ok(Vec::new());
-    }
-    let _sp = nshd_obs::span("glue_encode");
-    let per_head: Vec<Vec<BipolarHv>> =
-        heads.iter().map(|head| head.encode_batch(images)).collect::<Result<_, _>>()?;
-    Ok(vote(heads, &per_head))
-}
-
 /// A fused multi-teacher symbolic classifier: N teacher heads voting
 /// into one consensus [`AssociativeMemory`].
 ///
 /// Built by [`GlueEnsemble::fuse`]; served (with hot-swap and live
-/// class growth) through [`GlueEngine`](crate::GlueEngine), which
-/// publishes the ensemble's [`GlueState`] as its first state. Cloning
-/// is cheap (`Arc` bumps), so replicated serving can snapshot one fuse
-/// into several engines.
+/// class growth) by an [`Engine`](nshd_core::Engine) over the
+/// ensemble's [`EngineState`] as its first state. Cloning is cheap
+/// (`Arc` bumps), so replicated serving can snapshot one fuse into
+/// several engines.
 #[derive(Clone)]
 pub struct GlueEnsemble {
-    state: GlueState,
+    state: EngineState,
     head_reports: Vec<HeadReport>,
     correction: Vec<EpochReport>,
 }
@@ -221,12 +174,12 @@ impl GlueEnsemble {
             let projection =
                 RandomProjection::new(teacher.embedding_dim(), config.hv_dim, head_seed);
             let (model, cut) = teacher.extractor();
-            let mut head = GlueHead::new(teacher.name(), model, cut, scaler, &projection, 0.0)?;
+            let symbolizer = Symbolizer::new(model, cut, scaler, None, &projection)?;
             let rows: Vec<Vec<f32>> = embeds
                 .iter()
-                .map(|e| head.symbolizer.scaler().transform(e).as_slice().to_vec())
+                .map(|e| symbolizer.scaler().transform(e).as_slice().to_vec())
                 .collect();
-            let hvs = head.symbolizer.try_encode(&rows)?;
+            let hvs = symbolizer.try_encode(&rows)?;
             let samples: Vec<(BipolarHv, usize)> =
                 hvs.iter().cloned().zip(labels.iter().copied()).collect();
             // The head's weight is its standalone bundling accuracy on
@@ -234,13 +187,12 @@ impl GlueEnsemble {
             // alone gets a proportionally quieter vote.
             let standalone = bundle_init(num_classes, config.hv_dim, &samples);
             let accuracy = standalone.accuracy(&samples);
-            head.weight = accuracy;
             head_reports.push(HeadReport {
-                name: head.name().to_string(),
+                name: teacher.name().to_string(),
                 standalone_accuracy: accuracy,
                 weight: accuracy,
             });
-            heads.push(Arc::new(head));
+            heads.push(Arc::new(Head::new(teacher.name(), symbolizer, accuracy)));
             per_head_hvs.push(hvs);
         }
 
@@ -254,31 +206,30 @@ impl GlueEnsemble {
         // weakens the false winner, with per-epoch counts recorded.
         let trainer = OnlineTrainer::new(config.learning_rate);
         let correction = trainer.train(&mut memory, &fused, config.correction_epochs);
-        let state = GlueState::new(heads, Arc::new(memory), ScoringMode::Dense);
+        let state = EngineState::new(heads, Arc::new(memory), ScoringMode::Dense);
         let ensemble = GlueEnsemble { state, head_reports, correction };
         ensemble.verify()?;
         Ok(ensemble)
     }
 
-    /// Statically verifies head/memory dimension agreement
-    /// ([`GlueState::verify`]).
+    /// Statically verifies the heads against the consensus memory
+    /// ([`EngineState::verify`]).
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Analysis`] naming the first violated
     /// invariant.
     pub fn verify(&self) -> Result<(), PipelineError> {
-        self.state.verify()
+        Ok(self.state.verify()?)
     }
 
-    /// The heads and consensus memory, as [`GlueEngine`](crate::GlueEngine)
-    /// first publishes them.
-    pub fn state(&self) -> &GlueState {
+    /// The heads and consensus memory, as an engine first serves them.
+    pub fn state(&self) -> &EngineState {
         &self.state
     }
 
     /// The teacher heads, in fuse order.
-    pub fn heads(&self) -> &[Arc<GlueHead>] {
+    pub fn heads(&self) -> &[Arc<Head>] {
         self.state.heads()
     }
 
@@ -313,22 +264,14 @@ impl GlueEnsemble {
         self.state.predict_batch(images)
     }
 
-    /// Consensus classification accuracy over a labelled dataset,
-    /// scored in chunks through the batched path.
+    /// Consensus classification accuracy over a labelled dataset
+    /// ([`EngineState::accuracy`]).
     ///
     /// # Errors
     ///
     /// Returns the first head's error on malformed or non-finite
     /// images.
     pub fn accuracy(&self, dataset: &ImageDataset) -> Result<f32, PipelineError> {
-        if dataset.is_empty() {
-            return Ok(0.0);
-        }
-        let mut correct = 0usize;
-        for (images, labels) in dataset.batches(64) {
-            let preds = self.predict_batch(&images)?;
-            correct += preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-        }
-        Ok(correct as f32 / dataset.len() as f32)
+        self.state.accuracy(dataset)
     }
 }

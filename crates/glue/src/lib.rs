@@ -14,22 +14,19 @@
 //!
 //! - [`GlueEnsemble::fuse`] is the **offline** half — builds the heads,
 //!   weights, and consensus memory from a fusion set, deterministically.
-//! - [`GlueEngine`] is the **serving** half — a hot-swappable
-//!   [`BatchEngine`](nshd_runtime::BatchEngine) publishing immutable
-//!   [`GlueState`] snapshots copy-on-write, so the consensus memory, a
-//!   single teacher head, or the class set itself can be replaced
-//!   mid-traffic while in-flight batches keep answering bit-exactly
-//!   from the snapshot they pinned.
+//! - serving is `nshd-core`'s one [`Engine`](nshd_core::Engine) over the
+//!   ensemble's [`state`](GlueEnsemble::state): the teacher heads in
+//!   front of the consensus memory, published copy-on-write, so the
+//!   memory, a single teacher head, or the class set itself can be
+//!   replaced mid-traffic while in-flight batches keep answering
+//!   bit-exactly from the state they pinned. [`GlueEngine`] is a
+//!   forwarding name for it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;
 mod ensemble;
-mod head;
-#[cfg(test)]
-mod parity;
 
-pub use engine::{GlueEngine, GlueState};
+pub use engine::GlueEngine;
 pub use ensemble::{GlueConfig, GlueEnsemble, HeadReport};
-pub use head::GlueHead;

@@ -2,9 +2,9 @@
 //! weighting, typed rejections, live class growth, and fused accuracy
 //! on a learnable task.
 
-use nshd_core::{CnnClassifier, EmbeddingClassifier, PipelineError};
+use nshd_core::{CnnClassifier, EmbeddingClassifier, Engine, PipelineError};
 use nshd_data::{normalize_pair, ImageDataset, SynthSpec};
-use nshd_glue::{GlueConfig, GlueEngine, GlueEnsemble};
+use nshd_glue::{GlueConfig, GlueEnsemble};
 use nshd_hdc::AssociativeMemory;
 use nshd_nn::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d, Model, Sequential};
 use nshd_tensor::{Rng, Tensor};
@@ -104,6 +104,11 @@ fn config_validation_rejects_unusable_knobs() {
     assert!(bad.validate().is_err());
 }
 
+/// A serving engine over the ensemble's heads and consensus memory.
+fn serve(ensemble: &GlueEnsemble) -> Engine<Tensor> {
+    Engine::new(ensemble.state().clone()).expect("a fused ensemble verifies")
+}
+
 #[test]
 fn engine_rejects_incompatible_swaps() {
     let (train, _) = datasets();
@@ -111,7 +116,7 @@ fn engine_rejects_incompatible_swaps() {
     let refs: Vec<&dyn EmbeddingClassifier> =
         teachers.iter().map(|t| t as &dyn EmbeddingClassifier).collect();
     let ensemble = GlueEnsemble::fuse(&refs, &train, &config()).expect("fuse");
-    let engine = GlueEngine::new(ensemble);
+    let engine = serve(&ensemble);
 
     // Wrong HD dimension: rejected before publication, traffic unharmed.
     let err = engine
@@ -128,8 +133,7 @@ fn engine_rejects_incompatible_swaps() {
 
 #[test]
 fn heads_with_non_finite_batch_norm_statistics_are_rejected() {
-    use nshd_core::FeatureScaler;
-    use nshd_glue::GlueHead;
+    use nshd_core::{FeatureScaler, Head, Symbolizer};
     use nshd_hdc::RandomProjection;
     use nshd_nn::{Architecture, Layer};
 
@@ -149,7 +153,10 @@ fn heads_with_non_finite_batch_norm_statistics_are_rejected() {
     let scaler = FeatureScaler::from_raw(vec![0.0; embedding], vec![1.0; embedding])
         .expect("consistent statistics");
     let projection = RandomProjection::new(embedding, 256, 1);
-    match GlueHead::new("nan-bn", teacher, cut, scaler, &projection, 1.0) {
+    match Symbolizer::new(teacher, cut, scaler, None, &projection)
+        .map(|symbolizer| Head::new("nan-bn", symbolizer, 1.0))
+        .map_err(PipelineError::from)
+    {
         Err(PipelineError::Analysis(report)) => {
             assert!(report.to_string().contains("non-finite"), "{report}");
         }
@@ -165,7 +172,7 @@ fn add_class_from_teaches_a_new_class_live() {
     let refs: Vec<&dyn EmbeddingClassifier> =
         teachers.iter().map(|t| t as &dyn EmbeddingClassifier).collect();
     let ensemble = GlueEnsemble::fuse(&refs, &train, &config()).expect("fuse");
-    let engine = GlueEngine::new(ensemble);
+    let engine = serve(&ensemble);
     assert_eq!(engine.num_classes(), 10);
 
     // The pinned pre-growth snapshot must be isolated from the update.

@@ -5,10 +5,12 @@
 //! the runtime's chaos harness holds a batch open inside the engine so a
 //! swap provably lands mid-batch; `NSHD_THREADS`-style parallelism is
 //! exercised via `par::with_threads(1)` and `par::with_threads(4)`.
+//! The harness runs over a fused two-teacher ensemble and over the
+//! one-head NSHD engine, which publish through the same engine.
 
-use nshd_core::CnnClassifier;
+use nshd_core::{CnnClassifier, Engine, NshdConfig, NshdModel};
 use nshd_data::{normalize_pair, ImageDataset, SynthSpec};
-use nshd_glue::{GlueConfig, GlueEngine, GlueEnsemble};
+use nshd_glue::{GlueConfig, GlueEnsemble};
 use nshd_hdc::AssociativeMemory;
 use nshd_nn::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d, Model, Sequential};
 use nshd_runtime::{ChaosEngine, ChaosMode, InferenceRuntime, RuntimeConfig};
@@ -52,6 +54,36 @@ fn fused_fixture() -> (GlueEnsemble, ImageDataset) {
     (ensemble, test)
 }
 
+fn test_images(test: &ImageDataset) -> Vec<Tensor> {
+    (0..test.len()).map(|i| test.sample(i).0).collect()
+}
+
+/// A serving engine over the ensemble's heads and consensus memory.
+fn serve(ensemble: &GlueEnsemble) -> Engine<Tensor> {
+    Engine::new(ensemble.state().clone()).expect("a fused ensemble verifies")
+}
+
+/// The fused two-teacher engine and its test images.
+fn fused_engine() -> (Engine<Tensor>, Vec<Tensor>) {
+    let (ensemble, test) = fused_fixture();
+    (serve(&ensemble), test_images(&test))
+}
+
+/// The one-head NSHD engine (weight 1.0) of a small trained model, and
+/// its test images.
+fn nshd_engine() -> (Engine<Tensor>, Vec<Tensor>) {
+    let (mut train, mut test) = SynthSpec::synth10(23).with_sizes(40, 12).generate();
+    normalize_pair(&mut train, &mut test);
+    let (teacher, _) = nshd_core::EmbeddingClassifier::extractor(&tiny_cnn("nshd", 4, 8));
+    let config = NshdConfig::new(3)
+        .with_hv_dim(256)
+        .with_manifold(false)
+        .with_retrain_epochs(1)
+        .with_seed(5);
+    let model = NshdModel::train(teacher, &train, config);
+    (Engine::try_from(&model).expect("a trained model verifies"), test_images(&test))
+}
+
 fn runtime_config() -> RuntimeConfig {
     // max_batch comfortably covers the burst, so a burst queued behind
     // a plugged batch runs as one batch.
@@ -68,13 +100,16 @@ fn spin_until_injected(switch: &nshd_runtime::ChaosSwitch, n: u64) {
     panic!("the stalled batch never reached the engine");
 }
 
-/// Drives one mid-traffic swap and checks both sides of the snapshot
-/// boundary. `swap` receives the engine once the stalled batch is
-/// provably inside the engine (fault injected ⇒ snapshot already pinned).
-fn assert_swap_is_torn_free(swap: impl FnOnce(&GlueEngine)) {
-    let (ensemble, test) = fused_fixture();
-    let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
-    let glue = Arc::new(GlueEngine::new(ensemble));
+/// Drives one mid-traffic swap on the engine `fixture` builds and checks
+/// both sides of the snapshot boundary. `swap` receives the engine once
+/// the stalled batch is provably inside the engine (fault injected ⇒
+/// snapshot already pinned).
+fn assert_swap_is_torn_free(
+    fixture: fn() -> (Engine<Tensor>, Vec<Tensor>),
+    swap: impl FnOnce(&Engine<Tensor>),
+) {
+    let (engine, images) = fixture();
+    let glue = Arc::new(engine);
     let pre = glue.state().predict_batch(&images).expect("baseline predict");
 
     let (chaos, switch) = ChaosEngine::new(glue.clone());
@@ -125,8 +160,8 @@ fn rotated_memory(memory: &AssociativeMemory) -> AssociativeMemory {
     AssociativeMemory::try_from_classes(rows).expect("rotated rows stay rectangular")
 }
 
-fn memory_swap_scenario() {
-    assert_swap_is_torn_free(|glue| {
+fn memory_swap_scenario(fixture: fn() -> (Engine<Tensor>, Vec<Tensor>)) {
+    assert_swap_is_torn_free(fixture, |glue| {
         let rotated = rotated_memory(glue.state().memory());
         let marker = rotated.class(0).to_vec();
         let previous = glue.swap_memory(rotated).expect("compatible memory must swap");
@@ -140,7 +175,7 @@ fn memory_swap_scenario() {
 }
 
 fn head_swap_scenario() {
-    assert_swap_is_torn_free(|glue| {
+    assert_swap_is_torn_free(fused_engine, |glue| {
         let silenced = glue.state().heads()[0].with_weight(0.0);
         glue.swap_head(0, silenced).expect("re-weighted head must swap");
         assert_eq!(
@@ -151,14 +186,44 @@ fn head_swap_scenario() {
     });
 }
 
+fn scoring_swap_scenario(fixture: fn() -> (Engine<Tensor>, Vec<Tensor>)) {
+    use nshd_hdc::ScoringMode;
+    assert_swap_is_torn_free(fixture, |glue| {
+        let previous =
+            glue.set_scoring(ScoringMode::Packed).expect("scoring recompile must publish");
+        assert_eq!(previous.scoring_mode(), ScoringMode::Dense);
+        assert_eq!(glue.state().scoring_mode(), ScoringMode::Packed);
+    });
+}
+
 #[test]
 fn memory_hot_swap_mid_traffic_is_torn_free_single_thread() {
-    par::with_threads(1, memory_swap_scenario);
+    par::with_threads(1, || memory_swap_scenario(fused_engine));
 }
 
 #[test]
 fn memory_hot_swap_mid_traffic_is_torn_free_four_threads() {
-    par::with_threads(4, memory_swap_scenario);
+    par::with_threads(4, || memory_swap_scenario(fused_engine));
+}
+
+#[test]
+fn one_head_memory_hot_swap_mid_traffic_is_torn_free_single_thread() {
+    par::with_threads(1, || memory_swap_scenario(nshd_engine));
+}
+
+#[test]
+fn one_head_memory_hot_swap_mid_traffic_is_torn_free_four_threads() {
+    par::with_threads(4, || memory_swap_scenario(nshd_engine));
+}
+
+#[test]
+fn one_head_scoring_hot_swap_mid_traffic_is_torn_free_single_thread() {
+    par::with_threads(1, || scoring_swap_scenario(nshd_engine));
+}
+
+#[test]
+fn one_head_scoring_hot_swap_mid_traffic_is_torn_free_four_threads() {
+    par::with_threads(4, || scoring_swap_scenario(nshd_engine));
 }
 
 #[test]
@@ -173,15 +238,7 @@ fn head_hot_swap_mid_traffic_is_torn_free_four_threads() {
 
 #[test]
 fn scoring_hot_swap_mid_traffic_is_torn_free() {
-    use nshd_hdc::ScoringMode;
-    par::with_threads(1, || {
-        assert_swap_is_torn_free(|glue| {
-            let previous =
-                glue.set_scoring(ScoringMode::Packed).expect("scoring recompile must publish");
-            assert_eq!(previous.scoring_mode(), ScoringMode::Dense);
-            assert_eq!(glue.state().scoring_mode(), ScoringMode::Packed);
-        });
-    });
+    par::with_threads(1, || scoring_swap_scenario(fused_engine));
 }
 
 #[test]
@@ -189,9 +246,9 @@ fn quantised_scoring_matches_backends_and_survives_swaps() {
     use nshd_hdc::{BipolarHv, PackedMemory, QuantizedMemory, ScoringMode};
     let (ensemble, test) = fused_fixture();
     let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
-    let glue = GlueEngine::new(ensemble);
+    let glue = serve(&ensemble);
     assert_eq!(glue.state().scoring_mode(), ScoringMode::Dense);
-    let hvs = glue.state().encode_fused(&images).expect("fused encode");
+    let hvs = glue.state().encode(&images).expect("fused encode");
 
     // Each quantised mode scores exactly as the backend compiled from
     // the same memory — no hidden densify step in the glue path.
@@ -232,7 +289,7 @@ fn memory_swap_actually_changes_predictions() {
     // no-op, so the bit-exact assertions separate real states.
     let (ensemble, test) = fused_fixture();
     let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
-    let glue = GlueEngine::new(ensemble);
+    let glue = serve(&ensemble);
     let pre = glue.state().predict_batch(&images).expect("baseline predict");
     let rotated = rotated_memory(glue.state().memory());
     glue.swap_memory(rotated).expect("compatible memory must swap");

@@ -42,7 +42,7 @@ use crate::hypervector::{BipolarHv, PackedHv};
 use crate::memory::AssociativeMemory;
 use crate::payload::Int8Vec;
 use crate::quantized::{PackedMemory, QuantizedMemory};
-use crate::snapshot::MemorySnapshot;
+use std::sync::Arc;
 
 /// Which memory representation a deployment scores against (§VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,21 +167,21 @@ impl ScoringBackend {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HdScorer {
-    memory: MemorySnapshot,
+    memory: Arc<AssociativeMemory>,
     backend: ScoringBackend,
 }
 
 impl HdScorer {
     /// Compiles `memory` for `mode`.
     #[must_use]
-    pub fn new(memory: MemorySnapshot, mode: ScoringMode) -> Self {
+    pub fn new(memory: Arc<AssociativeMemory>, mode: ScoringMode) -> Self {
         let backend = ScoringBackend::build(&memory, mode);
         HdScorer { memory, backend }
     }
 
     /// The dense memory the backend was compiled from.
     #[must_use]
-    pub fn memory(&self) -> &MemorySnapshot {
+    pub fn memory(&self) -> &Arc<AssociativeMemory> {
         &self.memory
     }
 

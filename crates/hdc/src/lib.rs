@@ -48,7 +48,6 @@ mod payload;
 mod projection;
 mod quantized;
 mod similarity;
-mod snapshot;
 mod ste;
 mod symbolic;
 
@@ -66,6 +65,5 @@ pub use payload::{pack_signs, unpack_signs, Int8Vec};
 pub use projection::{BatchEncoder, RandomProjection};
 pub use quantized::{PackedMemory, QuantizedMemory};
 pub use similarity::{cosine_dense_bipolar, cosine_packed, dot_dense_bipolar};
-pub use snapshot::{MemoryCell, MemorySnapshot};
 pub use ste::{apply_ste, feature_gradient, hyperspace_error, SteConfig};
 pub use symbolic::{encode_record, encode_sequence, query_record, ItemMemory};

@@ -1,9 +1,8 @@
 //! Negative tests for the typed [`AssociativeMemory`] constructors and
-//! accessors, plus the live-growth (`add_class`) and copy-on-write
-//! snapshot ([`MemoryCell`]) semantics.
+//! accessors, plus live growth (`add_class`). Copy-on-write publishing
+//! of a live memory is the serving engine's (`nshd-core`).
 
-use nshd_hdc::{AssociativeMemory, BipolarHv, MemoryCell, MemoryError};
-use std::sync::Arc;
+use nshd_hdc::{AssociativeMemory, BipolarHv, MemoryError};
 
 #[test]
 fn try_from_classes_rejects_empty_matrix() {
@@ -89,21 +88,4 @@ fn add_class_grows_and_scores_zero_until_bundled() {
     mem.bundle(new, &h);
     mem.bundle(new, &h);
     assert_eq!(mem.predict(&h), new, "last-max tie-break favours the newest bundled class");
-}
-
-#[test]
-fn snapshot_cell_isolates_inflight_readers_from_growth() {
-    let cell = MemoryCell::new(AssociativeMemory::new(2, 32));
-    let inflight = cell.load();
-    let h = BipolarHv::from_signs(&[-1.0; 32]);
-    let new_class = cell.add_class();
-    cell.update(|m| m.bundle(new_class, &h));
-    // The pinned snapshot still answers from the pre-growth world.
-    assert_eq!(inflight.num_classes(), 2);
-    assert_eq!(inflight.similarities(&h).len(), 2);
-    // New loads see the grown, trained memory.
-    let fresh = cell.load();
-    assert_eq!(fresh.num_classes(), 3);
-    assert_eq!(fresh.predict(&h), new_class);
-    assert!(!Arc::ptr_eq(&inflight, &fresh));
 }

@@ -108,12 +108,13 @@ where
 /// # Examples
 ///
 /// ```no_run
-/// use nshd_core::NshdEngine;
+/// use nshd_core::Engine;
 /// use nshd_net::{NetClient, NetServer, NetServerConfig, RequestBody};
 /// use nshd_runtime::{ClusterConfig, ReplicaSet};
+/// use nshd_tensor::Tensor;
 /// use std::sync::Arc;
-/// # let engine: NshdEngine = unimplemented!();
-/// # let image: nshd_tensor::Tensor = unimplemented!();
+/// # let engine: Engine<Tensor> = unimplemented!();
+/// # let image: Tensor = unimplemented!();
 /// let set = ReplicaSet::new(vec![Arc::new(engine)], ClusterConfig::default()).unwrap();
 /// let server = NetServer::start(Arc::new(set), NetServerConfig::default()).unwrap();
 /// let mut client = NetClient::connect(server.local_addr()).unwrap();

@@ -328,8 +328,8 @@ fn hd_memory(dim: usize) -> nshd_hdc::AssociativeMemory {
 
 #[test]
 fn quantised_wire_requests_score_bit_exact_with_local_dense_evaluation() {
-    use nshd_core::HdDeployEngine;
-    use nshd_hdc::{BipolarHv, ScoringMode};
+    use nshd_core::{Engine, EngineState};
+    use nshd_hdc::{BipolarHv, HdQuery, ScoringMode};
 
     // One replica per scoring mode over the same ±1 memory. Requests
     // are routed to whichever replica is free, so the assertions below
@@ -340,10 +340,13 @@ fn quantised_wire_requests_score_bit_exact_with_local_dense_evaluation() {
     // payloads server-side.
     let dim = 256usize;
     let memory = hd_memory(dim);
-    let replicas: Vec<Arc<HdDeployEngine>> =
+    let replicas: Vec<Arc<Engine<HdQuery>>> =
         [ScoringMode::Dense, ScoringMode::Int8, ScoringMode::Packed]
             .iter()
-            .map(|&mode| Arc::new(HdDeployEngine::new(memory.clone(), mode)))
+            .map(|&mode| {
+                let state = EngineState::new(Vec::new(), Arc::new(memory.clone()), mode);
+                Arc::new(Engine::new(state).expect("memory verifies"))
+            })
             .collect();
     let set = Arc::new(ReplicaSet::new(replicas, fast_config()).expect("cluster starts"));
     let server = NetServer::start(Arc::clone(&set), NetServerConfig::default()).expect("starts");

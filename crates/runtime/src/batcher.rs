@@ -173,10 +173,11 @@ pub(crate) fn worker_gone_error() -> PipelineError {
 /// # Examples
 ///
 /// ```no_run
-/// use nshd_core::NshdEngine;
+/// use nshd_core::Engine;
 /// use nshd_runtime::{InferenceRuntime, RuntimeConfig};
+/// use nshd_tensor::Tensor;
 /// use std::sync::Arc;
-/// # let engine: Arc<NshdEngine> = unimplemented!();
+/// # let engine: Arc<Engine<Tensor>> = unimplemented!();
 /// # let images: Vec<nshd_tensor::Tensor> = vec![];
 /// let runtime = InferenceRuntime::new(engine, RuntimeConfig::default()).unwrap();
 /// let handles: Vec<_> = images.into_iter().map(|img| runtime.submit(img).unwrap()).collect();

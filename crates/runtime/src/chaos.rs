@@ -4,7 +4,7 @@
 //! a shared [`ChaosSwitch`] flips the wrapped replica between healthy
 //! operation, injected batch stalls or holds, and hard failures
 //! — while live traffic is in flight. Combined with `nshd_hdc::FaultScenario`
-//! memory corruption (see `NshdEngine::degraded` in `nshd-core`), this
+//! memory corruption (see `Engine::degraded` in `nshd-core`), this
 //! gives chaos tests and
 //! the `cluster_bench` harness the full fault matrix: slow replicas,
 //! failing replicas, and silently-degraded replicas, all injected
@@ -131,10 +131,11 @@ fn lock_mode(mode: &Mutex<ChaosMode>) -> std::sync::MutexGuard<'_, ChaosMode> {
 /// # Examples
 ///
 /// ```no_run
-/// use nshd_core::NshdEngine;
+/// use nshd_core::Engine;
 /// use nshd_runtime::{ChaosEngine, ChaosMode, ClusterConfig, ReplicaSet};
+/// use nshd_tensor::Tensor;
 /// use std::sync::Arc;
-/// # let engine: NshdEngine = unimplemented!();
+/// # let engine: Engine<Tensor> = unimplemented!();
 /// let (victim, switch) = ChaosEngine::new(Arc::new(engine.clone()));
 /// let replicas = vec![Arc::new(ChaosEngine::passthrough(Arc::new(engine))), Arc::new(victim)];
 /// let set = ReplicaSet::new(replicas, ClusterConfig::default()).unwrap();

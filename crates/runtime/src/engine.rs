@@ -1,9 +1,7 @@
-//! The engine abstraction the runtime batches over, and its
-//! implementation for the NSHD pipeline.
+//! The engine abstraction the runtime batches over, and its one
+//! implementation for the NSHD serving engine.
 
-use nshd_core::{HdDeployEngine, NshdEngine, PipelineError};
-use nshd_hdc::HdQuery;
-use nshd_tensor::Tensor;
+use nshd_core::{AsEngine, EngineState, PipelineError};
 use std::sync::Arc;
 
 /// A batch-inference engine the serving runtime can drive.
@@ -26,10 +24,9 @@ pub trait BatchEngine: Send + Sync + 'static {
     type Input: Send + 'static;
     /// Per-sample final answer.
     type Output: Send + 'static;
-    /// The immutable state one batch is served against. Engines whose
-    /// state never changes mid-traffic use `()`; hot-swappable engines
-    /// (like `nshd-glue`'s ensemble) publish a copy-on-write snapshot
-    /// here. The runtime pins **exactly one** snapshot per batch
+    /// The immutable state one batch is served against: the NSHD engine
+    /// publishes a copy-on-write [`EngineState`] here. The runtime pins
+    /// **exactly one** snapshot per batch
     /// ([`snapshot`](BatchEngine::snapshot) is called once, before
     /// [`run`](BatchEngine::run)) and serves the whole batch against
     /// it, so a concurrent swap never produces a torn batch: every
@@ -58,7 +55,7 @@ pub trait BatchEngine: Send + Sync + 'static {
 
     /// Static self-check run once before the runtime spawns any thread.
     /// The default accepts everything; engines with internal invariants
-    /// (like [`NshdEngine`]'s stage dimensions) override it.
+    /// (like the NSHD engine's stage dimensions) override it.
     ///
     /// # Errors
     ///
@@ -69,51 +66,24 @@ pub trait BatchEngine: Send + Sync + 'static {
     }
 }
 
-/// NSHD serving: inputs are CHW image tensors; a batch is truncated-CNN
-/// feature extraction (+ scaling + manifold), then the GEMM encode and
-/// associative-memory scoring.
-impl BatchEngine for NshdEngine {
-    type Input = Tensor;
+/// The one serving implementation: every [`AsEngine`] (the `nshd-core`
+/// [`Engine`](nshd_core::Engine) over images or pre-encoded queries)
+/// pins its current state as the batch snapshot, a refcount bump, and
+/// answers the batch from it.
+impl<E: AsEngine> BatchEngine for E {
+    type Input = E::Input;
     type Output = usize;
-    // The NSHD pipeline's state is immutable once constructed.
-    type Snapshot = ();
+    type Snapshot = EngineState;
 
-    fn snapshot(&self) -> Arc<()> {
-        Arc::new(())
+    fn snapshot(&self) -> Arc<EngineState> {
+        self.engine().state()
     }
 
-    fn run(&self, _snapshot: &(), batch: &[Tensor]) -> Result<Vec<usize>, PipelineError> {
-        self.try_finish_values(&self.try_extract_values(batch)?)
+    fn run(&self, snapshot: &EngineState, batch: &[E::Input]) -> Result<Vec<usize>, PipelineError> {
+        snapshot.predict_batch(batch)
     }
 
     fn verify(&self) -> Result<(), PipelineError> {
-        NshdEngine::verify(self).map_err(PipelineError::from)
-    }
-}
-
-/// Quantised HD serving: inputs arrive *already encoded* in any
-/// `nshd-wire/v1` payload form ([`HdQuery`]); a batch is per-query sign
-/// extraction in the native representation (no densifying), then one
-/// scoring GEMM through the deployment's compiled backend (popcount /
-/// INT8 / dense).
-impl BatchEngine for HdDeployEngine {
-    type Input = HdQuery;
-    type Output = usize;
-    // The compiled deployment is immutable once constructed.
-    type Snapshot = ();
-
-    fn snapshot(&self) -> Arc<()> {
-        Arc::new(())
-    }
-
-    fn run(&self, _snapshot: &(), batch: &[HdQuery]) -> Result<Vec<usize>, PipelineError> {
-        self.try_predict_batch(batch)
-    }
-
-    fn verify(&self) -> Result<(), PipelineError> {
-        if self.num_classes() == 0 || self.dim() == 0 {
-            return Err(PipelineError::EmptyBatch);
-        }
-        Ok(())
+        self.engine().verify().map_err(PipelineError::from)
     }
 }

@@ -31,8 +31,8 @@
 //! under which the engine's extract/encode/score stage spans nest —
 //! including spans opened on `nshd_tensor::par` kernel workers.
 //!
-//! The engine abstraction is [`BatchEngine`]; the NSHD implementation
-//! is [`nshd_core::NshdEngine`], whose batched predictions are
+//! The engine abstraction is [`BatchEngine`]; its one implementation
+//! serves [`nshd_core::Engine`], whose batched predictions are
 //! bit-identical (at the argmax level) to per-sample
 //! [`nshd_core::NshdModel::predict`] — see `tests/determinism.rs`.
 //!
@@ -58,13 +58,13 @@
 //! # Examples
 //!
 //! ```no_run
-//! use nshd_core::{NshdEngine, NshdModel};
+//! use nshd_core::{Engine, NshdModel};
 //! use nshd_runtime::{InferenceRuntime, RuntimeConfig};
 //! use std::sync::Arc;
 //!
 //! # let model: NshdModel = unimplemented!();
 //! # let images: Vec<nshd_tensor::Tensor> = vec![];
-//! let engine = Arc::new(NshdEngine::new(&model)?);
+//! let engine = Arc::new(Engine::try_from(&model)?);
 //! let runtime = InferenceRuntime::new(
 //!     engine,
 //!     RuntimeConfig { max_batch: 32, ..RuntimeConfig::default() },

@@ -146,12 +146,13 @@ fn lock_breaker(breaker: &Mutex<Breaker>) -> MutexGuard<'_, Breaker> {
 /// # Examples
 ///
 /// ```no_run
-/// use nshd_core::NshdEngine;
+/// use nshd_core::Engine;
 /// use nshd_runtime::{ClusterConfig, ReplicaSet};
+/// use nshd_tensor::Tensor;
 /// use std::sync::Arc;
-/// # let engine: NshdEngine = unimplemented!();
-/// # let image: nshd_tensor::Tensor = unimplemented!();
-/// let replicas: Vec<Arc<NshdEngine>> =
+/// # let engine: Engine<Tensor> = unimplemented!();
+/// # let image: Tensor = unimplemented!();
+/// let replicas: Vec<Arc<Engine<Tensor>>> =
 ///     (0..3).map(|_| Arc::new(engine.clone())).collect();
 /// let set = ReplicaSet::new(replicas, ClusterConfig::default()).unwrap();
 /// let reply = set.predict(image).unwrap();

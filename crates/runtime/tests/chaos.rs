@@ -5,7 +5,7 @@
 //! with a typed error, and that surviving replicas' predictions stay
 //! bit-identical to a fault-free run.
 
-use nshd_core::{NshdConfig, NshdEngine, NshdModel, PipelineError};
+use nshd_core::{Engine, NshdConfig, NshdModel, PipelineError};
 use nshd_data::{normalize_pair, ImageDataset, SynthSpec};
 use nshd_hdc::{FaultPlan, FaultScenario};
 use nshd_nn::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d, Model, Sequential};
@@ -309,7 +309,7 @@ fn survivors_stay_bit_exact_while_a_degraded_replica_serves() {
     // the fault-free baseline — degradation must never leak across
     // replica boundaries.
     let (model, test) = tiny_nshd_model();
-    let engine = NshdEngine::new(&model).expect("trained model must verify");
+    let engine = Engine::try_from(&model).expect("trained model must verify");
     let scenario =
         FaultScenario::new().with(FaultPlan::new(9, 0.4), 1).with(FaultPlan::new(10, 0.4), 2);
     let (degraded, report) = engine.degraded(&scenario);

@@ -2,7 +2,7 @@
 //! served through the batched runtime must exactly match per-sample
 //! `NshdModel::predict`, for any kernel thread count and batch size.
 
-use nshd_core::{NshdConfig, NshdEngine, NshdModel};
+use nshd_core::{Engine, NshdConfig, NshdModel};
 use nshd_data::{normalize_pair, ImageDataset, SynthSpec};
 use nshd_nn::{ActKind, Activation, Conv2d, Flatten, Linear, MaxPool2d, Model, Sequential};
 use nshd_runtime::{InferenceRuntime, RuntimeConfig};
@@ -37,7 +37,7 @@ fn trained_model() -> (NshdModel, ImageDataset) {
 #[test]
 fn batched_runtime_matches_sequential_predict_exactly() {
     let (model, test) = trained_model();
-    let engine = Arc::new(NshdEngine::new(&model).expect("trained model must verify"));
+    let engine = Arc::new(Engine::try_from(&model).expect("trained model must verify"));
     let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
     let expected: Vec<usize> = images.iter().map(|img| model.predict(img)).collect();
 

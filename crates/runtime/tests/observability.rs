@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 static GLOBAL_RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 /// A mock engine that opens an `extract` span per request inside a
-/// 4-thread `par::par_map` region — the way `NshdEngine`'s kernels fan
+/// 4-thread `par::par_map` region — the way the NSHD engine's kernels fan
 /// out — then a `score` span on the collector, so the test can assert
 /// that spans opened on kernel worker threads land under the batcher's
 /// `request` span.

@@ -99,7 +99,8 @@ cargo run --release -q -p nshd-bench --bin serve_bench -- --smoke
 
 echo "==> kernel_bench --smoke"
 # Parallel-kernel smoke: serial vs parallel GFLOP/s over a small size
-# grid, plus the packed/INT8 batch-scoring cells (BENCH_kernels.json).
+# grid, plus the packed/INT8 batch-scoring cells (target/BENCH_kernels.json;
+# the committed root BENCH_kernels.json is a non-smoke run's).
 # Asserts every parallel output is bitwise identical to serial, that
 # the SIMD micro-kernels match the scalar reference bitwise, and —
 # when more than one core is available — that at least one GEMM size
