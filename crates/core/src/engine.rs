@@ -141,7 +141,7 @@ impl EngineState {
         let per_head: Vec<Vec<BipolarHv>> =
             self.heads.iter().map(|head| head.encode_batch(images)).collect::<Result<_, _>>()?;
         let _sp = nshd_obs::span("vote");
-        Ok(vote(&self.heads, &per_head))
+        Ok(vote(&self.heads, per_head))
     }
 
     /// One batch-scoring GEMM through this state's [`HdScorer`]: dense
@@ -498,7 +498,7 @@ impl NshdEngine {
     pub fn try_finish_values(&self, values: &[Vec<f32>]) -> Result<Vec<usize>, PipelineError> {
         let state = self.0.state();
         let hvs = state.heads()[0].symbolizer().try_encode(values)?;
-        Ok(state.score(vote(state.heads(), &[hvs]).into_iter().map(QueryHv::Bipolar).collect()))
+        Ok(state.score(vote(state.heads(), vec![hvs]).into_iter().map(QueryHv::Bipolar).collect()))
     }
 
     /// [`EngineState::encode`], panicking on malformed images.

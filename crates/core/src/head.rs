@@ -81,15 +81,21 @@ impl Head {
 /// component over every head's `per_head[h][i]`, in head order, and
 /// re-binarises with deterministic position-keyed tie-breaking.
 ///
-/// One head with a non-zero weight returns its own hypervectors exactly:
-/// every accumulator is `±weight`, which never ties at zero.
-pub fn vote(heads: &[Arc<Head>], per_head: &[Vec<BipolarHv>]) -> Vec<BipolarHv> {
+/// One head with a positive weight returns its own hypervectors: every
+/// accumulator would be `±weight`, which never ties at zero, so the
+/// re-binarised vote is bit-identical and is not computed.
+pub fn vote(heads: &[Arc<Head>], per_head: Vec<Vec<BipolarHv>>) -> Vec<BipolarHv> {
+    if let [head] = heads {
+        if head.weight() > 0.0 {
+            return per_head.into_iter().next().unwrap_or_default();
+        }
+    }
     let samples = per_head.first().map_or(0, Vec::len);
     let dim = heads.first().map_or(0, |h| h.hv_dim());
     (0..samples)
         .map(|i| {
             let mut acc = vec![0.0f32; dim];
-            for (head, hvs) in heads.iter().zip(per_head) {
+            for (head, hvs) in heads.iter().zip(&per_head) {
                 let weight = head.weight();
                 for (a, &c) in acc.iter_mut().zip(hvs[i].components()) {
                     // Multiplication-free weighted bundling by sign.
@@ -113,8 +119,8 @@ mod tests {
     use nshd_nn::Architecture;
     use nshd_tensor::Rng;
 
-    #[test]
-    fn reweighted_heads_share_the_symbolizer() {
+    /// A MobileNetV2 head emitting D = 256.
+    fn head(weight: f32) -> Head {
         let teacher = Architecture::MobileNetV2.build(10, &mut Rng::new(5));
         let cut = teacher.features.len();
         let embedding = teacher.feature_len_at(cut);
@@ -123,7 +129,32 @@ mod tests {
         let projection = RandomProjection::new(embedding, 256, 2);
         let symbolizer =
             Symbolizer::new(teacher, cut, scaler, None, &projection).expect("verifies");
-        let head = Head::new("t", symbolizer, 1.0);
+        Head::new("t", symbolizer, weight)
+    }
+
+    #[test]
+    fn one_positive_head_votes_its_own_hypervectors() {
+        let head = Arc::new(head(0.75));
+        let mut rng = Rng::new(9);
+        let mut hvs = |n: usize| -> Vec<BipolarHv> {
+            (0..n)
+                .map(|_| {
+                    let signs: Vec<f32> = (0..256).map(|_| rng.bipolar()).collect();
+                    BipolarHv::from_signs(&signs)
+                })
+                .collect()
+        };
+        let own = hvs(6);
+        assert_eq!(vote(std::slice::from_ref(&head), vec![own.clone()]), own);
+        // The accumulated path agrees: a silent second head adds ±0.0,
+        // and `±weight` never ties, so the sign is the first head's.
+        let silent = Arc::new(head.with_weight(0.0));
+        assert_eq!(vote(&[Arc::clone(&head), silent], vec![own.clone(), hvs(6)]), own);
+    }
+
+    #[test]
+    fn reweighted_heads_share_the_symbolizer() {
+        let head = head(1.0);
         let silenced = head.with_weight(0.0);
         assert_eq!(silenced.weight(), 0.0);
         assert_eq!(head.weight(), 1.0);

@@ -199,7 +199,7 @@ impl GlueEnsemble {
         // Weighted consensus bundle per sample, re-binarised.
         let dim = config.hv_dim;
         let fused: Vec<(BipolarHv, usize)> =
-            vote(&heads, &per_head_hvs).into_iter().zip(labels.iter().copied()).collect();
+            vote(&heads, per_head_hvs).into_iter().zip(labels.iter().copied()).collect();
         let mut memory = bundle_init(num_classes, dim, &fused);
         // Error-correcting retraining on the fused representatives:
         // every misclassified example strengthens its true class and

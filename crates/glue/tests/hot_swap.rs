@@ -287,12 +287,12 @@ fn quantised_scoring_matches_backends_and_survives_swaps() {
 fn memory_swap_actually_changes_predictions() {
     // Sanity for the scenarios above: the rotated memory is not a
     // no-op, so the bit-exact assertions separate real states.
-    let (ensemble, test) = fused_fixture();
-    let images: Vec<Tensor> = (0..test.len()).map(|i| test.sample(i).0).collect();
-    let glue = serve(&ensemble);
-    let pre = glue.state().predict_batch(&images).expect("baseline predict");
-    let rotated = rotated_memory(glue.state().memory());
-    glue.swap_memory(rotated).expect("compatible memory must swap");
-    let post = glue.state().predict_batch(&images).expect("post-swap predict");
-    assert_ne!(pre, post, "rotating every class row must move at least one prediction");
+    for fixture in [fused_engine, nshd_engine] {
+        let (glue, images) = fixture();
+        let pre = glue.state().predict_batch(&images).expect("baseline predict");
+        let rotated = rotated_memory(glue.state().memory());
+        glue.swap_memory(rotated).expect("compatible memory must swap");
+        let post = glue.state().predict_batch(&images).expect("post-swap predict");
+        assert_ne!(pre, post, "rotating every class row must move at least one prediction");
+    }
 }
