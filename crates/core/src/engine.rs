@@ -269,16 +269,28 @@ impl<I: EngineInput> Engine<I> {
         Self::check(&self.state())
     }
 
-    /// The one publish path: verifies `next` and atomically swaps it in,
-    /// returning the state it replaced. Batches pinned on the previous
-    /// state are unaffected.
-    fn publish(&self, next: EngineState) -> Result<Arc<EngineState>, PipelineError> {
+    /// The one publish path: builds the next state from the current one
+    /// with `build`, verifies it, and swaps it in only if the slot still
+    /// holds the state it was built from; if a concurrent publish got
+    /// there first, it rebuilds from that newer state and tries again,
+    /// so no mutator's update is lost. Returns the state it replaced
+    /// with `build`'s side result. Batches pinned on the previous state
+    /// are unaffected.
+    fn publish<T>(
+        &self,
+        mut build: impl FnMut(&EngineState) -> Result<(EngineState, T), PipelineError>,
+    ) -> Result<(Arc<EngineState>, T), PipelineError> {
         let _sp = nshd_obs::span("publish");
-        Self::check(&next)?;
-        let next = Arc::new(next);
-        let mut slot = self.state.write().unwrap_or_else(PoisonError::into_inner);
-        nshd_obs::counter("engine.publishes").inc();
-        Ok(std::mem::replace(&mut slot, next))
+        loop {
+            let current = self.state();
+            let (next, out) = build(&current)?;
+            Self::check(&next)?;
+            let mut slot = self.state.write().unwrap_or_else(PoisonError::into_inner);
+            if Arc::ptr_eq(&slot, &current) {
+                nshd_obs::counter("engine.publishes").inc();
+                return Ok((std::mem::replace(&mut slot, Arc::new(next)), out));
+            }
+        }
     }
 
     /// Hot-swaps the class memory (e.g. after offline retraining),
@@ -293,8 +305,11 @@ impl<I: EngineInput> Engine<I> {
         &self,
         memory: AssociativeMemory,
     ) -> Result<Arc<EngineState>, PipelineError> {
-        let current = self.state();
-        self.publish(current.rescored(Arc::new(memory), current.scoring_mode()))
+        let memory = Arc::new(memory);
+        let (previous, ()) = self.publish(|current| {
+            Ok((current.rescored(Arc::clone(&memory), current.scoring_mode()), ()))
+        })?;
+        Ok(previous)
     }
 
     /// Hot-swaps head `index` (e.g. a retrained or re-weighted teacher)
@@ -306,17 +321,20 @@ impl<I: EngineInput> Engine<I> {
     /// [`PipelineError::Analysis`] when the head disagrees with the
     /// memory; nothing is published then.
     pub fn swap_head(&self, index: usize, head: Head) -> Result<Arc<EngineState>, PipelineError> {
-        let current = self.state();
-        let mut heads = current.heads.clone();
-        let Some(slot) = heads.get_mut(index) else {
-            return Err(PipelineError::Runtime {
-                stage: "glue",
-                detail: format!("head index {index} out of range for {} heads", heads.len()),
-            });
-        };
-        *slot = Arc::new(head);
-        // The memory is unchanged, so the scorer is shared as-is.
-        self.publish(EngineState { heads, scorer: Arc::clone(&current.scorer) })
+        let head = Arc::new(head);
+        let (previous, ()) = self.publish(|current| {
+            let mut heads = current.heads.clone();
+            let Some(slot) = heads.get_mut(index) else {
+                return Err(PipelineError::Runtime {
+                    stage: "glue",
+                    detail: format!("head index {index} out of range for {} heads", heads.len()),
+                });
+            };
+            *slot = Arc::clone(&head);
+            // The memory is unchanged, so the scorer is shared as-is.
+            Ok((EngineState { heads, scorer: Arc::clone(&current.scorer) }, ()))
+        })?;
+        Ok(previous)
     }
 
     /// Recompiles the scorer for `mode` against the current memory and
@@ -327,8 +345,10 @@ impl<I: EngineInput> Engine<I> {
     /// Propagates the publish check, which a previously published
     /// head/memory pair passes.
     pub fn set_scoring(&self, mode: ScoringMode) -> Result<Arc<EngineState>, PipelineError> {
-        let current = self.state();
-        self.publish(current.rescored(Arc::clone(current.scorer.memory()), mode))
+        let (previous, ()) = self.publish(|current| {
+            Ok((current.rescored(Arc::clone(current.scorer.memory()), mode), ()))
+        })?;
+        Ok(previous)
     }
 
     /// Grows the memory by one zeroed class and returns its index.
@@ -339,18 +359,25 @@ impl<I: EngineInput> Engine<I> {
     /// Never: a zeroed row leaves every checked invariant of the served
     /// state as it was, so the publish check passes.
     pub fn add_class(&self) -> usize {
-        self.grow(&self.state(), &[]).unwrap_or_else(|e| panic!("{e}"))
+        self.grow(|_| Ok(Vec::new())).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Publishes `current`'s memory grown by one class bundled from
-    /// `examples`, returning the new class index.
-    fn grow(&self, current: &EngineState, examples: &[BipolarHv]) -> Result<usize, PipelineError> {
-        let mut memory = AssociativeMemory::clone(current.memory());
-        let index = memory.add_class();
-        for hv in examples {
-            memory.bundle(index, hv);
-        }
-        self.publish(current.rescored(Arc::new(memory), current.scoring_mode()))?;
+    /// Publishes the current memory grown by one class bundled from the
+    /// hypervectors `examples` yields for the state it grows, returning
+    /// the new class index.
+    fn grow(
+        &self,
+        examples: impl Fn(&EngineState) -> Result<Vec<BipolarHv>, PipelineError>,
+    ) -> Result<usize, PipelineError> {
+        let (_, index) = self.publish(|current| {
+            let hvs = examples(current)?;
+            let mut memory = AssociativeMemory::clone(current.memory());
+            let index = memory.add_class();
+            for hv in &hvs {
+                memory.bundle(index, hv);
+            }
+            Ok((current.rescored(Arc::new(memory), current.scoring_mode()), index))
+        })?;
         Ok(index)
     }
 
@@ -386,9 +413,7 @@ impl Engine<Tensor> {
         if examples.is_empty() {
             return Err(PipelineError::EmptyBatch);
         }
-        let current = self.state();
-        let hvs = current.encode(examples)?;
-        self.grow(&current, &hvs)
+        self.grow(|current| current.encode(examples))
     }
 }
 
@@ -670,6 +695,73 @@ mod tests {
         // class indices.
         let degraded_preds = predict(&hurt);
         assert!(degraded_preds.iter().all(|&p| p < engine.num_classes()));
+    }
+
+    /// A zero-head query engine over `classes` seeded bundled rows.
+    fn query_engine(classes: usize, seed: u64) -> Engine<nshd_hdc::HdQuery> {
+        let (dim, mut rng) = (256, Rng::new(seed));
+        let mut memory = AssociativeMemory::new(classes, dim);
+        for c in 0..classes {
+            let signs: Vec<f32> = (0..dim).map(|_| rng.bipolar()).collect();
+            memory.bundle(c, &BipolarHv::from_signs(&signs));
+        }
+        Engine::new(EngineState::new(Vec::new(), Arc::new(memory), ScoringMode::Dense))
+            .expect("a finite memory verifies")
+    }
+
+    /// Runs `jobs` on their own threads, released together by a barrier,
+    /// and returns their results in job order.
+    fn race<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T> {
+        let barrier = std::sync::Barrier::new(jobs.len());
+        std::thread::scope(|s| {
+            let handles: Vec<_> = jobs
+                .into_iter()
+                .map(|job| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        barrier.wait();
+                        job()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("job panicked")).collect()
+        })
+    }
+
+    #[test]
+    fn racing_add_class_calls_get_distinct_indices_and_keep_every_class() {
+        const CLASSES: usize = 10;
+        const THREADS: usize = 8;
+        for round in 0..8 {
+            let engine = query_engine(CLASSES, round);
+            let jobs = (0..THREADS)
+                .map(|_| Box::new(|| engine.add_class()) as Box<dyn FnOnce() -> usize + Send>)
+                .collect();
+            let mut indices = race(jobs);
+            indices.sort_unstable();
+            assert_eq!(indices, (CLASSES..CLASSES + THREADS).collect::<Vec<_>>(), "round {round}");
+            assert_eq!(engine.num_classes(), CLASSES + THREADS, "round {round}: a class was lost");
+        }
+    }
+
+    #[test]
+    fn racing_set_scoring_keeps_a_concurrently_swapped_memory() {
+        for round in 0..8 {
+            let engine = query_engine(10, round);
+            let swapped = query_engine(12, 100 + round).state().memory().clone();
+            let jobs: Vec<Box<dyn FnOnce() + Send>> = vec![
+                Box::new(|| {
+                    engine.swap_memory(swapped.clone()).expect("swap publishes");
+                }),
+                Box::new(|| {
+                    engine.set_scoring(ScoringMode::Int8).expect("rescoring publishes");
+                }),
+            ];
+            race(jobs);
+            let state = engine.state();
+            assert_eq!(state.memory(), &swapped, "round {round}: the swapped memory was lost");
+            assert_eq!(state.scoring_mode(), ScoringMode::Int8, "round {round}: the mode was lost");
+        }
     }
 
     #[test]
