@@ -293,12 +293,9 @@ impl NshdTrainer {
 
         // Bundle-initialise the class memory from the initial encodings.
         let mut memory = AssociativeMemory::new(num_classes, config.hv_dim);
-        for (feat, &label) in features.iter().zip(&labels) {
-            let values = match &manifold {
-                Some(m) => m.forward(feat).1,
-                None => feat.as_slice().to_vec(),
-            };
-            memory.bundle(label, &projection.encode(&values));
+        for (hv, &label) in encode_features(manifold.as_ref(), &projection, &features).zip(&labels)
+        {
+            memory.bundle(label, &hv);
         }
 
         let distill = DistillTrainer::new(config.distill.clone());
@@ -359,16 +356,9 @@ impl NshdTrainer {
     /// and memory — Fig. 11 snapshots this at the first and final
     /// iteration.
     pub fn symbolize_training_set(&self) -> Vec<(BipolarHv, usize)> {
-        self.features
-            .iter()
-            .zip(&self.labels)
-            .map(|(feat, &label)| {
-                let values = match &self.model.manifold {
-                    Some(m) => m.forward(feat).1,
-                    None => feat.as_slice().to_vec(),
-                };
-                (self.model.projection.encode(&values), label)
-            })
+        let model = &self.model;
+        encode_features(model.manifold.as_ref(), &model.projection, &self.features)
+            .zip(self.labels.iter().copied())
             .collect()
     }
 
@@ -391,11 +381,12 @@ impl NshdTrainer {
             };
             let pre = self.model.projection.encode_raw(&values);
             let hv = BipolarHv::from_signs(&pre);
-            if self.model.memory.predict(&hv) == label {
+            // Algorithm 1 lines 3–9.
+            let (predicted, u) =
+                self.distill.step(&mut self.model.memory, &hv, label, &self.teacher_logits[i]);
+            if predicted == label {
                 correct += 1;
             }
-            // Algorithm 1 lines 3–9.
-            let u = self.distill.step(&mut self.model.memory, &hv, label, &self.teacher_logits[i]);
             if nshd_obs::enabled() {
                 memory_updates += u.iter().filter(|x| **x != 0.0).count() as u64;
                 update_l1 += u.iter().map(|x| f64::from(x.abs())).sum::<f64>();
@@ -430,6 +421,35 @@ impl NshdTrainer {
     pub fn finish(self) -> NshdModel {
         self.model
     }
+}
+
+/// Samples per encode GEMM when a whole cached set is encoded: small
+/// enough that a chunk's `N×D` accumulators stay far below the cached
+/// features' size.
+const ENCODE_CHUNK: usize = 16;
+
+/// Encodes cached feature maps, through `manifold` when there is one,
+/// into hypervectors in sample order, [`ENCODE_CHUNK`] samples per GEMM
+/// against the projection's sign operand. Each row is bit-identical to
+/// [`RandomProjection::encode`] of that sample.
+fn encode_features<'a>(
+    manifold: Option<&'a ManifoldLearner>,
+    projection: &RandomProjection,
+    features: &'a [Tensor],
+) -> impl Iterator<Item = BipolarHv> + 'a {
+    let encoder = projection.batch_encoder();
+    let width = encoder.features();
+    features.chunks(ENCODE_CHUNK).flat_map(move |chunk| {
+        let mut values = Vec::with_capacity(chunk.len() * width);
+        for feat in chunk {
+            match manifold {
+                Some(m) => values.extend(m.forward(feat).1),
+                None => values.extend_from_slice(feat.as_slice()),
+            }
+        }
+        let values = Tensor::from_vec(values, [chunk.len(), width]).expect("F-wide rows");
+        encoder.encode_batch(&values)
+    })
 }
 
 #[cfg(test)]

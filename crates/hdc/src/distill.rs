@@ -14,8 +14,8 @@
 //! ```
 
 use crate::hypervector::BipolarHv;
-use crate::mass::MassTrainer;
-use crate::memory::AssociativeMemory;
+use crate::mass::{apply_update, MassTrainer};
+use crate::memory::{argmax_last, AssociativeMemory};
 
 /// How the temperature is applied to teacher predictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,7 +110,12 @@ impl DistillTrainer {
         let k = memory.num_classes();
         assert_eq!(teacher_logits.len(), k, "teacher logit count mismatch");
         assert!(label < k, "label {label} out of range");
-        let sims = memory.similarities(hv);
+        self.update_from(&memory.similarities(hv), label, teacher_logits)
+    }
+
+    /// Lines 4–8 of Algorithm 1 from the similarities `δ(M, H)`.
+    fn update_from(&self, sims: &[f32], label: usize, teacher_logits: &[f32]) -> Vec<f32> {
+        let k = sims.len();
         let t = self.config.temperature;
         let (soft_labels, soft_pred): (Vec<f32>, Vec<f32>) = match self.config.mode {
             TemperatureMode::PaperLiteral => {
@@ -136,19 +141,29 @@ impl DistillTrainer {
         u
     }
 
-    /// Applies one sample's update (Algorithm 1 line 9) and returns `U`.
+    /// Applies one sample's update (Algorithm 1 line 9). Returns the
+    /// class the memory predicted before the update (`argmax δ(M, H)`,
+    /// ties to the last maximum) and `U`, both from one similarity
+    /// vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `label` or any dimension is out of range, or
+    /// `teacher_logits.len() != memory.num_classes()`.
     pub fn step(
         &self,
         memory: &mut AssociativeMemory,
         hv: &BipolarHv,
         label: usize,
         teacher_logits: &[f32],
-    ) -> Vec<f32> {
-        let u = self.update_vector(memory, hv, label, teacher_logits);
-        for (c, &uc) in u.iter().enumerate() {
-            memory.add_scaled(c, hv, self.config.learning_rate * uc);
-        }
-        u
+    ) -> (usize, Vec<f32>) {
+        let k = memory.num_classes();
+        assert_eq!(teacher_logits.len(), k, "teacher logit count mismatch");
+        assert!(label < k, "label {label} out of range");
+        let sims = memory.similarities(hv);
+        let u = self.update_from(&sims, label, teacher_logits);
+        apply_update(memory, hv, &u, self.config.learning_rate);
+        (argmax_last(&sims), u)
     }
 
     /// One pass over `(hypervector, label, teacher_logits)` triples;
@@ -161,13 +176,10 @@ impl DistillTrainer {
         if samples.is_empty() {
             return 0.0;
         }
-        let mut correct = 0usize;
-        for (hv, label, logits) in samples {
-            if memory.predict(hv) == *label {
-                correct += 1;
-            }
-            self.step(memory, hv, *label, logits);
-        }
+        let correct = samples
+            .iter()
+            .filter(|(hv, label, logits)| self.step(memory, hv, *label, logits).0 == *label)
+            .count();
         correct as f32 / samples.len() as f32
     }
 }

@@ -14,7 +14,7 @@
 //! predicted and true classes.
 
 use crate::hypervector::BipolarHv;
-use crate::memory::AssociativeMemory;
+use crate::memory::{argmax_last, AssociativeMemory};
 
 /// The MASS retraining rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,21 +47,28 @@ impl MassTrainer {
         label: usize,
     ) -> Vec<f32> {
         assert!(label < memory.num_classes(), "label {label} out of range");
-        let mut u = memory.similarities(hv);
-        for v in &mut u {
-            *v = -*v;
-        }
-        u[label] += 1.0;
-        u
+        mass_update(memory.similarities(hv), label)
     }
 
-    /// Applies one sample's update: `M ← M + λ·Uᵀ H`. Returns `U`.
-    pub fn step(&self, memory: &mut AssociativeMemory, hv: &BipolarHv, label: usize) -> Vec<f32> {
-        let u = self.update_vector(memory, hv, label);
-        for (c, &uc) in u.iter().enumerate() {
-            memory.add_scaled(c, hv, self.learning_rate * uc);
-        }
-        u
+    /// Applies one sample's update: `M ← M + λ·Uᵀ H`. Returns the class
+    /// the memory predicted before the update (`argmax δ(M, H)`, ties to
+    /// the last maximum) and `U`, both from one similarity vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `label` is out of range or dimensions disagree.
+    pub fn step(
+        &self,
+        memory: &mut AssociativeMemory,
+        hv: &BipolarHv,
+        label: usize,
+    ) -> (usize, Vec<f32>) {
+        assert!(label < memory.num_classes(), "label {label} out of range");
+        let sims = memory.similarities(hv);
+        let predicted = argmax_last(&sims);
+        let u = mass_update(sims, label);
+        apply_update(memory, hv, &u, self.learning_rate);
+        (predicted, u)
     }
 
     /// One pass over a labelled sample set; returns the pre-update
@@ -70,14 +77,31 @@ impl MassTrainer {
         if samples.is_empty() {
             return 0.0;
         }
-        let mut correct = 0usize;
-        for (hv, label) in samples {
-            if memory.predict(hv) == *label {
-                correct += 1;
-            }
-            self.step(memory, hv, *label);
-        }
+        let correct =
+            samples.iter().filter(|(hv, label)| self.step(memory, hv, *label).0 == *label).count();
         correct as f32 / samples.len() as f32
+    }
+}
+
+/// `U = one_hot(y) − δ(M, H)` from the similarities `δ(M, H)`.
+fn mass_update(mut sims: Vec<f32>, label: usize) -> Vec<f32> {
+    for v in &mut sims {
+        *v = -*v;
+    }
+    sims[label] += 1.0;
+    sims
+}
+
+/// `M ← M + λ·Uᵀ H`, one scaled bundle per class — the update MASS and
+/// distillation retraining share.
+pub(crate) fn apply_update(
+    memory: &mut AssociativeMemory,
+    hv: &BipolarHv,
+    u: &[f32],
+    learning_rate: f32,
+) {
+    for (c, &uc) in u.iter().enumerate() {
+        memory.add_scaled(c, hv, learning_rate * uc);
     }
 }
 

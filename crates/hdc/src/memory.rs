@@ -1,10 +1,13 @@
 //! The associative class memory: one accumulated hypervector per class.
 
 use crate::hypervector::BipolarHv;
-use crate::similarity::cosine_dense_bipolar;
 use nshd_tensor::{matmul_packed, PackedRhs, Tensor};
 use std::fmt;
 use std::sync::OnceLock;
+
+/// Classes [`AssociativeMemory::similarities`] runs as interleaved
+/// independent chains.
+const CHAINS: usize = 8;
 
 /// Typed rejection for malformed class matrices or out-of-range class
 /// indices — the fallible counterpart of the panicking constructors.
@@ -95,7 +98,7 @@ impl PartialEq for AssociativeMemory {
 /// The class memory compiled for batch scoring: `Cᵀ` (`D`×`k`) packed
 /// into GEMM panels, padded to whole 16-column panels so even `k = 10`
 /// runs in the micro-kernel, and `col_scale[c] = 1 / (‖C_c‖·√D)` (0 for
-/// a zero-norm class, matching [`cosine_dense_bipolar`]).
+/// a zero-norm class, matching [`crate::cosine_dense_bipolar`]).
 #[derive(Debug, Clone)]
 struct DenseOperand {
     classes_t: PackedRhs,
@@ -286,14 +289,51 @@ impl AssociativeMemory {
     /// Cosine similarity of a query against every class:
     /// `δ(M, H) ∈ [-1, 1]^k`.
     ///
+    /// Each class is [`crate::cosine_dense_bipolar`] of its row, bit for bit:
+    /// its norm and its dot are each one sum over ascending `d` from the
+    /// same start value, finished by the same `dot / (‖C‖·√D)`. The
+    /// classes run eight at a time as independent chains
+    /// interleaved in one pass over `d`, so the adds overlap instead of
+    /// each waiting on the one before it.
+    ///
     /// # Panics
     ///
     /// Panics if dimensions disagree.
     pub fn similarities(&self, hv: &BipolarHv) -> Vec<f32> {
+        assert_eq!(hv.dim(), self.dim, "dimension mismatch");
         let mut sp = nshd_obs::span("assoc_search");
         sp.add_flops(2 * (self.classes.len() * self.dim) as u64);
         sp.add_bytes((4 * (self.classes.len() * self.dim) + self.dim) as u64);
-        self.classes.iter().map(|c| cosine_dense_bipolar(c, hv)).collect()
+        let signs: Vec<f32> =
+            hv.components().iter().map(|&c| if c > 0 { 1.0 } else { -1.0 }).collect();
+        let sqrt_d = (self.dim as f32).sqrt();
+        let mut out = Vec::with_capacity(self.classes.len());
+        for group in self.classes.chunks(CHAINS) {
+            // A short last group repeats its last row; the copies'
+            // results are dropped.
+            let rows: [&[f32]; CHAINS] =
+                std::array::from_fn(|j| &group[j.min(group.len() - 1)][..self.dim]);
+            // `Sum for f32` starts at `-0.0`, `dot_dense_bipolar` at `+0.0`.
+            let mut norm = [-0.0f32; CHAINS];
+            let mut dot = [0.0f32; CHAINS];
+            for (d, &sign) in signs.iter().enumerate() {
+                for j in 0..CHAINS {
+                    let x = rows[j][d];
+                    norm[j] += x * x;
+                    // `x · (±1.0)` is exactly `±x`.
+                    dot[j] += x * sign;
+                }
+            }
+            out.extend(norm.iter().zip(&dot).take(group.len()).map(|(&sq, &dot)| {
+                let norm = sq.sqrt();
+                if norm == 0.0 {
+                    0.0
+                } else {
+                    dot / (norm * sqrt_d)
+                }
+            }));
+        }
+        out
     }
 
     /// Predicted class: `argmax δ(M, H)`, ties to the last maximum.
@@ -345,8 +385,11 @@ impl AssociativeMemory {
     /// class, as an `N×k` tensor — one GEMM against the compiled class
     /// panel instead of `N·k` scalar dot loops. Bit-identical to
     /// `matmul_bt(queries, class_matrix())` scaled by the class norms.
-    /// Row `i` matches [`similarities`](AssociativeMemory::similarities)
-    /// for `hvs[i]` up to float summation order.
+    /// Each dot sums in the same order as in
+    /// [`similarities`](AssociativeMemory::similarities), so the two
+    /// differ only in the final scale, `dot·((1/√D)/‖C‖)` here against
+    /// `dot/(‖C‖·√D)` there: row `i` can differ from `similarities` of
+    /// `hvs[i]` in the last bits.
     ///
     /// # Panics
     ///
@@ -522,6 +565,48 @@ mod tests {
             mem.predict_batch(&queries),
             queries.iter().map(|q| mem.predict(q)).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn batched_dots_equal_pointwise_dots_bit_for_bit() {
+        let mut rng = Rng::new(7);
+        let dim = 700;
+        let mut mem = AssociativeMemory::new(19, dim);
+        for c in 0..19 {
+            mem.add_scaled(c, &random_hv(dim, &mut rng), rng.normal());
+            mem.add_scaled(c, &random_hv(dim, &mut rng), rng.normal());
+        }
+        mem.class_mut(3)[9] = -0.0;
+        let hvs: Vec<BipolarHv> = (0..5).map(|_| random_hv(dim, &mut rng)).collect();
+        let q: Vec<f32> = hvs.iter().flat_map(BipolarHv::to_f32).collect();
+        let queries = Tensor::from_vec(q, [hvs.len(), dim]).unwrap();
+        let dots = matmul_packed(&queries, &mem.compiled().classes_t);
+        for (i, hv) in hvs.iter().enumerate() {
+            for c in 0..mem.num_classes() {
+                let pointwise = crate::similarity::dot_dense_bipolar(mem.class(c), hv);
+                assert_eq!(dots.at(&[i, c]).to_bits(), pointwise.to_bits(), "query {i} class {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn pointwise_similarities_are_the_per_class_cosine_chain_bit_for_bit() {
+        let mut rng = Rng::new(10);
+        // 21 classes leave a short last group of chains; the last class
+        // stays all-zero.
+        for dim in [1usize, 130, 700] {
+            let mut mem = AssociativeMemory::new(21, dim);
+            for c in 0..20 {
+                mem.add_scaled(c, &random_hv(dim, &mut rng), rng.normal());
+            }
+            let hv = random_hv(dim, &mut rng);
+            let chain: Vec<u32> = (0..21)
+                .map(|c| crate::similarity::cosine_dense_bipolar(mem.class(c), &hv).to_bits())
+                .collect();
+            let got: Vec<u32> = mem.similarities(&hv).iter().map(|s| s.to_bits()).collect();
+            assert_eq!(got, chain, "dim {dim}");
+            assert_eq!(got[20], 0, "zero-norm class scores +0.0");
+        }
     }
 
     #[test]

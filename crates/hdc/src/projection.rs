@@ -3,14 +3,26 @@
 
 use crate::hypervector::{BipolarHv, PackedHv};
 use nshd_tensor::{matmul_packed, par, PackedRhs, Rng, Tensor};
+use std::sync::{Arc, OnceLock};
 
 /// A seeded bipolar random-projection encoder.
 ///
 /// Holds one random bipolar *base hypervector* `P_f ∈ {±1}^D` per input
 /// feature, stored bit-packed (the paper's constant-memory binary layout).
-/// Encoding is `H = sign(Σ_f v_f ⊗ P_f)` — binding each feature value to
-/// its base vector and bundling — computed without multiplications by
-/// adding or subtracting `v_f` according to each stored sign bit.
+/// Encoding is `H = sign(Σ_f v_f ⊗ P_f)`: binding each feature value to
+/// its base vector and bundling.
+///
+/// The basis is compiled once into a GEMM sign operand of the tensor
+/// crate ([`PackedRhs::from_sign_rows`], 16 sign bits per panel row, the
+/// same size as the basis itself): `P` (`F` rows of `D` signs) for
+/// encoding, shared by `Arc` with every [`BatchEncoder`], and `Pᵀ` (`D`
+/// rows of `F` signs) for decoding, built on the first
+/// [`decode`](RandomProjection::decode). A single sample is an `m = 1`
+/// product against them, so per-sample training runs the same
+/// micro-kernels as batched serving. Each term is `x · (±1.0)`, which is
+/// exact, and each sum runs in ascending order from `+0.0`, so the
+/// results are bit-identical to adding or subtracting each value by its
+/// sign bit.
 ///
 /// # Examples
 ///
@@ -27,6 +39,10 @@ pub struct RandomProjection {
     dim: usize,
     seed: u64,
     rows: Vec<PackedHv>,
+    /// The `F×D` basis as a GEMM sign operand, row `f` = `P_f`.
+    signs: Arc<PackedRhs>,
+    /// The `D×F` transpose, compiled on the first decode.
+    signs_t: OnceLock<PackedRhs>,
 }
 
 impl RandomProjection {
@@ -39,13 +55,15 @@ impl RandomProjection {
     pub fn new(features: usize, dim: usize, seed: u64) -> Self {
         assert!(features > 0 && dim > 0, "features and dim must be positive");
         let mut rng = Rng::new(seed);
-        let rows = (0..features)
+        let rows: Vec<PackedHv> = (0..features)
             .map(|_| {
                 let signs: Vec<f32> = (0..dim).map(|_| rng.bipolar()).collect();
                 BipolarHv::from_signs(&signs).to_packed()
             })
             .collect();
-        RandomProjection { features, dim, seed, rows }
+        let words: Vec<&[u64]> = rows.iter().map(PackedHv::words).collect();
+        let signs = Arc::new(PackedRhs::from_sign_rows(dim, &words));
+        RandomProjection { features, dim, seed, rows, signs, signs_t: OnceLock::new() }
     }
 
     /// The seed this projection was built from (sufficient to
@@ -73,41 +91,38 @@ impl RandomProjection {
         &self.rows[f]
     }
 
+    /// The decode operand `Pᵀ`: row `d` holds bit `f` of every `P_f`.
+    fn transposed(&self) -> &PackedRhs {
+        self.signs_t.get_or_init(|| {
+            let words_per_row = self.features.div_ceil(64);
+            let mut rows = vec![vec![0u64; words_per_row]; self.dim];
+            for (f, base) in self.rows.iter().enumerate() {
+                for (d, row) in rows.iter_mut().enumerate() {
+                    if base.sign_at(d) > 0 {
+                        row[f / 64] |= 1 << (f % 64);
+                    }
+                }
+            }
+            PackedRhs::from_sign_rows(self.features, &rows)
+        })
+    }
+
     /// The pre-sign accumulator `Σ_f v_f ⊗ P_f` (a dense `D`-vector).
     ///
     /// Exposed separately because the straight-through estimator needs the
-    /// pre-binarisation activations.
+    /// pre-binarisation activations. It is row 0 of
+    /// [`BatchEncoder::encode_raw_batch`] for a one-row batch.
     ///
     /// # Panics
     ///
     /// Panics if `values.len() != self.features()`.
     pub fn encode_raw(&self, values: &[f32]) -> Vec<f32> {
         assert_eq!(values.len(), self.features, "feature count mismatch");
-        let mut sp = nshd_obs::span("hd_encode");
-        sp.add_flops(2 * (self.features * self.dim) as u64);
-        sp.add_bytes((self.features * self.dim / 8 + 4 * (self.features + self.dim)) as u64);
-        let mut acc = vec![0.0f32; self.dim];
-        for (row, &v) in self.rows.iter().zip(values) {
-            if v == 0.0 {
-                continue;
-            }
-            let words = row.words();
-            // Add/sub by sign bit, 64 dimensions per word.
-            for (w, word) in words.iter().enumerate() {
-                let base = w * 64;
-                let end = (base + 64).min(self.dim);
-                let mut bits = *word;
-                for a in &mut acc[base..end] {
-                    if bits & 1 == 1 {
-                        *a += v;
-                    } else {
-                        *a -= v;
-                    }
-                    bits >>= 1;
-                }
-            }
-        }
-        acc
+        // FLOPs are attributed by the nested matmul span; this span
+        // names the stage.
+        let _sp = nshd_obs::span("hd_encode");
+        let row = Tensor::from_vec(values.to_vec(), [1, self.features]).expect("one F-wide row");
+        matmul_packed(&row, &self.signs).into_vec()
     }
 
     /// Encodes a feature vector into a bipolar hypervector:
@@ -124,36 +139,26 @@ impl RandomProjection {
     /// `out_f = ⟨P_f, e⟩ / D` — the paper's HD decoding, which is the
     /// adjoint of `encode_raw` up to the `1/D` normalisation.
     ///
+    /// Computed as `e · Pᵀ`, then scaled. The product skips exact-zero
+    /// components of `e`, where adding or subtracting every component
+    /// would not: the skip is exact because each sum starts at `+0.0`,
+    /// which a sum of nonzero terms can only return to (never reach
+    /// `−0.0`) under round-to-nearest, and `s ± 0.0 = s` for every
+    /// other `s`.
+    ///
     /// # Panics
     ///
     /// Panics if `hyper.len() != self.dim()`.
     pub fn decode(&self, hyper: &[f32]) -> Vec<f32> {
         assert_eq!(hyper.len(), self.dim, "hyperspace dimension mismatch");
-        let mut sp = nshd_obs::span("hd_decode");
-        sp.add_flops(2 * (self.features * self.dim) as u64);
-        sp.add_bytes((self.features * self.dim / 8 + 4 * (self.features + self.dim)) as u64);
+        let _sp = nshd_obs::span("hd_decode");
         let inv_d = 1.0 / self.dim as f32;
-        self.rows
-            .iter()
-            .map(|row| {
-                let words = row.words();
-                let mut s = 0.0;
-                for (w, word) in words.iter().enumerate() {
-                    let base = w * 64;
-                    let end = (base + 64).min(self.dim);
-                    let mut bits = *word;
-                    for item in &hyper[base..end] {
-                        if bits & 1 == 1 {
-                            s += item;
-                        } else {
-                            s -= item;
-                        }
-                        bits >>= 1;
-                    }
-                }
-                s * inv_d
-            })
-            .collect()
+        let row = Tensor::from_vec(hyper.to_vec(), [1, self.dim]).expect("one D-wide row");
+        let mut out = matmul_packed(&row, self.transposed()).into_vec();
+        for s in &mut out {
+            *s *= inv_d;
+        }
+        out
     }
 
     /// Builds the batched-GEMM encoder for this projection — see
@@ -175,20 +180,16 @@ impl RandomProjection {
     }
 }
 
-/// The batched-GEMM form of [`RandomProjection`]: the bit-packed base
-/// hypervectors laid out once as a sign operand of the tensor crate's
-/// GEMM ([`PackedRhs::from_sign_rows`], 16 sign bits per panel row, the
-/// same size as the projection itself), so a whole batch of feature
-/// vectors encodes as one register-tiled matrix product instead of `N`
-/// bit-serial accumulation passes. No f32 copy of the basis is ever
-/// made.
+/// The batched form of [`RandomProjection`]: a whole batch of feature
+/// vectors encodes as one register-tiled matrix product against the
+/// projection's sign operand, which the encoder shares by `Arc`. No f32
+/// copy of the basis is ever made.
 ///
 /// `encode_raw_batch` is **bit-identical** to per-sample
-/// [`RandomProjection::encode_raw`]: the GEMM kernel accumulates the
-/// inner (feature) dimension sequentially and skips exact zeros, the
-/// same summation order and zero-skip as the bit-serial path, and each
-/// term is `v · (±1.0)`, which is exact in IEEE arithmetic. The serving
-/// runtime's determinism guarantee rests on this equality.
+/// [`RandomProjection::encode_raw`]: both are products against the same
+/// operand, and the GEMM computes each output row independently of the
+/// others, in the same order at any thread count. The serving runtime's
+/// determinism guarantee rests on this equality.
 ///
 /// # Examples
 ///
@@ -207,16 +208,14 @@ impl RandomProjection {
 pub struct BatchEncoder {
     features: usize,
     dim: usize,
-    /// The `F×D` ±1 basis as a GEMM sign operand, row `f` = `P_f`.
-    signs: PackedRhs,
+    /// The projection's `F×D` sign operand, row `f` = `P_f`.
+    signs: Arc<PackedRhs>,
 }
 
 impl BatchEncoder {
-    /// Lays `proj`'s base hypervectors out as the GEMM sign operand.
+    /// Shares `proj`'s sign operand.
     pub fn new(proj: &RandomProjection) -> Self {
-        let words: Vec<&[u64]> = proj.rows.iter().map(PackedHv::words).collect();
-        let signs = PackedRhs::from_sign_rows(proj.dim, &words);
-        BatchEncoder { features: proj.features, dim: proj.dim, signs }
+        BatchEncoder { features: proj.features, dim: proj.dim, signs: Arc::clone(&proj.signs) }
     }
 
     /// Number of input features `F`.
@@ -294,6 +293,85 @@ impl BatchEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-serial encoder the GEMM form replaced: add or subtract
+    /// each nonzero value by sign bit, 64 dimensions per word.
+    fn bit_serial_encode_raw(proj: &RandomProjection, values: &[f32]) -> Vec<f32> {
+        let mut acc = vec![0.0f32; proj.dim];
+        for (row, &v) in proj.rows.iter().zip(values) {
+            if v == 0.0 {
+                continue;
+            }
+            let words = row.words();
+            // Add/sub by sign bit, 64 dimensions per word.
+            for (w, word) in words.iter().enumerate() {
+                let base = w * 64;
+                let end = (base + 64).min(proj.dim);
+                let mut bits = *word;
+                for a in &mut acc[base..end] {
+                    if bits & 1 == 1 {
+                        *a += v;
+                    } else {
+                        *a -= v;
+                    }
+                    bits >>= 1;
+                }
+            }
+        }
+        acc
+    }
+
+    /// The bit-serial decoder the GEMM form replaced: every component
+    /// added or subtracted, zeros included, in ascending order.
+    fn bit_serial_decode(proj: &RandomProjection, hyper: &[f32]) -> Vec<f32> {
+        let inv_d = 1.0 / proj.dim as f32;
+        proj.rows
+            .iter()
+            .map(|row| {
+                let words = row.words();
+                let mut s = 0.0;
+                for (w, word) in words.iter().enumerate() {
+                    let base = w * 64;
+                    let end = (base + 64).min(proj.dim);
+                    let mut bits = *word;
+                    for item in &hyper[base..end] {
+                        if bits & 1 == 1 {
+                            s += item;
+                        } else {
+                            s -= item;
+                        }
+                        bits >>= 1;
+                    }
+                }
+                s * inv_d
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn per_sample_encode_and_decode_match_the_bit_serial_loops() {
+        // 70 features span two words of a decode row and a partial
+        // panel; 130 dims a partial trailing word and panel.
+        let proj = RandomProjection::new(70, 130, 13);
+        let mut rng = Rng::new(14);
+        let mut v: Vec<f32> = (0..70).map(|_| rng.normal()).collect();
+        v[1] = 0.0;
+        v[2] = -0.0;
+        v[3] = f32::INFINITY;
+        let mut e: Vec<f32> = (0..130).map(|_| rng.normal()).collect();
+        e[0] = -0.0;
+        e[5] = 0.0;
+        e[64] = f32::NEG_INFINITY;
+        let zeros = vec![-0.0f32; 130];
+        assert_eq!(bits(&proj.encode_raw(&v)), bits(&bit_serial_encode_raw(&proj, &v)));
+        for e in [&e, &zeros, &proj.encode_raw(&v[4..].repeat(2)[..70])] {
+            assert_eq!(bits(&proj.decode(e)), bits(&bit_serial_decode(&proj, e)));
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {
@@ -393,7 +471,7 @@ mod tests {
         let hvs = batch.encode_batch(&values);
         let packed = batch.encode_batch_packed(&values);
         for (i, row) in rows.iter().enumerate() {
-            let expect = proj.encode_raw(row);
+            let expect = bit_serial_encode_raw(&proj, row);
             assert_eq!(
                 &raw.as_slice()[i * 130..(i + 1) * 130],
                 expect.as_slice(),
