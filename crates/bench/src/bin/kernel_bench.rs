@@ -5,6 +5,8 @@
 //! (im2col + GEMM), the served extractor's depthwise and 1×1 convs at a
 //! batch of one, the whole served extractor through the fused eval pass
 //! (also checked against the layer-by-layer chain), the batched HD encode (also at the served batch of one),
+//! HD training's per-sample encode, decode and class similarities (each
+//! checked against its bit-serial oracle),
 //! dense scoring against the compiled class panel, and the quantised scoring
 //! kernels (`packed_score` XNOR+popcount, `int8_score` mask-and-add
 //! GEMM) — once with one thread and once with the full worker set
@@ -32,7 +34,8 @@
 
 use nshd_bench::Scale;
 use nshd_hdc::{
-    AssociativeMemory, BipolarHv, PackedHv, PackedMemory, QuantizedMemory, RandomProjection,
+    cosine_dense_bipolar, AssociativeMemory, BipolarHv, PackedHv, PackedMemory, QuantizedMemory,
+    RandomProjection,
 };
 use nshd_nn::{Architecture, Conv2d, DepthwiseConv2d, EvalOp, Layer};
 use nshd_obs::{clock, Json, Recorder};
@@ -162,6 +165,58 @@ fn layerwise(layer: &dyn Layer, x: &Tensor) -> Tensor {
         }
         _ => layer.infer(x),
     }
+}
+
+/// The bit-serial encode oracle: add or subtract each nonzero value by
+/// the sign bits of its base hypervector, 64 dimensions per word.
+fn bit_serial_encode_raw(proj: &RandomProjection, values: &[f32]) -> Vec<f32> {
+    let dim = proj.dim();
+    let mut acc = vec![0.0f32; dim];
+    for (f, &v) in values.iter().enumerate() {
+        if v == 0.0 {
+            continue;
+        }
+        for (w, word) in proj.base(f).words().iter().enumerate() {
+            let base = w * 64;
+            let end = (base + 64).min(dim);
+            let mut bits = *word;
+            for a in &mut acc[base..end] {
+                if bits & 1 == 1 {
+                    *a += v;
+                } else {
+                    *a -= v;
+                }
+                bits >>= 1;
+            }
+        }
+    }
+    acc
+}
+
+/// The bit-serial decode oracle: `⟨P_f, e⟩ / D`, every component added
+/// or subtracted by sign bit in ascending order.
+fn bit_serial_decode(proj: &RandomProjection, hyper: &[f32]) -> Vec<f32> {
+    let dim = proj.dim();
+    let inv_d = 1.0 / dim as f32;
+    (0..proj.features())
+        .map(|f| {
+            let mut s = 0.0;
+            for (w, word) in proj.base(f).words().iter().enumerate() {
+                let base = w * 64;
+                let end = (base + 64).min(dim);
+                let mut bits = *word;
+                for item in &hyper[base..end] {
+                    if bits & 1 == 1 {
+                        s += item;
+                    } else {
+                        s -= item;
+                    }
+                    bits >>= 1;
+                }
+            }
+            s * inv_d
+        })
+        .collect()
 }
 
 fn rand_tensor(shape: [usize; 2], rng: &mut Rng) -> Tensor {
@@ -312,8 +367,64 @@ fn main() {
         });
         cell.bit_identical &= bits_equal(
             enc.encode_raw_batch(&values).as_slice(),
-            &proj.encode_raw(values.as_slice()),
+            &bit_serial_encode_raw(&proj, values.as_slice()),
         );
+        cells.push(cell);
+    }
+
+    // HD training's per-sample operations at the `image` shapes (F̂ =
+    // 100, D = 3000, 100 classes for the MASS rule's scoring): the
+    // pointwise encode and the decode as one-row products against the
+    // projection's sign operands, and the pointwise similarities as
+    // interleaved per-class chains. Each must equal its bit-serial
+    // oracle bit for bit.
+    {
+        let (features, dim) = (100usize, 3_000usize);
+        let proj = RandomProjection::new(features, dim, 31);
+        let values = rand_tensor([1, features], &mut rng);
+        let hyper = rand_tensor([1, dim], &mut rng);
+        let flops = 2 * (features * dim) as u64;
+        let reps = reps_for(flops, budget / 4);
+        let shape = format!("n1f{features}d{dim}");
+        let as_row = |v: Vec<f32>| {
+            let n = v.len();
+            Tensor::from_vec(v, [1, n]).expect("one row")
+        };
+        let mut cell =
+            measure("hd_encode_pointwise", shape.clone(), flops, reps, args.threads, || {
+                as_row(proj.encode_raw(values.as_slice()))
+            });
+        cell.bit_identical &= bits_equal(
+            &proj.encode_raw(values.as_slice()),
+            &bit_serial_encode_raw(&proj, values.as_slice()),
+        );
+        cells.push(cell);
+        let mut cell = measure("hd_decode", shape, flops, reps, args.threads, || {
+            as_row(proj.decode(hyper.as_slice()))
+        });
+        cell.bit_identical &=
+            bits_equal(&proj.decode(hyper.as_slice()), &bit_serial_decode(&proj, hyper.as_slice()));
+        cells.push(cell);
+
+        let classes = 100;
+        let mut memory = AssociativeMemory::new(classes, dim);
+        let rand_hv = |rng: &mut Rng| -> BipolarHv {
+            BipolarHv::new((0..dim).map(|_| if rng.bipolar() > 0.0 { 1 } else { -1 }).collect())
+        };
+        for c in 0..classes {
+            memory.add_scaled(c, &rand_hv(&mut rng), rng.normal());
+            memory.add_scaled(c, &rand_hv(&mut rng), rng.normal());
+        }
+        let query = rand_hv(&mut rng);
+        let flops = 2 * (classes * dim) as u64;
+        let reps = reps_for(flops, budget / 8);
+        let mut cell =
+            measure("similarities", format!("k{classes}d{dim}"), flops, reps, args.threads, || {
+                as_row(memory.similarities(&query))
+            });
+        let chains: Vec<f32> =
+            (0..classes).map(|c| cosine_dense_bipolar(memory.class(c), &query)).collect();
+        cell.bit_identical &= bits_equal(&memory.similarities(&query), &chains);
         cells.push(cell);
     }
     for classes in [10usize, 100] {

@@ -5,7 +5,7 @@
 //! stream two ways:
 //!
 //! 1. **baseline** — one image at a time through `NshdModel::predict`
-//!    on the calling thread (bit-serial HD encode, scalar scoring);
+//!    on the calling thread (one-row HD encode, per-class cosine scoring);
 //! 2. **batched** — every request submitted to an `InferenceRuntime`
 //!    (micro-batching collector + one engine call per batch: CNN
 //!    extract, GEMM encode, one GEMM score), with an `nshd-obs` recorder
@@ -73,7 +73,7 @@ fn parse_args(scale: Scale) -> Args {
 
 /// A deliberately early-cut teacher: the serving profile the runtime
 /// targets keeps the CNN prefix cheap and lets HD encoding dominate,
-/// which is where batching pays (GEMM encode vs bit-serial).
+/// which is where batching pays (one GEMM per batch vs one per image).
 fn tiny_teacher(rng: &mut Rng) -> Model {
     let features = Sequential::new()
         .with(Conv2d::new(3, 8, 3, 1, 1, rng))

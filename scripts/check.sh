@@ -49,6 +49,13 @@ echo "==> cargo test -p nshd-hdc (NSHD_SIMD=0)"
 # bit-identical to their per-sample oracles with the micro-kernels off.
 NSHD_SIMD=0 cargo test -q -p nshd-hdc
 
+echo "==> cargo test -p nshd-core --test training_digests (NSHD_SIMD=0)"
+# HD training runs its per-sample encode and decode as one-row products
+# against the projection's sign operands: with the micro-kernels off
+# they take the scalar panel loop, and the pinned training digests must
+# not move.
+NSHD_SIMD=0 cargo test -q -p nshd-core --test training_digests
+
 echo "==> nshd-tensor --no-default-features (scalar fallback)"
 # The pure-scalar build (no `simd` feature compiled in at all) must
 # build and pass the full tensor suite, including the micro-kernel
