@@ -348,7 +348,7 @@ mod tests {
 
         // The per-sample `&mut` reference: one eval-mode forward per
         // image, a scaler fitted over the same training images, the
-        // bit-serial projection encoder, and MASS retraining.
+        // per-sample projection encoder, and MASS retraining.
         let mut reference = teacher.clone();
         let mut features = |image: Tensor| {
             let batched = image.reshape([1, 3, 32, 32]).unwrap();

@@ -304,8 +304,6 @@ impl AssociativeMemory {
         let mut sp = nshd_obs::span("assoc_search");
         sp.add_flops(2 * (self.classes.len() * self.dim) as u64);
         sp.add_bytes((4 * (self.classes.len() * self.dim) + self.dim) as u64);
-        let signs: Vec<f32> =
-            hv.components().iter().map(|&c| if c > 0 { 1.0 } else { -1.0 }).collect();
         let sqrt_d = (self.dim as f32).sqrt();
         let mut out = Vec::with_capacity(self.classes.len());
         for group in self.classes.chunks(CHAINS) {
@@ -316,7 +314,8 @@ impl AssociativeMemory {
             // `Sum for f32` starts at `-0.0`, `dot_dense_bipolar` at `+0.0`.
             let mut norm = [-0.0f32; CHAINS];
             let mut dot = [0.0f32; CHAINS];
-            for (d, &sign) in signs.iter().enumerate() {
+            for (d, &c) in hv.components().iter().enumerate() {
+                let sign = if c > 0 { 1.0 } else { -1.0 };
                 for j in 0..CHAINS {
                     let x = rows[j][d];
                     norm[j] += x * x;

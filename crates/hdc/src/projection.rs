@@ -95,14 +95,15 @@ impl RandomProjection {
     fn transposed(&self) -> &PackedRhs {
         self.signs_t.get_or_init(|| {
             let words_per_row = self.features.div_ceil(64);
-            let mut rows = vec![vec![0u64; words_per_row]; self.dim];
+            let mut bits = vec![0u64; self.dim * words_per_row];
             for (f, base) in self.rows.iter().enumerate() {
-                for (d, row) in rows.iter_mut().enumerate() {
+                for (d, row) in bits.chunks_exact_mut(words_per_row).enumerate() {
                     if base.sign_at(d) > 0 {
                         row[f / 64] |= 1 << (f % 64);
                     }
                 }
             }
+            let rows: Vec<&[u64]> = bits.chunks_exact(words_per_row).collect();
             PackedRhs::from_sign_rows(self.features, &rows)
         })
     }
@@ -140,11 +141,10 @@ impl RandomProjection {
     /// adjoint of `encode_raw` up to the `1/D` normalisation.
     ///
     /// Computed as `e · Pᵀ`, then scaled. The product skips exact-zero
-    /// components of `e`, where adding or subtracting every component
-    /// would not: the skip is exact because each sum starts at `+0.0`,
-    /// which a sum of nonzero terms can only return to (never reach
-    /// `−0.0`) under round-to-nearest, and `s ± 0.0 = s` for every
-    /// other `s`.
+    /// components of `e`, which the definition adds as `±0.0` terms.
+    /// Skipping them is exact: each sum starts at `+0.0` and, under
+    /// round-to-nearest, never becomes `−0.0`, and adding `±0.0` leaves
+    /// every other value unchanged.
     ///
     /// # Panics
     ///
