@@ -167,16 +167,28 @@ fn layerwise(layer: &dyn Layer, x: &Tensor) -> Tensor {
     }
 }
 
+/// A projection's base hypervectors, drawn again from its seed as
+/// `RandomProjection::new` draws them.
+fn basis(proj: &RandomProjection) -> Vec<PackedHv> {
+    let mut rng = Rng::new(proj.seed());
+    (0..proj.features())
+        .map(|_| {
+            let signs: Vec<f32> = (0..proj.dim()).map(|_| rng.bipolar()).collect();
+            BipolarHv::from_signs(&signs).to_packed()
+        })
+        .collect()
+}
+
 /// The bit-serial encode oracle: add or subtract each nonzero value by
 /// the sign bits of its base hypervector, 64 dimensions per word.
 fn bit_serial_encode_raw(proj: &RandomProjection, values: &[f32]) -> Vec<f32> {
     let dim = proj.dim();
     let mut acc = vec![0.0f32; dim];
-    for (f, &v) in values.iter().enumerate() {
+    for (row, &v) in basis(proj).iter().zip(values) {
         if v == 0.0 {
             continue;
         }
-        for (w, word) in proj.base(f).words().iter().enumerate() {
+        for (w, word) in row.words().iter().enumerate() {
             let base = w * 64;
             let end = (base + 64).min(dim);
             let mut bits = *word;
@@ -198,10 +210,11 @@ fn bit_serial_encode_raw(proj: &RandomProjection, values: &[f32]) -> Vec<f32> {
 fn bit_serial_decode(proj: &RandomProjection, hyper: &[f32]) -> Vec<f32> {
     let dim = proj.dim();
     let inv_d = 1.0 / dim as f32;
-    (0..proj.features())
-        .map(|f| {
+    basis(proj)
+        .iter()
+        .map(|row| {
             let mut s = 0.0;
-            for (w, word) in proj.base(f).words().iter().enumerate() {
+            for (w, word) in row.words().iter().enumerate() {
                 let base = w * 64;
                 let end = (base + 64).min(dim);
                 let mut bits = *word;

@@ -423,10 +423,9 @@ impl NshdTrainer {
     }
 }
 
-/// Samples per encode GEMM when a whole cached set is encoded: two
-/// 4-row micro-kernel tiles, with a chunk's `N×D` accumulators small
-/// (96 KB at D = 3000).
-const ENCODE_CHUNK: usize = 8;
+/// Samples per encode GEMM when a whole cached set is encoded, so a
+/// chunk's `N×D` accumulators stay small (48 KB at D = 3000).
+const ENCODE_CHUNK: usize = 4;
 
 /// Encodes cached feature maps, through `manifold` when there is one,
 /// into hypervectors in sample order, [`ENCODE_CHUNK`] samples per GEMM

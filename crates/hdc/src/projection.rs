@@ -8,16 +8,15 @@ use std::sync::{Arc, OnceLock};
 /// A seeded bipolar random-projection encoder.
 ///
 /// Holds one random bipolar *base hypervector* `P_f ∈ {±1}^D` per input
-/// feature, stored bit-packed (the paper's constant-memory binary layout).
-/// Encoding is `H = sign(Σ_f v_f ⊗ P_f)`: binding each feature value to
-/// its base vector and bundling.
+/// feature, drawn from the seed. Encoding is `H = sign(Σ_f v_f ⊗ P_f)`:
+/// binding each feature value to its base vector and bundling.
 ///
-/// The basis is compiled once into a GEMM sign operand of the tensor
-/// crate ([`PackedRhs::from_sign_rows`], 16 sign bits per panel row, the
-/// same size as the basis itself): `P` (`F` rows of `D` signs) for
-/// encoding, shared by `Arc` with every [`BatchEncoder`], and `Pᵀ` (`D`
-/// rows of `F` signs) for decoding, built on the first
-/// [`decode`](RandomProjection::decode). A single sample is an `m = 1`
+/// The basis is kept only as a GEMM sign operand of the tensor crate
+/// ([`PackedRhs::from_sign_rows`], 16 sign bits per panel row: the
+/// paper's constant-memory binary layout): `P` (`F` rows of `D` signs)
+/// for encoding, shared by `Arc` with every [`BatchEncoder`], and `Pᵀ`
+/// (`D` rows of `F` signs, [`PackedRhs::transposed_signs`]) for decoding,
+/// built on the first [`decode`](RandomProjection::decode). A single sample is an `m = 1`
 /// product against them, so per-sample training runs the same
 /// micro-kernels as batched serving. Each term is `x · (±1.0)`, which is
 /// exact, and each sum runs in ascending order from `+0.0`, so the
@@ -38,7 +37,6 @@ pub struct RandomProjection {
     features: usize,
     dim: usize,
     seed: u64,
-    rows: Vec<PackedHv>,
     /// The `F×D` basis as a GEMM sign operand, row `f` = `P_f`.
     signs: Arc<PackedRhs>,
     /// The `D×F` transpose, compiled on the first decode.
@@ -63,7 +61,7 @@ impl RandomProjection {
             .collect();
         let words: Vec<&[u64]> = rows.iter().map(PackedHv::words).collect();
         let signs = Arc::new(PackedRhs::from_sign_rows(dim, &words));
-        RandomProjection { features, dim, seed, rows, signs, signs_t: OnceLock::new() }
+        RandomProjection { features, dim, seed, signs, signs_t: OnceLock::new() }
     }
 
     /// The seed this projection was built from (sufficient to
@@ -80,32 +78,6 @@ impl RandomProjection {
     /// Hypervector dimensionality `D`.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// The base hypervector for feature `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f >= self.features()`.
-    pub fn base(&self, f: usize) -> &PackedHv {
-        &self.rows[f]
-    }
-
-    /// The decode operand `Pᵀ`: row `d` holds bit `f` of every `P_f`.
-    fn transposed(&self) -> &PackedRhs {
-        self.signs_t.get_or_init(|| {
-            let words_per_row = self.features.div_ceil(64);
-            let mut bits = vec![0u64; self.dim * words_per_row];
-            for (f, base) in self.rows.iter().enumerate() {
-                for (d, row) in bits.chunks_exact_mut(words_per_row).enumerate() {
-                    if base.sign_at(d) > 0 {
-                        row[f / 64] |= 1 << (f % 64);
-                    }
-                }
-            }
-            let rows: Vec<&[u64]> = bits.chunks_exact(words_per_row).collect();
-            PackedRhs::from_sign_rows(self.features, &rows)
-        })
     }
 
     /// The pre-sign accumulator `Σ_f v_f ⊗ P_f` (a dense `D`-vector).
@@ -154,7 +126,8 @@ impl RandomProjection {
         let _sp = nshd_obs::span("hd_decode");
         let inv_d = 1.0 / self.dim as f32;
         let row = Tensor::from_vec(hyper.to_vec(), [1, self.dim]).expect("one D-wide row");
-        let mut out = matmul_packed(&row, self.transposed()).into_vec();
+        let signs_t = self.signs_t.get_or_init(|| self.signs.transposed_signs());
+        let mut out = matmul_packed(&row, signs_t).into_vec();
         for s in &mut out {
             *s *= inv_d;
         }
@@ -294,11 +267,22 @@ impl BatchEncoder {
 mod tests {
     use super::*;
 
+    /// The base hypervectors, drawn again from the projection's seed.
+    fn basis(proj: &RandomProjection) -> Vec<PackedHv> {
+        let mut rng = Rng::new(proj.seed);
+        (0..proj.features)
+            .map(|_| {
+                let signs: Vec<f32> = (0..proj.dim).map(|_| rng.bipolar()).collect();
+                BipolarHv::from_signs(&signs).to_packed()
+            })
+            .collect()
+    }
+
     /// The bit-serial encoder the GEMM form replaced: add or subtract
     /// each nonzero value by sign bit, 64 dimensions per word.
     fn bit_serial_encode_raw(proj: &RandomProjection, values: &[f32]) -> Vec<f32> {
         let mut acc = vec![0.0f32; proj.dim];
-        for (row, &v) in proj.rows.iter().zip(values) {
+        for (row, &v) in basis(proj).iter().zip(values) {
             if v == 0.0 {
                 continue;
             }
@@ -325,7 +309,7 @@ mod tests {
     /// added or subtracted, zeros included, in ascending order.
     fn bit_serial_decode(proj: &RandomProjection, hyper: &[f32]) -> Vec<f32> {
         let inv_d = 1.0 / proj.dim as f32;
-        proj.rows
+        basis(proj)
             .iter()
             .map(|row| {
                 let words = row.words();
@@ -388,10 +372,11 @@ mod tests {
         let proj = RandomProjection::new(5, 130, 1);
         let v = [0.7, -1.2, 0.0, 2.0, -0.4];
         let raw = proj.encode_raw(&v);
+        let basis = basis(&proj);
         for (d, &r) in raw.iter().enumerate() {
             let mut expect = 0.0;
             for (f, &vf) in v.iter().enumerate() {
-                expect += vf * proj.base(f).sign_at(d) as f32;
+                expect += vf * basis[f].sign_at(d) as f32;
             }
             assert!((r - expect).abs() < 1e-5, "dim {d}");
         }

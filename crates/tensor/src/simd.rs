@@ -286,6 +286,31 @@ impl PackedRhs {
         PackedRhs { k, n, panels: Panels::Sign(bits) }
     }
 
+    /// The transpose `Bᵀ` (`n`×`k`) of a sign operand, as a sign
+    /// operand, built straight from the panels: what an owner of `B`
+    /// multiplies by to apply the adjoint of `x · B`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is an f32 operand.
+    #[must_use]
+    pub fn transposed_signs(&self) -> Self {
+        let Panels::Sign(bits) = &self.panels else {
+            panic!("PackedRhs::transposed_signs needs a sign operand");
+        };
+        let (k, n) = (self.k, self.n);
+        // Column `p` of `Bᵀ` is row `p` of `B`: bit `p % NR` of panel
+        // `p / NR`, one panel row per `j`.
+        let mut out = vec![0u16; k.div_ceil(NR) * n];
+        for p in 0..k {
+            for j in 0..n {
+                let bit = (bits[(j / NR) * k + p] >> (j % NR)) & 1;
+                out[(p / NR) * n + j] |= bit << (p % NR);
+            }
+        }
+        PackedRhs { k: n, n: k, panels: Panels::Sign(out) }
+    }
+
     /// Inner dimension `k` (rows of `B`).
     #[must_use]
     pub fn k(&self) -> usize {

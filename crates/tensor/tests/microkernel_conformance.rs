@@ -274,6 +274,34 @@ fn sign_operand_matches_matmul_on_unpacked_signs() {
 }
 
 #[test]
+fn transposed_sign_operand_multiplies_by_the_transpose() {
+    let _g = lock();
+    for &k in &[1usize, 15, 16, 17, 70, 130] {
+        for &n in &[1usize, 16, 17, 100] {
+            let words = sign_words(k, n, (k * 31 + n) as u64);
+            let signs_t = Tensor::from_fn([n, k], |i| {
+                let (j, p) = (i / k, i % k);
+                if words[p][j / 64] >> (j % 64) & 1 == 1 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            });
+            let transposed = PackedRhs::from_sign_rows(n, &words).transposed_signs();
+            assert_eq!((transposed.k(), transposed.n()), (n, k));
+            for &m in &[1usize, 5] {
+                let a = seeded(m, n, (m * 13 + n * 7 + k) as u64);
+                for_each_config(|label| {
+                    let got = matmul_packed(&a, &transposed);
+                    let what = format!("{m}x{n}x{k} [{label}]");
+                    assert_bits_eq(&got, &matmul(&a, &signs_t), &format!("transposed {what}"));
+                });
+            }
+        }
+    }
+}
+
+#[test]
 fn simd_and_scalar_backends_are_bit_identical_directly() {
     let _g = lock();
     // Redundant with the grid tests in principle, but this states the
