@@ -439,14 +439,13 @@ fn encode_features<'a>(
     let encoder = projection.batch_encoder();
     let width = encoder.features();
     features.chunks(ENCODE_CHUNK).flat_map(move |chunk| {
-        let mut values = Vec::with_capacity(chunk.len() * width);
-        for feat in chunk {
+        let mut values = Tensor::zeros([chunk.len(), width]);
+        for (i, feat) in chunk.iter().enumerate() {
             match manifold {
-                Some(m) => values.extend(m.forward(feat).1),
-                None => values.extend_from_slice(feat.as_slice()),
+                Some(m) => values.write_slice(i * width, &m.forward(feat).1),
+                None => values.write_slice(i * width, feat.as_slice()),
             }
         }
-        let values = Tensor::from_vec(values, [chunk.len(), width]).expect("F-wide rows");
         encoder.encode_batch(&values)
     })
 }

@@ -94,7 +94,7 @@ impl RandomProjection {
         // FLOPs are attributed by the nested matmul span; this span
         // names the stage.
         let _sp = nshd_obs::span("hd_encode");
-        let row = Tensor::from_vec(values.to_vec(), [1, self.features]).expect("one F-wide row");
+        let row = Tensor::from_fn([1, self.features], |f| values[f]);
         matmul_packed(&row, &self.signs).into_vec()
     }
 
@@ -125,7 +125,7 @@ impl RandomProjection {
         assert_eq!(hyper.len(), self.dim, "hyperspace dimension mismatch");
         let _sp = nshd_obs::span("hd_decode");
         let inv_d = 1.0 / self.dim as f32;
-        let row = Tensor::from_vec(hyper.to_vec(), [1, self.dim]).expect("one D-wide row");
+        let row = Tensor::from_fn([1, self.dim], |d| hyper[d]);
         let signs_t = self.signs_t.get_or_init(|| self.signs.transposed_signs());
         let mut out = matmul_packed(&row, signs_t).into_vec();
         for s in &mut out {
