@@ -16,8 +16,11 @@
 //! cloning the `Arc` ([`Engine::state`]) and serves the whole batch
 //! against it. Every mutator (memory, head and scoring swaps, class
 //! growth) builds a new state, verifies it, and only then swaps the
-//! pointer. A rejected swap never disturbs traffic, and a batch that
-//! pinned the old state keeps answering from it bit-exactly.
+//! pointer, and only if it still points at the state the new one was
+//! built from; otherwise it rebuilds, so concurrent mutators never
+//! lose each other's updates. A rejected swap never disturbs traffic,
+//! and a batch that pinned the old state keeps answering from it
+//! bit-exactly.
 //!
 //! **Determinism.** A head's hypervectors are bit-identical to
 //! [`NshdModel::symbolize`] (see [`Symbolizer`]), and one head's vote
@@ -193,8 +196,9 @@ impl EngineState {
 }
 
 /// The serving engine: the current [`EngineState`] behind one
-/// `RwLock<Arc<EngineState>>`, with one publish path (verify, then swap)
-/// behind every mutator.
+/// `RwLock<Arc<EngineState>>`, with one publish path (build, verify,
+/// then swap only over the state the candidate was built from) behind
+/// every mutator.
 ///
 /// # Examples
 ///
